@@ -17,8 +17,10 @@ Physical velocities are v_i = c_i * dx / dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import product
+from typing import Tuple
 
 import numpy as np
 
@@ -127,18 +129,27 @@ class LbmParams:
         return (self.vset.name, self.dx, self.dt, self.omega, self.advection)
 
     def equilibrium_weights(self) -> np.ndarray:
-        """d f_eq / d rho per direction (the equilibrium bracket times w_i)."""
+        """d f_eq / d rho per direction (the equilibrium bracket times w_i).
+
+        Computed once per parameter set; the array is read-only because
+        every caller shares it.
+        """
+        return self._equilibrium_weights
+
+    @cached_property
+    def _equilibrium_weights(self) -> np.ndarray:
         w = self.vset.weight_array()
-        if all(v == 0.0 for v in self.advection):
-            return w
-        c = self.dx / self.dt
-        v = self.vset.direction_array() * c          # (q, d) physical velocities
-        a = np.asarray(self.advection, dtype=float)  # (d,)
-        cs2 = self.sound_speed_sq
-        va = v @ a
-        aa = float(a @ a)
-        bracket = 1.0 + va / cs2 + va ** 2 / (2 * cs2 ** 2) - aa / (2 * cs2)
-        return w * bracket
+        if any(v != 0.0 for v in self.advection):
+            c = self.dx / self.dt
+            v = self.vset.direction_array() * c          # (q, d) physical velocities
+            a = np.asarray(self.advection, dtype=float)  # (d,)
+            cs2 = self.sound_speed_sq
+            va = v @ a
+            aa = float(a @ a)
+            bracket = 1.0 + va / cs2 + va ** 2 / (2 * cs2 ** 2) - aa / (2 * cs2)
+            w = w * bracket
+        w.flags.writeable = False
+        return w
 
 
 @dataclass
@@ -193,37 +204,71 @@ def stream_collide(f: np.ndarray, params: LbmParams,
                    boundary: str = "periodic") -> np.ndarray:
     """One BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
 
-    Collision happens in place, then each component streams one lattice
-    link.  boundary="periodic" wraps every axis.  boundary="ghost" expects
-    f to carry a one-cell ghost rim along axis 0 of the grid (both ends);
-    the returned array is cropped to the interior, so its grid shrinks by
-    two along that axis.  The y axis stays periodic in 2D ghost mode.
+    Collision fills one new field, in which each component then streams
+    one lattice link in place.  boundary="periodic" wraps every axis.
+    boundary="ghost" expects f to carry a one-cell ghost rim along axis 0
+    of the grid (both ends); the returned array is cropped to the
+    interior, so its grid shrinks by two along that axis.  The y axis
+    stays periodic in 2D ghost mode.
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
     if f.shape[0] != vset.q:
         raise ValueError(f"expected leading axis {vset.q} for {vset.name}")
+    if f.ndim != vset.dimension + 1:
+        raise ValueError(f"distribution rank {f.ndim} does not match "
+                         f"{vset.name}")
     if boundary not in ("periodic", "ghost"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
-    if boundary == "ghost" and f.shape[1] < 3:
+    ghost = boundary == "ghost"
+    if ghost and f.shape[1] < 3:
         raise ValueError("ghost mode needs at least one interior cell plus rim")
 
     _TALLY.count += 1
     rho = restrict(f)
-    post = (1.0 - params.omega) * f + params.omega * equilibrium(rho, params)
+    weights = params.equilibrium_weights()
+    post = (1.0 - params.omega) * f
+    # one component at a time: no second field-sized buffer
+    for k in range(vset.q):
+        relaxed = weights[k] * rho
+        relaxed *= params.omega
+        post[k] += relaxed
+    for k, copies in _stream_copies(vset.directions, ghost):
+        component = post[k]
+        source = component.copy()
+        for dst, src in copies:
+            component[dst] = source[src]
+    return post[:, 1:-1] if ghost else post
 
-    out = np.empty_like(post)
-    for k, c in enumerate(vset.directions):
-        g = post[k]
+
+@lru_cache(maxsize=None)
+def _stream_copies(directions: Tuple[Tuple[int, ...], ...], ghost: bool):
+    """Per moving direction k, the (destination, source) slice pairs.
+
+    Direction k moves one link along c_k: component[x] = source[x - c_k].
+    A periodic axis needs two slice copies per nonzero shift (the bulk and
+    the wrapped edge), independent of the grid size.  In ghost mode only
+    the interior rows along grid axis 0 are written, and their sources
+    never wrap.
+    """
+    streams = []
+    for k, c in enumerate(directions):
+        if not any(c):
+            continue
+        per_axis = []
         for axis, shift in enumerate(c):
-            if shift:
-                g = np.roll(g, shift, axis=axis)
-        out[k] = g
-
-    if boundary == "ghost":
-        # wrap pollution from np.roll lands in the rim, which is dropped
-        out = out[:, 1:-1]
-    return out
+            if ghost and axis == 0:
+                rows = slice(1 - shift, -1 - shift or None)
+                per_axis.append([(slice(1, -1), rows)])
+            elif shift:
+                per_axis.append([(slice(shift, None), slice(None, -shift)),
+                                 (slice(None, shift), slice(-shift, None))])
+            else:
+                per_axis.append([(slice(None), slice(None))])
+        streams.append((k, tuple(
+            (tuple(d for d, _ in pairs), tuple(s for _, s in pairs))
+            for pairs in product(*per_axis))))
+    return tuple(streams)
 
 
 def run_lbm(f: np.ndarray, params: LbmParams, steps: int) -> np.ndarray:

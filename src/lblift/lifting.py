@@ -26,13 +26,20 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .lattice import D1Q3, VELOCITY_SETS, LbmParams, equilibrium
-from .stencil import DerivSpec, spatial_derivative
+from .stencil import DerivSpec, difference_stencils
+# perfbench's tracer wraps spatial_derivative at this module attribute
+from .stencil import spatial_derivative  # noqa: F401
 
 # Accuracy order of the central stencils used to evaluate the derivative
 # corrections.  Trained coefficients absorb the truncation terms of the
 # stencils they were trained with, so training and application must use
 # the same accuracy; 2 matches the closed-form benchmark values.
 LIFT_STENCIL_ACCURACY = 2
+
+# Grid cells per block of the stencil lift: 20 rows of a 200 x 200 field,
+# or a whole 1D grid of up to 4096 cells.  The columns of one block (20
+# tap differences at D2Q9 order 4, plus the density) then take 690 kB.
+_BLOCK_CELLS = 4096
 
 
 @dataclass
@@ -97,8 +104,15 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients, params: LbmParams,
     """Lift a density field to distributions on a periodic grid.
 
     derivatives may supply exact derivative fields keyed by spec (used by
-    the trainer, where the test density is a polynomial); otherwise the
-    derivatives come from central stencils of the given accuracy.
+    the trainer, where the test density is a polynomial); they are added
+    to f_eq term by term.  Otherwise the lift is one linear stencil: the
+    central differences of every term, weighted by its coefficient
+    vector, are summed into a (q x taps) matrix C = A W, and
+
+        f_i(x) = w_i rho(x) + sum_u C[i, u] (rho(x + u) - rho(x)),
+
+    with w_i the equilibrium weights.  The difference form gives a
+    uniform density no correction at all.
     """
     if coeffs.fingerprint != params.fingerprint():
         raise ValueError(
@@ -106,13 +120,59 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients, params: LbmParams,
             f"{coeffs.fingerprint} vs {params.fingerprint()}"
         )
     rho = np.asarray(rho, dtype=float)
+    bad = ~np.isfinite(rho)
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"non-finite density {rho[cell]} at cell {cell}")
+    if derivatives is None and coeffs.terms:
+        return _stencil_lift(rho, coeffs, params, accuracy)
     f = equilibrium(rho, params)
     for spec, vec in coeffs.terms.items():
-        if derivatives is not None:
-            d = derivatives[spec]
-        else:
-            d = spatial_derivative(rho, spec, params.dx, accuracy=accuracy)
-        f += vec.reshape((-1,) + (1,) * rho.ndim) * d[None]
+        f += vec.reshape((-1,) + (1,) * rho.ndim) * derivatives[spec][None]
+    return f
+
+
+def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
+                  params: LbmParams, accuracy: int) -> np.ndarray:
+    """f = [C | w] [rho(x + u) - rho(x); rho(x)], in blocks along axis 0.
+
+    Each block gathers one shifted window of the wrap-padded density per
+    tap, plus the density itself, and takes one matrix product straight
+    into f, so temporaries stay a few hundred kilobytes whatever the grid
+    size.
+    """
+    if rho.ndim != params.vset.dimension:
+        raise ValueError(
+            f"density rank {rho.ndim} does not match {params.vset.name}")
+    specs = tuple(coeffs.sorted_specs())
+    taps, weights = difference_stencils(specs, params.dx, accuracy)
+    stencil = np.column_stack(
+        [np.column_stack([coeffs.terms[s] for s in specs]) @ weights,
+         params.equilibrium_weights()])
+    reach = np.abs(np.array(taps)).max(axis=0)
+    padded = np.pad(rho, [(h, h) for h in reach], mode="wrap")
+    row_shape = rho.shape[1:]
+    # per tap: first padded row of the window, and the window on the other axes
+    windows = [(reach[0] + u[0],
+                tuple(slice(h + s, h + s + n)
+                      for h, s, n in zip(reach[1:], u[1:], row_shape)))
+               for u in taps]
+    row_cells = int(np.prod(row_shape))
+    rows_per_block = max(1, _BLOCK_CELLS // row_cells)
+    columns = np.empty((len(taps) + 1, rows_per_block * row_cells))
+    f = np.empty((params.vset.q,) + rho.shape)
+    f_flat = f.reshape(params.vset.q, -1)
+    for start in range(0, rho.shape[0], rows_per_block):
+        stop = min(start + rows_per_block, rho.shape[0])
+        block = rho[start:stop]
+        cols = columns[:, :block.size]
+        shaped = cols.reshape((len(taps) + 1,) + block.shape)
+        for j, (first, inner) in enumerate(windows):
+            np.subtract(padded[(slice(first + start, first + stop),) + inner],
+                        block, out=shaped[j])
+        shaped[-1] = block
+        np.matmul(stencil, cols,
+                  out=f_flat[:, start * row_cells:stop * row_cells])
     return f
 
 
@@ -197,6 +257,9 @@ def analytic_coefficients(params: LbmParams, order: int) -> LiftCoefficients:
                          "train the advective model numerically")
     if not 0 <= order <= 3:
         raise ValueError("analytic expansion orders run from 0 to 3")
+    if params.omega == 0.0:
+        raise ValueError("omega = 0 never relaxes towards equilibrium: the "
+                         "closed forms divide by omega")
 
     coeffs = LiftCoefficients(fingerprint=params.fingerprint())
     if order == 0:

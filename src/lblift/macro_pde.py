@@ -42,6 +42,10 @@ def analytic_pde(params: LbmParams) -> MacroPde:
     carrying the 1D prefactor into 2D would double it, since the 2D sets
     have c_s^2 = (1/3)(dx/dt)^2.
     """
+    if params.omega == 0.0:
+        raise ValueError("omega = 0 never relaxes towards equilibrium: the "
+                         "diffusion coefficient c_s^2 dt (1/omega - 1/2) "
+                         "is undefined")
     diffusion = params.sound_speed_sq * params.dt * (1.0 / params.omega - 0.5)
     return MacroPde(advection=params.advection, diffusion=diffusion)
 

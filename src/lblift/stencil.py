@@ -5,13 +5,16 @@ total order 6 (mixed 2D derivatives are tensor products of the 1D
 stencils), plus one-sided formulas for time derivatives from a short
 sequence of snapshots.  Periodic application wraps with np.roll;
 interior-only application leaves a NaN rim where the stencil would
-reach across the boundary.
+reach across the boundary.  difference_stencils writes the periodic
+stencils of several derivatives as one matrix over grid offsets, for
+evaluating a fixed linear combination of them in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -120,6 +123,46 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec, dx: float,
         if order:
             out = _apply_axis(out, order, dx, axis, accuracy, mode)
     return out
+
+
+@lru_cache(maxsize=64)
+def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float,
+                        accuracy: int = 2
+                        ) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray]:
+    """The periodic central differences of several specs as one matrix.
+
+    Returns (taps, weights).  taps are the nonzero grid offsets u that any
+    of the stencils reaches, sorted; weights has one row per spec, so that
+
+        D_{specs[k]} rho(x) = sum_j weights[k, j] (rho(x + taps[j]) - rho(x)).
+
+    Each stencil is the tensor product of the 1D weights that
+    spatial_derivative applies axis by axis; it annihilates constants, so
+    the centre weight is carried by the differences.  weights is
+    read-only, because the cache hands the same array to every caller.
+    """
+    axis_stencils = []
+    for spec in specs:
+        per_axis = []
+        for order in spec.orders:
+            if order:
+                offsets = central_offsets(order, accuracy)
+                per_axis.append((offsets, fd_weights(order, offsets) / dx ** order))
+            else:
+                per_axis.append(((0,), np.ones(1)))
+        axis_stencils.append(per_axis)
+    taps = sorted({u for per_axis in axis_stencils
+                   for u in product(*(offsets for offsets, _ in per_axis))
+                   if any(u)})
+    column = {u: j for j, u in enumerate(taps)}
+    weights = np.zeros((len(specs), len(taps)))
+    for k, per_axis in enumerate(axis_stencils):
+        for pairs in product(*(zip(*axis) for axis in per_axis)):
+            u = tuple(off for off, _ in pairs)
+            if any(u):
+                weights[k, column[u]] = np.prod([w for _, w in pairs])
+    weights.flags.writeable = False
+    return tuple(taps), weights
 
 
 def time_derivative_forward(snapshots: Sequence[np.ndarray], dt: float,

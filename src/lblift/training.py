@@ -86,14 +86,10 @@ class LinearLiftSystem:
     """The probe linear system, one identical block per velocity slot.
 
     block holds the derivative columns at the probe rows (time column
-    last when has_time_column); block_rhs holds f - f_eq per velocity.
-    matrix/rhs are the expanded block-diagonal form.
+    last when has_time_column).
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray
     block: np.ndarray
-    block_rhs: np.ndarray
     specs: Tuple[DerivSpec, ...]
     condition: float
     has_time_column: bool = False
@@ -271,15 +267,11 @@ class _Workspace:
             return np.linalg.solve(self.block, rhs)
         return np.linalg.lstsq(self.block, rhs, rcond=None)[0]
 
-    def make_system(self, rhs: np.ndarray, block=None,
+    def make_system(self, block=None,
                     has_time_column: bool = False) -> LinearLiftSystem:
         block = self.block if block is None else block
-        q = self.params.vset.q
         return LinearLiftSystem(
-            matrix=np.kron(np.eye(q), block),
-            rhs=rhs.T.reshape(-1),
             block=block,
-            block_rhs=rhs,
             specs=self.specs,
             condition=float(np.linalg.cond(block)),
             has_time_column=has_time_column,
@@ -377,7 +369,10 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
             f"coefficient training did not converge in {iterations} Newton "
             f"iterations (last residual {final_residual:.3e})")
     coeffs = template.with_flat(flat)
-    system = ws.make_system(ws.smoothed_rhs(coeffs))
+    # A closing map evaluation at the converged coefficients; its LBM
+    # steps are part of the training cost that lbm_steps reports.
+    ws.smoothed_rhs(coeffs)
+    system = ws.make_system()
     return TrainResult(
         coefficients=coeffs,
         iterations=iterations,
@@ -406,6 +401,9 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     column, so that summing the vectors over the velocities reproduces
     the PDE.
     """
+    if params.omega == 0.0:
+        raise ValueError("omega = 0 never relaxes towards equilibrium: the "
+                         "time coefficients -(dt/omega) w_i are undefined")
     ws = _Workspace(cfg, params, extra_probes=True)
     start_steps = lbm_step_count()
     rhs_rows = []
@@ -435,7 +433,7 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
     augmented = LiftCoefficients(fingerprint=params.fingerprint(),
                                  terms=terms, time_term=gamma)
-    system = ws.make_system(rhs, block=enlarged, has_time_column=True)
+    system = ws.make_system(block=enlarged, has_time_column=True)
     return AugmentResult(
         coefficients=augmented,
         system=system,

@@ -157,3 +157,45 @@ def test_diffusion_spreads_gaussian():
         return w @ (x - mu) ** 2
     assert var(rho) > var(rho0)
     assert_allclose(rho.sum(), rho0.sum(), rtol=1e-12)
+
+
+def roll_stream_collide(f, params, boundary="periodic"):
+    """Reference BGK update: collide, then np.roll every component."""
+    post = (1.0 - params.omega) * f + params.omega * equilibrium(restrict(f),
+                                                                  params)
+    out = np.empty_like(post)
+    for k, c in enumerate(params.vset.directions):
+        g = post[k]
+        for axis, shift in enumerate(c):
+            if shift:
+                g = np.roll(g, shift, axis=axis)
+        out[k] = g
+    return out[:, 1:-1] if boundary == "ghost" else out
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "ghost"])
+@pytest.mark.parametrize("name, advection, shapes", [
+    ("D1Q3", (0.66,), [(200,), (3,), (1,)]),
+    ("D2Q5", (0.3, -0.2), [(17, 11), (3, 1)]),
+    ("D2Q9", (1.0, 0.5), [(40, 25), (5, 3), (3, 1)]),
+])
+def test_stream_collide_matches_roll_reference(name, advection, shapes,
+                                               boundary):
+    p = benchmark_params(name, advection=advection)
+    rng = np.random.default_rng(7)
+    for shape in shapes:
+        if boundary == "ghost" and shape[0] < 3:
+            continue
+        f = rng.normal(size=(p.vset.q,) + shape)
+        got = stream_collide(f, p, boundary=boundary)
+        ref = roll_stream_collide(f, p, boundary)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref), (name, shape, boundary)
+
+
+def test_equilibrium_weights_cached_read_only():
+    p = benchmark_params("D2Q9", advection=(1.0, 0.5))
+    w = p.equilibrium_weights()
+    assert p.equilibrium_weights() is w
+    with pytest.raises(ValueError):
+        w[0] = 0.0

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lblift import (DerivSpec, LbmParams, analytic_coefficients, apply_lift,
                     coefficients_from_text, coefficients_to_text, equilibrium,
                     expansion_terms, restrict, run_lbm)
+from lblift.lattice import D1Q3
 from lblift.lifting import zero_coefficients
 from lblift.stencil import spatial_derivative
 
@@ -109,3 +110,105 @@ def test_fingerprint_mismatch_rejected():
     co = analytic_coefficients(p, 2)
     with pytest.raises(ValueError):
         apply_lift(gaussian_density(p), co, other)
+
+
+# ---------------------------------------------------------------------------
+# The stencil-matrix lift against the per-term reference.
+# ---------------------------------------------------------------------------
+
+def reference_lift(rho, coeffs, params):
+    """f_eq plus one periodic spatial_derivative field per term."""
+    f = equilibrium(rho, params)
+    for spec, vec in coeffs.terms.items():
+        d = spatial_derivative(rho, spec, params.dx, accuracy=2)
+        f += vec.reshape((-1,) + (1,) * rho.ndim) * d[None]
+    return f
+
+
+def random_coefficients(params, order, seed):
+    """Coefficient vectors of the size training gives: |a_T| ~ 0.2 dx^|T|."""
+    rng = np.random.default_rng(seed)
+    co = zero_coefficients(params, order)
+    for spec in co.terms:
+        co.terms[spec] = 0.2 * params.dx ** spec.total * rng.normal(
+            size=params.vset.q)
+    return co
+
+
+def assert_matches_reference(rho, co, p):
+    f = apply_lift(rho, co, p)
+    ref = reference_lift(rho, co, p)
+    assert f.shape == ref.shape
+    gap = np.abs(f - ref).max()
+    assert gap <= 1e-14 * np.abs(ref).max(), gap
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_stencil_lift_matches_reference_d1q3(order):
+    p = benchmark_params("D1Q3", advection=(0.66,))
+    assert_matches_reference(gaussian_density(p),
+                             random_coefficients(p, order, seed=order), p)
+
+
+@pytest.mark.parametrize("name", ["D2Q5", "D2Q9"])
+def test_stencil_lift_matches_reference_2d(name):
+    p = benchmark_params(name, advection=(1.0, 0.5))
+    assert_matches_reference(gaussian_density(p),
+                             random_coefficients(p, 4, seed=5), p)
+
+
+def test_stencil_lift_non_square_grid():
+    """Both orientations split into row blocks with a shorter last block."""
+    p = benchmark_params("D2Q9", advection=(1.0, 0.5))
+    rho = 1.0 + 0.1 * np.random.default_rng(2).normal(size=(150, 61))
+    assert_matches_reference(rho, random_coefficients(p, 4, seed=6), p)
+    assert_matches_reference(rho.T.copy(), random_coefficients(p, 3, seed=7),
+                             p)
+
+
+@pytest.mark.parametrize("cells", [3, 5])
+def test_stencil_lift_grid_smaller_than_stencil(cells):
+    """Order 6 reaches 3 cells each way, beyond a 3- or 5-cell period."""
+    rng = np.random.default_rng(cells)
+    p = benchmark_params("D1Q3")
+    assert_matches_reference(1.0 + 0.1 * rng.normal(size=cells),
+                             random_coefficients(p, 6, seed=8), p)
+    p2 = benchmark_params("D2Q5", advection=(1.0, 0.5))
+    assert_matches_reference(1.0 + 0.1 * rng.normal(size=(cells, 4)),
+                             random_coefficients(p2, 6, seed=9), p2)
+
+
+def test_stencil_lift_uniform_density_is_exactly_equilibrium():
+    for name, shape in (("D1Q3", (50,)), ("D2Q9", (30, 20))):
+        p = benchmark_params(name)
+        rho = np.full(shape, 1.3)
+        assert_array_equal(apply_lift(rho, random_coefficients(p, 6, seed=1),
+                                      p),
+                           equilibrium(rho, p))
+
+
+def test_apply_lift_rejects_non_finite_density():
+    p = benchmark_params("D2Q9")
+    co = random_coefficients(p, 2, seed=3)
+    rho = np.ones((20, 30))
+    rho[4, 7] = np.nan
+    rho[9, 2] = np.inf
+    with pytest.raises(ValueError,
+                       match=r"non-finite density nan at cell \(4, 7\)"):
+        apply_lift(rho, co, p)
+    rho[4, 7] = 1.0
+    with pytest.raises(ValueError, match=r"inf at cell \(9, 2\)"):
+        apply_lift(rho, co, p)
+    # the trainer's path, with supplied derivative fields, is guarded too
+    p1 = benchmark_params("D1Q3")
+    rho1 = np.ones(10)
+    rho1[3] = -np.inf
+    with pytest.raises(ValueError, match=r"cell \(3,\)"):
+        apply_lift(rho1, zero_coefficients(p1, 1), p1,
+                   derivatives={DerivSpec((1,)): np.zeros(10)})
+
+
+def test_analytic_coefficients_reject_zero_omega():
+    p = LbmParams(vset=D1Q3, dx=0.05, dt=1e-3, omega=0.0)
+    with pytest.raises(ValueError, match="omega = 0"):
+        analytic_coefficients(p, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import MacroPde, analytic_pde, ftcs_step
+from lblift import D1Q3, LbmParams, MacroPde, analytic_pde, ftcs_step
 
 from conftest import benchmark_params
 
@@ -22,6 +22,13 @@ def test_analytic_pde_one_d_closed_form():
     p = benchmark_params("D1Q3")
     expected = (2 - p.omega) / (3 * p.omega) * p.dx ** 2 / p.dt
     assert_allclose(analytic_pde(p).diffusion, expected, rtol=1e-14)
+
+
+def test_analytic_pde_rejects_zero_omega():
+    # omega = 0 is a valid model (pure streaming) with no diffusion limit
+    p = LbmParams(vset=D1Q3, dx=0.05, dt=1e-3, omega=0.0)
+    with pytest.raises(ValueError, match="omega = 0"):
+        analytic_pde(p)
 
 
 def test_uniform_is_invariant():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (DerivSpec, NceTrainConfig, analytic_coefficients,
-                    apply_lift, augment_time_derivative, extract_pde, restrict,
-                    train_coefficients)
+from lblift import (DerivSpec, LbmParams, NceTrainConfig,
+                    analytic_coefficients, apply_lift, augment_time_derivative,
+                    extract_pde, restrict, train_coefficients)
+from lblift.lifting import zero_coefficients
 from lblift.training import buffer_width, default_probe_positions
 from lblift.training import test_density_profiles as density_profiles
 
@@ -120,6 +121,15 @@ def test_augment_pins_time_column():
                     rtol=1e-4)
     assert_allclose(aug.coefficients.terms[DerivSpec((1,))],
                     trained.coefficients.terms[DerivSpec((1,))], atol=1e-10)
+
+
+def test_augment_rejects_zero_omega():
+    p = benchmark_params("D1Q3")
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    streaming = LbmParams(vset=p.vset, dx=p.dx, dt=p.dt, omega=0.0)
+    with pytest.raises(ValueError, match="omega = 0"):
+        augment_time_derivative(zero_coefficients(streaming, 2), cfg,
+                                streaming)
 
 
 def test_extract_pde_modes_agree():
