@@ -2,12 +2,11 @@
 
 Trained coefficients pay a one-time training bill on a tiny test grid
 and lift for free afterwards.  Constrained runs pay per application:
-every Newton iteration of every lift burns m+1 LBM steps per residual
-evaluation plus the Jacobian probes.  The table meters both in a
-200-step 1D hybrid run (the LBM half's own updates are the model, not
-overhead, and are excluded).  CR uses localized Jacobian probing here;
-dense probing multiplies the per-lift cost by the grid size but leaves
-the ordering unchanged.
+every lift burns m+1 LBM steps per map evaluation, for its Jacobian
+probes (one per colour class of nodes 2m+3 apart, per fast moment), the
+residual at equilibrium and the closing residual.  The table meters both
+in a 200-step 1D hybrid run (the LBM half's own updates are the model,
+not overhead, and are excluded).
 """
 
 from lblift import ExperimentConfig, cost_summary
@@ -18,7 +17,7 @@ def main():
                              steps=200)]
     for m in range(4):
         rows.append(ExperimentConfig(kind="cost_table", lifter="cr", m=m,
-                                     locality=m + 2, steps=200))
+                                     steps=200))
     print(f"  {'lifter':>12s} {'training':>9s} {'lifting':>9s} "
           f"{'lifts':>6s} {'per lift':>9s} {'total':>8s}")
     for config in rows:

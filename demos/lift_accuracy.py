@@ -37,7 +37,7 @@ def main():
         res = cr_lift(rho, CrConfig(m=m), params)
         tag = "" if res.converged else "  (not converged)"
         print(f"  m = {m}:   {err(res.f):.4e}   "
-              f"({res.iterations} iterations, {res.lbm_steps} LBM steps){tag}")
+              f"({res.lbm_steps} LBM steps, one solve){tag}")
 
     print("\ntrained coefficients (coefficient-space fixed point)")
     header = "  R:    " + "".join(f"{r:>12d}" for r in range(1, 7))

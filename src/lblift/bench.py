@@ -58,7 +58,6 @@ class ExperimentConfig:
     lifter: str = "analytic"
     order: int = 2
     m: int = 1
-    locality: Optional[int] = None
     steps: int = 200
     reference_steps: int = 1000
     split_index: Optional[int] = None
@@ -146,8 +145,7 @@ def make_lifter(config: ExperimentConfig, params: LbmParams):
         return (CoefficientLifter(result.coefficients,
                                   name=f"nce-{config.order}-m{config.m}"),
                 result.lbm_steps)
-    cr = CrConfig(m=config.m, locality=config.locality)
-    return CrLifter(cr, name=f"cr-m{config.m}"), 0
+    return CrLifter(CrConfig(m=config.m), name=f"cr-m{config.m}"), 0
 
 
 def reference_state(params: LbmParams, rho0: np.ndarray,
@@ -275,7 +273,6 @@ _CONFIG_KEYS = {
     "lifter": _parse_str,
     "order": _parse_int,
     "m": _parse_int,
-    "locality": _parse_int,
     "steps": _parse_int,
     "reference_steps": _parse_int,
     "split_index": _parse_int,

@@ -1,14 +1,16 @@
 """Constrained-runs lifting.
 
 Slaves the non-conserved moments of a distribution field to a given
-density by repeatedly stepping the LBM while pinning the density, then
+density by stepping the LBM while pinning the density, then
 extrapolating the evolved state backward in time.  The m-th order scheme
 damps the (m+1)-th time difference of the fast moments, so m = 0 keeps
 them constant, m = 1 linear, and so on.
 
-The fixed point of that map is found by Picard iteration (m = 0) or by
-Newton's method on the residual r(v) = v - cr_map(v).  Both solvers work
-on full periodic density fields; the D1Q3 moment-space interface matches
+That map is affine in the fast moments, so its fixed point is the
+solution of one linear system, assembled exactly from unit-step probes
+of the residual r(v) = v - cr_map(v) and solved once.  Every map
+evaluation is paid for in LBM steps at every lift.  The solver works on
+full periodic density fields; the D1Q3 moment-space interface matches
 the (rho, phi, xi) transform of the lattice module.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .lattice import (
     LbmParams,
     Moments,
     equilibrium,
+    finite_density,
     from_moments,
     moments,
     reset_density,
@@ -33,29 +35,20 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class CrConfig:
-    """Settings for the constrained-runs fixed point solve.
+    """Settings for the constrained-runs lift.
 
-    jacobian_eps is a base perturbation, scaled at use by max(1, |v|_inf).
-    locality, when set, is the half-width of the response window used to
-    assemble the Newton Jacobian from batched perturbations; None builds
-    the full dense Jacobian one column at a time.
+    m is the extrapolation order; a lift counts as converged when the
+    max-norm of its closing residual is at most tol.
     """
 
     m: int = 1
     tol: float = 1e-13
-    max_iter: int = 100
-    jacobian_eps: float = 1e-7
-    locality: Optional[int] = None
 
     def __post_init__(self):
         if self.m not in (0, 1, 2, 3):
             raise ValueError(f"extrapolation order m={self.m}, expected 0..3")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.locality is not None and self.locality < self.m + 1:
-            raise ValueError("locality window narrower than m+1 cells")
 
 
 @dataclass
@@ -126,105 +119,65 @@ def cr_lift(rho0: np.ndarray, config: CrConfig,
             params: LbmParams) -> CrResult:
     """Lift a periodic density field to distribution functions.
 
-    Solves v = cr_map(v) starting from the equilibrium moments: Picard
-    iteration for m = 0, Newton with a forward-difference Jacobian for
-    m >= 1.  On non-convergence the best iterate seen is returned with
-    converged=False rather than raising, so callers can inspect it.
+    Solves v = cr_map(v) with one linear solve from the equilibrium
+    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0)
+    with J assembled exactly by _jacobian.  A closing evaluation of the
+    residual gives `residual`, and converged = residual <= tol; a lift
+    that misses tol is returned rather than raised, so callers can
+    inspect it.  iterations is 1, the one solve.  A non-finite density
+    is refused with a ValueError naming its first bad cell.
     """
-    rho0 = np.asarray(rho0, dtype=float)
+    rho0 = finite_density(rho0)
     m0 = moments(equilibrium(rho0, params))
     v = np.stack([m0.phi, m0.xi])
-    steps_per_map = config.m + 1
-    steps = 0
-
-    if config.m == 0:
-        prev = v
-        residual = np.inf
-        for it in range(1, config.max_iter + 1):
-            v = cr_map(rho0, prev, config, params)
-            steps += steps_per_map
-            residual = float(np.max(np.abs(v - prev)))
-            prev = v
-            if residual <= config.tol:
-                return CrResult(_assemble(rho0, v), it, steps, residual, True)
-        return CrResult(_assemble(rho0, v), config.max_iter, steps,
-                        residual, False)
-
-    shape = v.shape
-    u = v.ravel()
-    best_u, best_res = u, np.inf
-    iterations = 0
-    for _ in range(config.max_iter):
-        r = u - cr_map(rho0, u.reshape(shape), config, params).ravel()
-        steps += steps_per_map
-        res = float(np.max(np.abs(r)))
-        if res < best_res:
-            best_u, best_res = u, res
-        if res <= config.tol:
-            return CrResult(_assemble(rho0, u.reshape(shape)), iterations,
-                            steps, res, True)
-        jac, jac_steps = _jacobian(rho0, u, r, shape, config, params)
-        steps += jac_steps
-        u = u - np.linalg.solve(jac, r)
-        iterations += 1
-    return CrResult(_assemble(rho0, best_u.reshape(shape)), iterations,
-                    steps, best_res, False)
+    r = _residual(rho0, v, config, params)
+    jac, probes = _jacobian(rho0, v, r, config, params)
+    v = v - np.linalg.solve(jac, r.ravel()).reshape(v.shape)
+    residual = float(np.max(np.abs(_residual(rho0, v, config, params))))
+    steps = (probes + 2) * (config.m + 1)
+    return CrResult(_assemble(rho0, v), 1, steps, residual,
+                    residual <= config.tol)
 
 
 def _assemble(rho0: np.ndarray, v: np.ndarray) -> np.ndarray:
     return from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
 
 
-def _jacobian(rho0, u, r, shape, config, params):
-    """Forward-difference Jacobian of r(u) = u - cr_map(u).
+def _residual(rho0, v, config, params):
+    return v - cr_map(rho0, v, config, params)
 
-    Dense by default.  With config.locality = W set, a perturbation at
-    one node only moves the residual within W cells of it (information
-    travels one cell per LBM step), so nodes further than 2W apart can
-    be perturbed in the same map evaluation; the columns are then peeled
-    apart from the shared response.  That cuts the evaluation count from
-    2n to about 2(2W+1).
+
+def _jacobian(rho0, v, r, config, params):
+    """Jacobian of r(v) = v - cr_map(v) from unit-step probes.
+
+    r is affine, so r(v + e_j) - r(v) is column j exactly, whatever the
+    step.  A probe at node j moves the residual only within m+1 cells of
+    it (cr_map runs m+1 LBM steps and D1Q3 streams one cell per step),
+    so nodes 2m+3 apart share one probe and their columns are peeled
+    apart from the shared response.  Returns the (2n, 2n) matrix and the
+    number of map evaluations spent on it.
     """
-    eps = config.jacobian_eps * max(1.0, float(np.max(np.abs(u))))
-    size = u.size
-
-    def residual_at(du):
-        return du - cr_map(rho0, du.reshape(shape), config, params).ravel()
-
-    steps_per_map = config.m + 1
-    steps = 0
-    if config.locality is None:
-        jac = np.empty((size, size))
-        for col in range(size):
-            du = u.copy()
-            du[col] += eps
-            jac[:, col] = (residual_at(du) - r) / eps
-            steps += steps_per_map
-        return jac, steps
-
-    width = config.locality
     n = rho0.size
+    width = config.m + 1
     stride = 2 * width + 1
-    jac = np.zeros((size, size))
     window = np.arange(-width, width + 1)
+    jac = np.zeros((2 * n, 2 * n))
+    probes = 0
     for field in range(2):
         for color in range(min(stride, n)):
             cols = list(range(color, n, stride))
             singles = []
             # the wrap pair of a colour class may sit closer than the
-            # stride; peel those columns off into solo evaluations
+            # stride; peel those columns off into probes of their own
             while len(cols) > 1 and (n - cols[-1] + cols[0]) <= 2 * width:
                 singles.append(cols.pop())
             for group in [cols] + [[s] for s in singles]:
-                if not group:
-                    continue
-                du = u.copy()
-                for j in group:
-                    du[field * n + j] += eps
-                dr = (residual_at(du) - r) / eps
-                steps += steps_per_map
-                for j in group:
-                    rows = (j + window) % n
-                    rows = np.concatenate([rows, rows + n])
-                    jac[rows, field * n + j] = dr[rows]
-    return jac, steps
+                group = np.array(group)
+                dv = v.copy()
+                dv[field, group] += 1.0
+                dr = (_residual(rho0, dv, config, params) - r).ravel()
+                probes += 1
+                rows = (group[:, None] + window) % n
+                rows = np.concatenate([rows, rows + n], axis=1)
+                jac[rows, field * n + group[:, None]] = dr[rows]
+    return jac, probes

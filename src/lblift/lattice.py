@@ -180,6 +180,16 @@ def lbm_step_count() -> int:
     return _TALLY.count
 
 
+def finite_density(rho: np.ndarray) -> np.ndarray:
+    """rho as a float array; a ValueError names its first non-finite cell."""
+    rho = np.asarray(rho, dtype=float)
+    bad = ~np.isfinite(rho)
+    if bad.any():
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(f"non-finite density {rho[cell]} at cell {cell}")
+    return rho
+
+
 def equilibrium(rho: np.ndarray, params: LbmParams) -> np.ndarray:
     """Equilibrium distribution for a density field.
 

@@ -57,6 +57,6 @@ class CrLifter:
         result = cr_lift(rho, self.config, params)
         if not result.converged:
             raise RuntimeError(
-                f"constrained-runs lift stalled at residual {result.residual:.3e} "
-                f"after {result.iterations} iterations")
+                f"constrained-runs lift missed its tolerance: closing residual "
+                f"{result.residual:.3e} > tol {self.config.tol:.3e}")
         return result.f

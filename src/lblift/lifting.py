@@ -19,13 +19,13 @@ coefficient sets that went through the time-derivative augmentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .lattice import D1Q3, VELOCITY_SETS, LbmParams, equilibrium
+from .lattice import (D1Q3, VELOCITY_SETS, LbmParams, equilibrium,
+                      finite_density)
 from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
@@ -119,11 +119,7 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients, params: LbmParams,
             "coefficient fingerprint does not match the model parameters: "
             f"{coeffs.fingerprint} vs {params.fingerprint()}"
         )
-    rho = np.asarray(rho, dtype=float)
-    bad = ~np.isfinite(rho)
-    if bad.any():
-        cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise ValueError(f"non-finite density {rho[cell]} at cell {cell}")
+    rho = finite_density(rho)
     if derivatives is None and coeffs.terms:
         return _stencil_lift(rho, coeffs, params, accuracy)
     f = equilibrium(rho, params)
@@ -180,75 +176,16 @@ def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
 # Closed-form Chapman-Enskog coefficients, D1Q3 pure diffusion.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _symbolic_spatial_orders(max_order: int):
-    """Spatial coefficient expressions per order from the symbolic expansion.
-
-    Picard-iterates f = sum_k L^k f_eq for the D1Q3 diffusion model, where
-    L collects the Taylor shift of the update rule, then eliminates time
-    derivatives through rho_t = D rho_xx.  Grading counts a time derivative
-    as two spatial orders, so the truncation is consistent at max_order.
-    Returns {spatial order k: expression in (omega, dx, dt, i)}.
-    """
-    import sympy as sp
-
-    w, dx, dt, ii = sp.symbols("omega dx dt i")
-    diff_coeff = (2 - w) / (3 * w) * dx ** 2 / dt
-
-    def apply_functional(terms):
-        out: dict = {}
-        for (a, b), c in terms.items():
-            for n in range(1, max_order + 1):
-                for p in range(n + 1):
-                    q = n - p
-                    key = (a + p, b + q)
-                    if key[0] + 2 * key[1] > max_order:
-                        continue
-                    add = -c * ii ** p * dx ** p * dt ** q / (
-                        w * sp.factorial(p) * sp.factorial(q))
-                    out[key] = out.get(key, 0) + add
-        return out
-
-    seed = {(0, 0): sp.Rational(1, 3)}
-    total = dict(seed)
-    term = dict(seed)
-    for _ in range(max_order):
-        term = apply_functional(term)
-        if not term:
-            break
-        for k, v in term.items():
-            total[k] = total.get(k, 0) + v
-
-    spatial: dict = {}
-    for (a, b), c in total.items():
-        k = a + 2 * b
-        if 0 < k <= max_order:
-            spatial[k] = spatial.get(k, 0) + c * diff_coeff ** b
-    return {k: sp.simplify(sp.expand(v)) for k, v in spatial.items()}, (w, dx, dt, ii)
-
-
-@lru_cache(maxsize=None)
-def _numeric_spatial_vectors(omega: float, dx: float, dt: float,
-                             max_order: int) -> Tuple[Tuple[float, ...], ...]:
-    exprs, (w, sdx, sdt, ii) = _symbolic_spatial_orders(max_order)
-    vectors = []
-    for k in range(1, max_order + 1):
-        e = exprs.get(k, 0)
-        vec = tuple(
-            float(e.subs({w: omega, sdx: dx, sdt: dt, ii: i}))
-            for i in (1, 0, -1)
-        )
-        vectors.append(vec)
-    return tuple(vectors)
-
-
 def analytic_coefficients(params: LbmParams, order: int) -> LiftCoefficients:
     """Chapman-Enskog coefficients for the D1Q3 pure diffusion model.
 
-    order 0 is the bare equilibrium lift; orders 1 and 2 use the closed
-    forms  alpha_i = -i dx / (3 omega)  and
-    beta_i = -dx^2 (omega - 2)(3 i^2 - 2) / (18 omega^2);  order 3 comes
-    from one further step of the symbolic expansion.
+    order 0 is the bare equilibrium lift; orders 1 to 3 add the closed
+    forms  alpha_i = -i dx / (3 omega),
+    beta_i = -dx^2 (omega - 2)(3 i^2 - 2) / (18 omega^2)  and
+    c3_i = i dx^3 (omega^2 - 2 omega + 2) / (18 omega^3).  They come
+    from iterating the Taylor-shifted update rule f = sum_k L^k f_eq and
+    eliminating time derivatives through rho_t = D rho_xx, a time
+    derivative counting as two spatial orders.
     """
     if params.vset is not D1Q3 and params.vset.name != "D1Q3":
         raise ValueError("closed-form coefficients exist only for D1Q3")
@@ -275,8 +212,8 @@ def analytic_coefficients(params: LbmParams, order: int) -> LiftCoefficients:
         ])
         coeffs.terms[DerivSpec((2,))] = beta
     if order >= 3:
-        vecs = _numeric_spatial_vectors(params.omega, params.dx, params.dt, 3)
-        coeffs.terms[DerivSpec((3,))] = np.array(vecs[2])
+        c3 = dx ** 3 * (w * w - 2 * w + 2) / (18 * w ** 3)
+        coeffs.terms[DerivSpec((3,))] = np.array([c3, 0.0, -c3])
     return coeffs
 
 
@@ -339,10 +276,16 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
         float(header["omega"]),
         tuple(float(tok) for tok in header["advection"].split()),
     )
-    q = VELOCITY_SETS[header["set"]].q
+    vset = VELOCITY_SETS[header["set"]]
     for spec, vec in terms.items():
-        if len(vec) != q:
+        if len(spec.orders) != vset.dimension:
+            raise ValueError(f"term {spec.label()} has {len(spec.orders)} "
+                             f"axes, {vset.name} has {vset.dimension}")
+        if len(vec) != vset.q:
             raise ValueError(f"term {spec.label()} has {len(vec)} entries, "
-                             f"expected {q}")
+                             f"expected {vset.q}")
+    if time_term is not None and len(time_term) != vset.q:
+        raise ValueError(f"time vector has {len(time_term)} entries, "
+                         f"expected {vset.q}")
     return LiftCoefficients(fingerprint=fingerprint, terms=terms,
                             time_term=time_term)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import ceil, factorial, sqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -305,8 +305,7 @@ def _widen_probes(points, cfg: NceTrainConfig):
 # The coefficient map and its fixed point.
 # ---------------------------------------------------------------------------
 
-def h_map(coeffs: LiftCoefficients, cfg: NceTrainConfig,
-          params: LbmParams) -> LiftCoefficients:
+def _h_map(coeffs: LiftCoefficients, ws: _Workspace) -> LiftCoefficients:
     """One application of the coefficient map.
 
     Lift the test density with the given coefficients, smooth the result
@@ -314,18 +313,13 @@ def h_map(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     coefficients describing the smoothed state.  Coefficients on the
     slow manifold are invariant under this map.
     """
-    ws = _Workspace(cfg, params)
-    return _h_map_ws(coeffs, ws)
-
-
-def _h_map_ws(coeffs: LiftCoefficients, ws: _Workspace) -> LiftCoefficients:
     coeff_matrix = ws.solve(ws.smoothed_rhs(coeffs))
     terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
     return LiftCoefficients(fingerprint=ws.params.fingerprint(), terms=terms)
 
 
 def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
-    """Newton solve of a = h_map(a) from a = 0.
+    """Newton solve of a = _h_map(a) from a = 0.
 
     Returns the trained coefficients with diagnostics.  The total LBM
     step count depends only on the training configuration, never on the
@@ -340,7 +334,7 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
 
     def residual(flat: np.ndarray) -> np.ndarray:
         coeffs = template.with_flat(flat)
-        return flat - _h_map_ws(coeffs, ws).flatten()
+        return flat - _h_map(coeffs, ws).flatten()
 
     flat = template.flatten()
     iterations = 0
@@ -368,17 +362,12 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
         raise RuntimeError(
             f"coefficient training did not converge in {iterations} Newton "
             f"iterations (last residual {final_residual:.3e})")
-    coeffs = template.with_flat(flat)
-    # A closing map evaluation at the converged coefficients; its LBM
-    # steps are part of the training cost that lbm_steps reports.
-    ws.smoothed_rhs(coeffs)
-    system = ws.make_system()
     return TrainResult(
-        coefficients=coeffs,
+        coefficients=template.with_flat(flat),
         iterations=iterations,
         lbm_steps=lbm_step_count() - start_steps,
         residual=final_residual,
-        system=system,
+        system=ws.make_system(),
     )
 
 

@@ -319,19 +319,18 @@ def test_criterion_7_cost_accounting(d1_params):
     training_flat = (nce_counts[0].lbm_steps_training
                      == nce_counts[1].lbm_steps_training)
     training_bounded = nce_counts[1].lbm_steps_training <= 500
-    # CR burns at least (m+1) steps per Newton iteration of every lift
+    # CR burns at least (m+1) steps per solve of every lift
     rho = gaussian_density(d1_params)
     per_lift_ok = True
     for m in range(4):
-        res = cr_lift(rho, CrConfig(m=m, locality=m + 2), d1_params)
+        res = cr_lift(rho, CrConfig(m=m), d1_params)
         per_lift_ok = per_lift_ok and res.converged \
             and res.lbm_steps >= (m + 1) * max(res.iterations, 1)
-    # total extra steps over a 200-step hybrid run, localized Jacobians
+    # total extra steps over a 200-step hybrid run
     totals = [nce_counts[1].total_extra_steps]
     for m in range(4):
         totals.append(cost_summary(ExperimentConfig(
-            kind="cost_table", lifter="cr", m=m, locality=m + 2,
-            steps=200)).total_extra_steps)
+            kind="cost_table", lifter="cr", m=m, steps=200)).total_extra_steps)
     ordering = all(a < b for a, b in zip(totals, totals[1:]))
     report("criterion 7",
            training_flat and training_bounded and per_lift_ok and ordering,
@@ -345,8 +344,7 @@ def test_criterion_8_determinism(tmp_path):
         ExperimentConfig(kind="lift_bench", lifter="nce", order=4, m=1),
         ExperimentConfig(kind="train_only", lifter="nce", order=6, m=1),
         ExperimentConfig(kind="hybrid", lifter="analytic", order=2, steps=25),
-        ExperimentConfig(kind="cost_table", lifter="cr", m=1, locality=3,
-                         steps=25),
+        ExperimentConfig(kind="cost_table", lifter="cr", m=1, steps=25),
     ]
     identical = True
     for k, cfg in enumerate(configs):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (CrConfig, constrained_smooth, cr_lift, cr_map, equilibrium,
-                    moments, restrict, run_lbm)
+from lblift import (CrConfig, Moments, constrained_smooth, cr_lift, cr_map,
+                    equilibrium, from_moments, moments, restrict, run_lbm)
 from lblift.constrained_runs import extrapolation_weights
 
 from conftest import benchmark_params, gaussian_density
@@ -23,8 +23,6 @@ def test_config_validation():
         CrConfig(m=4)
     with pytest.raises(ValueError):
         CrConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        CrConfig(m=2, locality=2)  # window narrower than m+1
 
 
 def test_constrained_smooth_pins_density():
@@ -75,23 +73,61 @@ def test_cr_lift_preserves_density_exactly():
     assert_allclose(restrict(res.f), rho, rtol=1e-13)
 
 
-def test_localized_jacobian_matches_dense():
-    p = benchmark_params("D1Q3")
-    rho = gaussian_density(p, cells=60)
-    dense = cr_lift(rho, CrConfig(m=1), p)
-    local = cr_lift(rho, CrConfig(m=1, locality=3), p)
-    assert dense.converged and local.converged
-    assert_allclose(local.f, dense.f, atol=1e-10)
-    assert local.lbm_steps < dense.lbm_steps
+def dense_reference_lift(rho, m, params):
+    """The fixed point of cr_map from a dense Jacobian: one unit probe per
+    column, then one solve."""
+    config = CrConfig(m=m)
+    eq = moments(equilibrium(rho, params))
+    v0 = np.concatenate([eq.phi, eq.xi])
+
+    def residual(v):
+        return v - cr_map(rho, v.reshape(2, -1), config, params).ravel()
+
+    r0 = residual(v0)
+    jac = np.empty((v0.size, v0.size))
+    for col in range(v0.size):
+        probe = v0.copy()
+        probe[col] += 1.0
+        jac[:, col] = residual(probe) - r0
+    v = (v0 - np.linalg.solve(jac, r0)).reshape(2, -1)
+    return from_moments(Moments(rho=rho, phi=v[0], xi=v[1]))
+
+
+def test_cr_lift_matches_dense_reference():
+    """The coloured probes give the dense fixed point, with and without
+    advection: on n = 200, on a grid that is no multiple of the stride
+    2m+3 (61), and on one smaller than it (2m+2)."""
+    rng = np.random.default_rng(7)
+    for advection in ((), (0.66,)):
+        p = benchmark_params("D1Q3", advection=advection)
+        for m in range(4):
+            for cells in (200, 61, 2 * m + 2):
+                rho = gaussian_density(p, cells=cells) \
+                    + 0.1 * rng.uniform(size=cells)
+                res = cr_lift(rho, CrConfig(m=m), p)
+                assert res.converged, (advection, m, cells, res.residual)
+                assert_allclose(res.f, dense_reference_lift(rho, m, p),
+                                rtol=0, atol=1e-12,
+                                err_msg=f"a={advection} m={m} n={cells}")
 
 
 def test_nonconvergence_reported_not_raised():
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=30)
-    res = cr_lift(rho, CrConfig(m=1, tol=1e-30, max_iter=2), p)
+    res = cr_lift(rho, CrConfig(m=1, tol=1e-30), p)
     assert not res.converged
-    assert res.iterations <= 2
+    assert res.iterations == 1
     assert np.isfinite(res.residual)
+
+
+def test_cr_lift_rejects_non_finite_density():
+    p = benchmark_params("D1Q3")
+    rho = np.ones(20)
+    rho[6] = np.nan
+    rho[11] = np.inf
+    with pytest.raises(ValueError,
+                       match=r"non-finite density nan at cell \(6,\)"):
+        cr_lift(rho, CrConfig(m=1), p)
 
 
 def test_step_accounting_scales_with_m():
@@ -100,6 +136,6 @@ def test_step_accounting_scales_with_m():
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=40)
     for m in range(4):
-        res = cr_lift(rho, CrConfig(m=m, locality=m + 2), p)
+        res = cr_lift(rho, CrConfig(m=m), p)
         assert res.converged
         assert res.lbm_steps >= (m + 1) * res.iterations

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -212,3 +214,39 @@ def test_analytic_coefficients_reject_zero_omega():
     p = LbmParams(vset=D1Q3, dx=0.05, dt=1e-3, omega=0.0)
     with pytest.raises(ValueError, match="omega = 0"):
         analytic_coefficients(p, 1)
+
+
+def test_analytic_order_three_needs_no_sympy(monkeypatch):
+    """Order 3 is a closed form; sympy may be missing altogether."""
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    for omega in (10 / 11, 50 / 31, 125 / 64, 1.3, 0.5):
+        for dx in (0.05, 0.1):
+            p = LbmParams(vset=D1Q3, dx=dx, dt=1e-3, omega=omega)
+            w = omega
+            expected = [-dx ** 3 * i * (i * i * w * w - 6 * i * i * w
+                                        + 6 * i * i - 2 * w * w + 8 * w - 8)
+                        / (18 * w ** 3) for i in (1, 0, -1)]
+            got = analytic_coefficients(p, 3).terms[DerivSpec((3,))]
+            assert_allclose(got, expected, rtol=1e-15, atol=0)
+    # values of the symbolic Chapman-Enskog expansion the closed form replaced
+    for omega, dx, c3 in ((10 / 11, 0.05, 9.319444444444448e-06),
+                          (1.3, 0.1, 2.7562838213725796e-05),
+                          (0.5, 0.1, 0.0005555555555555557)):
+        p = LbmParams(vset=D1Q3, dx=dx, dt=1e-3, omega=omega)
+        assert_allclose(analytic_coefficients(p, 3).terms[DerivSpec((3,))],
+                        [c3, 0.0, -c3], rtol=1e-15, atol=0)
+
+
+def test_coefficient_text_rejects_wrong_term_arity():
+    text = coefficients_to_text(analytic_coefficients(
+        benchmark_params("D1Q3"), 2))
+    with pytest.raises(ValueError, match=r"term d1d0 has 2 axes, D1Q3 has 1"):
+        coefficients_from_text(text + "term d1d0 = 0.0 0.0 0.0\n")
+
+
+def test_coefficient_text_rejects_wrong_time_length():
+    text = coefficients_to_text(analytic_coefficients(
+        benchmark_params("D1Q3"), 2))
+    with pytest.raises(ValueError, match=r"time vector has 2 entries, "
+                                         r"expected 3"):
+        coefficients_from_text(text + "time dt1 = 1.0 2.0\n")
