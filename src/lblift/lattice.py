@@ -161,23 +161,15 @@ class Moments:
     xi: np.ndarray
 
 
-class StepTally:
-    """Running count of stream_collide invocations in this process.
-
-    Lifting operators differ mainly in how many extra LBM steps they burn,
-    so the cost accounting simply snapshots this counter around each phase.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-
-
-_TALLY = StepTally()
+# Running count of stream_collide calls in this process.  Lifting
+# operators differ mainly in how many extra LBM steps they burn, so the
+# cost accounting snapshots this counter around each phase.
+_step_count = 0
 
 
 def lbm_step_count() -> int:
     """Total number of stream_collide calls so far."""
-    return _TALLY.count
+    return _step_count
 
 
 def finite_density(rho: np.ndarray) -> np.ndarray:
@@ -234,7 +226,8 @@ def stream_collide(f: np.ndarray, params: LbmParams,
     if ghost and f.shape[1] < 3:
         raise ValueError("ghost mode needs at least one interior cell plus rim")
 
-    _TALLY.count += 1
+    global _step_count
+    _step_count += 1
     rho = restrict(f)
     weights = params.equilibrium_weights()
     post = (1.0 - params.omega) * f

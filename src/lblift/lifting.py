@@ -258,10 +258,9 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
         if key.startswith("term "):
             label = key[5:].strip()
             orders = tuple(int(tok) for tok in label[1:].split("d"))
-            terms[DerivSpec(orders)] = np.array(
-                [float(tok) for tok in value.split()])
+            terms[DerivSpec(orders)] = _finite_vector(value, lineno)
         elif key.startswith("time"):
-            time_term = np.array([float(tok) for tok in value.split()])
+            time_term = _finite_vector(value, lineno)
         else:
             header[key] = value
     for needed in ("set", "dx", "dt", "omega", "advection"):
@@ -289,3 +288,10 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
                          f"expected {vset.q}")
     return LiftCoefficients(fingerprint=fingerprint, terms=terms,
                             time_term=time_term)
+
+
+def _finite_vector(value: str, lineno: int) -> np.ndarray:
+    vec = np.array([float(tok) for tok in value.split()])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"line {lineno}: non-finite coefficient")
+    return vec

@@ -41,12 +41,19 @@ def analytic_pde(params: LbmParams) -> MacroPde:
     c_s^2-based form gives D = 1 for all three benchmark parameter sets;
     carrying the 1D prefactor into 2D would double it, since the 2D sets
     have c_s^2 = (1/3)(dx/dt)^2.
+
+    D1Q3 with advection a loses (3/4) a^2 dt (1/omega - 1/2): its three
+    velocities lack fourth-order isotropy, so the second moment of the
+    equilibrium is c_s^2 + a^2/4 where an isotropic set has c_s^2 + a^2.
     """
     if params.omega == 0.0:
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "diffusion coefficient c_s^2 dt (1/omega - 1/2) "
                          "is undefined")
     diffusion = params.sound_speed_sq * params.dt * (1.0 / params.omega - 0.5)
+    if params.vset.dimension == 1:
+        diffusion -= (0.75 * params.advection[0] ** 2
+                      * params.dt * (1.0 / params.omega - 0.5))
     return MacroPde(advection=params.advection, diffusion=diffusion)
 
 

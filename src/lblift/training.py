@@ -6,7 +6,9 @@ a polynomial test density is lifted with a guess for the coefficients,
 the lifted state is smoothed by a short constrained run, and fresh
 coefficients are read back from a linear system over a handful of probe
 nodes.  Coefficients that are invariant under that map describe the slow
-manifold; the fixed point is found by Newton's method.
+manifold.  Lift, smoothing and probe solve are all linear in the
+coefficients, so the map is affine and its fixed point is one exact
+linear solve.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -56,8 +58,8 @@ class NceTrainConfig:
     test domain is a small 1D interval (or square) with the production
     dx; probe_indices are positions within it, at least m+3 cells from
     its edges (in 2D the positions are used per axis and combined into a
-    grid).  jacobian_eps is a base perturbation scaled per coordinate by
-    max(1, |a_i|).
+    grid).  m is the smoothness order of the constrained run that closes
+    the coefficient map.
     """
 
     spatial_order: int = 2
@@ -65,9 +67,6 @@ class NceTrainConfig:
     test_length: float = 3.0
     test_cells: int = 60
     probe_indices: Optional[Tuple[int, ...]] = None
-    newton_tol: float = 1e-12
-    max_newton_iter: int = 25
-    jacobian_eps: float = 1e-8
 
     def __post_init__(self):
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
@@ -77,8 +76,6 @@ class NceTrainConfig:
             raise ValueError(f"smoothness order m={self.m}, expected 0..3")
         if self.test_cells < 4 * (self.m + 3):
             raise ValueError("test domain too small for the edge margins")
-        if self.newton_tol <= 0 or self.max_newton_iter < 1:
-            raise ValueError("newton_tol must be > 0 and max_newton_iter >= 1")
 
 
 @dataclass
@@ -197,10 +194,9 @@ def _resolve_probes(cfg: NceTrainConfig, dimension: int, n_terms: int):
 
 
 def _probe_index(points, width: int):
-    """Buffered-grid fancy index selecting the probe nodes."""
-    arrays = tuple(np.array([pt[ax] for pt in points]) + width
-                   for ax in range(len(points[0])))
-    return arrays if len(arrays) > 1 else arrays[0]
+    """Buffered-grid fancy index selecting the probe nodes, one array per axis."""
+    return tuple(np.array([pt[ax] for pt in points]) + width
+                 for ax in range(len(points[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,21 +242,28 @@ class _Workspace:
             raise ValueError(
                 f"probe system condition number {self.condition:.3g} "
                 "signals bad probe placement or a degenerate test density")
-        self.feq_probes = [
-            equilibrium(rho, params)[(slice(None),) + _as_tuple(self.probe_ix)]
-            for rho in self.densities
-        ]
+        self.feq_probes = [self.probe_rows(equilibrium(rho, params))
+                           for rho in self.densities]
 
-    def smoothed_rhs(self, coeffs: LiftCoefficients) -> np.ndarray:
-        """f - f_eq at the probes after lift and constrained smoothing."""
+    def probe_rows(self, f: np.ndarray) -> np.ndarray:
+        """A distribution field at the probes, one row per probe."""
+        return f[(slice(None),) + self.probe_ix].T
+
+    def h_map(self, coeffs: LiftCoefficients) -> np.ndarray:
+        """One application H(a) of the coefficient map, as a flat array.
+
+        Lift the test densities with the given coefficients, smooth the
+        results with an order-m constrained run, and solve the probe
+        system for the coefficients describing f - f_eq of the smoothed
+        state.  Coefficients on the slow manifold are invariant under H.
+        """
         rows = []
         for rho, fields, feq_p in zip(self.densities, self.derivative_fields,
                                       self.feq_probes):
             lifted = apply_lift(rho, coeffs, self.params, derivatives=fields)
             smooth = constrained_smooth(lifted, rho, self.cfg.m, self.params)
-            probe_vals = smooth[(slice(None),) + _as_tuple(self.probe_ix)]
-            rows.append((probe_vals - feq_p).T)
-        return np.vstack(rows)
+            rows.append(self.probe_rows(smooth) - feq_p)
+        return self.solve(np.vstack(rows)).ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.block.shape[0] == self.block.shape[1]:
@@ -276,10 +279,6 @@ class _Workspace:
             condition=float(np.linalg.cond(block)),
             has_time_column=has_time_column,
         )
-
-
-def _as_tuple(ix):
-    return ix if isinstance(ix, tuple) else (ix,)
 
 
 def _widen_probes(points, cfg: NceTrainConfig):
@@ -305,70 +304,63 @@ def _widen_probes(points, cfg: NceTrainConfig):
 # The coefficient map and its fixed point.
 # ---------------------------------------------------------------------------
 
-def _h_map(coeffs: LiftCoefficients, ws: _Workspace) -> LiftCoefficients:
-    """One application of the coefficient map.
-
-    Lift the test density with the given coefficients, smooth the result
-    with an order-m constrained run, and solve the probe system for the
-    coefficients describing the smoothed state.  Coefficients on the
-    slow manifold are invariant under this map.
-    """
-    coeff_matrix = ws.solve(ws.smoothed_rhs(coeffs))
-    terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
-    return LiftCoefficients(fingerprint=ws.params.fingerprint(), terms=terms)
-
-
 def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
-    """Newton solve of a = _h_map(a) from a = 0.
+    """Solve a = H(a), H = _Workspace.h_map, with one exact linear solve.
 
-    Returns the trained coefficients with diagnostics.  The total LBM
-    step count depends only on the training configuration, never on the
-    production grid or run length; the coefficients are reusable for any
-    density on any grid sharing (velocity set, dx, dt, omega, advection).
+    H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0 with h0 = H(0)
+    and M from _linear_part; a closing evaluation gives `residual` =
+    max |a - H(a)|, and iterations is 1.  With p coefficients this costs
+    (p + 2)(m + 1) LBM steps per test density, whatever the production
+    grid or run length; the coefficients are reusable on any grid
+    sharing (velocity set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
     template = zero_coefficients(params, cfg.spatial_order)
-    if tuple(template.sorted_specs()) != ws.specs:
-        raise AssertionError("coefficient layout out of sync with workspace")
+    # every vector of H(a) sums to zero over the velocities, since the
+    # smoothed state keeps the test density; dropping the round-off of
+    # those sums keeps the trained lift free of mass on rough densities
+    q = params.vset.q
+    offset = _massless(ws.h_map(template), q)
+    system = np.eye(offset.size) - _massless(_linear_part(ws), q)
+    try:
+        flat = np.linalg.solve(system, offset)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError("singular I - M while training coefficients") from exc
+    if not np.all(np.isfinite(flat)):
+        raise RuntimeError("coefficient training gave non-finite coefficients")
+    coeffs = template.with_flat(flat)
+    residual = float(np.max(np.abs(flat - ws.h_map(coeffs))))
+    return TrainResult(coeffs, 1, lbm_step_count() - start_steps, residual,
+                       ws.make_system())
 
-    def residual(flat: np.ndarray) -> np.ndarray:
-        coeffs = template.with_flat(flat)
-        return flat - _h_map(coeffs, ws).flatten()
 
-    flat = template.flatten()
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_newton_iter):
-        res = residual(flat)
-        jac = np.empty((flat.size, flat.size))
-        for col in range(flat.size):
-            eps = cfg.jacobian_eps * max(1.0, abs(flat[col]))
-            bumped = flat.copy()
-            bumped[col] += eps
-            jac[:, col] = (residual(bumped) - res) / eps
-        try:
-            delta = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular Newton system while training "
-                               f"(iteration {iterations})") from exc
-        flat = flat - delta
-        iterations += 1
-        if float(np.max(np.abs(delta))) < cfg.newton_tol:
-            converged = True
-            break
-    final_residual = float(np.max(np.abs(residual(flat))))
-    if not converged:
-        raise RuntimeError(
-            f"coefficient training did not converge in {iterations} Newton "
-            f"iterations (last residual {final_residual:.3e})")
-    return TrainResult(
-        coefficients=template.with_flat(flat),
-        iterations=iterations,
-        lbm_steps=lbm_step_count() - start_steps,
-        residual=final_residual,
-        system=ws.make_system(),
-    )
+def _massless(rows: np.ndarray, q: int) -> np.ndarray:
+    """rows, indexed by flat coefficient first, less each term's velocity mean."""
+    per_term = rows.reshape((-1, q) + rows.shape[1:])
+    return (per_term - per_term.mean(axis=1, keepdims=True)).reshape(rows.shape)
+
+
+def _linear_part(ws: _Workspace) -> np.ndarray:
+    """M, the linear part of H: column (T, i), in flatten order, is the
+    response to a_T = e_i.  constrained_smooth is linear in (f, rho0), so
+    smoothing the lifted part e_i D_T rho with density 0 gives the column
+    exactly, with no step size; one perturbation field is reused."""
+    q = ws.params.vset.q
+    columns = list(product(ws.specs, range(q)))
+    points = len(ws.probe_points)
+    response = np.empty((points * len(ws.densities), q, len(columns)))
+    delta = np.zeros((q,) + ws.densities[0].shape)
+    zero_density = np.zeros(delta.shape[1:])
+    for d, fields in enumerate(ws.derivative_fields):
+        rows = response[d * points:(d + 1) * points]
+        for k, (spec, i) in enumerate(columns):
+            delta[i] = fields[spec]
+            rows[:, :, k] = ws.probe_rows(constrained_smooth(
+                delta, zero_density, ws.cfg.m, ws.params))
+            delta[i] = 0.0
+    return ws.solve(response.reshape(len(response), -1)).reshape(
+        len(columns), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +389,8 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     start_steps = lbm_step_count()
     rhs_rows = []
     time_rows = []
-    for rho, fields in zip(ws.densities, ws.derivative_fields):
+    for rho, fields, feq_p in zip(ws.densities, ws.derivative_fields,
+                                  ws.feq_probes):
         lifted = apply_lift(rho, coeffs, params, derivatives=fields)
         snapshots = [restrict(lifted)]
         f = lifted
@@ -405,9 +398,7 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
             f = stream_collide(f, params)
             snapshots.append(restrict(f))
         rho_t = time_derivative_forward(snapshots, params.dt)
-        probe_ix = _as_tuple(ws.probe_ix)
-        feq_p = equilibrium(rho, params)[(slice(None),) + probe_ix]
-        rhs_rows.append((lifted[(slice(None),) + probe_ix] - feq_p).T)
+        rhs_rows.append(ws.probe_rows(lifted) - feq_p)
         time_rows.append(rho_t[ws.probe_ix])
     rhs = np.vstack(rhs_rows)
     time_col = np.concatenate(time_rows)

@@ -145,9 +145,9 @@ def test_criterion_4c_monotone_improvement(nce_table):
     term up to spatial order 2m+1, whatever m is above that.  Hence:
 
     - rows m and m+1 tie for R <= 2m+1: they train the same coefficients
-      and give the same lift error, up to round-off from the
-      finite-difference Newton (relative gap per term at most 2.7e-6
-      measured, against at least 0.66 in the untied cells);
+      and give the same lift error, up to the round-off of training
+      (relative gap per term at most 6.6e-6 measured, against at least
+      0.66 in the untied cells);
     - beyond R = 2m+1 row m stops improving: its error settles near twice
       the row's best value (ratio 1.96 to 2.0 measured), close to the
       constrained-runs error of the same m in criterion 3.
@@ -266,16 +266,32 @@ def test_criterion_6a_lifter_ordering(d1_params):
 
 
 def test_criterion_6b_extracted_pde(d1_params):
+    """The PDE extracted from the R = 6, m = 2 coefficients serves the
+    hybrid as well as the analytic PDE.
+
+    Both hybrids differ only in D, and the hybrid error falls with any D
+    above the true value (relative change -1.85e4 per unit of D, measured
+    for |dD| from 1e-8 to 1e-6), so an ordering of the two errors is
+    decided by the sign of the round-off in the extracted D.  The check
+    is therefore a closeness one: |D_ext - D| <= 1e-8 and the two peak
+    errors agree within a relative 1e-4, i.e. |dD| below about 5e-9
+    (measured 1.4e-9 and 9.9e-6; moving D_ext by 1e-8 either way fails
+    the second check).
+    """
     cfg = NceTrainConfig(spatial_order=6, m=2)
     trained = train_coefficients(cfg, d1_params)
     lifter = CoefficientLifter(trained.coefficients, name="nce6")
     aug = augment_time_derivative(trained.coefficients, cfg, d1_params)
     extracted = extract_pde(aug.coefficients, mode="summation")
+    d_gap = abs(extracted.diffusion - analytic_pde(d1_params).diffusion)
     err_extracted = hybrid_peak_error(d1_params, lifter, pde=extracted)
     err_analytic = hybrid_peak_error(d1_params, lifter)
-    report("criterion 6b", err_extracted <= err_analytic,
-           f"NCE-extracted PDE (D {extracted.diffusion:.12f}) peak error "
-           f"{err_extracted:.12e} <= analytic-PDE error {err_analytic:.12e}")
+    ratio_gap = abs(err_extracted / err_analytic - 1.0)
+    report("criterion 6b", d_gap <= 1e-8 and ratio_gap <= 1e-4,
+           f"NCE-extracted PDE (D {extracted.diffusion:.12f}, gap "
+           f"{d_gap:.1e}, bound 1e-8) peak error {err_extracted:.12e} vs "
+           f"analytic-PDE error {err_analytic:.12e} (relative gap "
+           f"{ratio_gap:.1e}, bound 1e-4)")
 
 
 def test_criterion_6c_uniform_steady_state(d1_params):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import D1Q3, LbmParams, MacroPde, analytic_pde, ftcs_step
+from lblift import (D1Q3, LbmParams, MacroPde, analytic_pde, equilibrium,
+                    ftcs_step, restrict, stream_collide)
 
 from conftest import benchmark_params
 
@@ -22,6 +23,30 @@ def test_analytic_pde_one_d_closed_form():
     p = benchmark_params("D1Q3")
     expected = (2 - p.omega) / (3 * p.omega) * p.dx ** 2 / p.dt
     assert_allclose(analytic_pde(p).diffusion, expected, rtol=1e-14)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.66])
+def test_analytic_pde_matches_lbm_variance_growth(a):
+    """A direct periodic D1Q3 run: the variance of a Gaussian grows by
+    2 D t once the start-up transient has decayed.  With advection D
+    falls below c_s^2 dt (1/omega - 1/2) by (3/4) a^2 dt (1/omega - 1/2),
+    1.1e-4 at a = 0.5, which the analytic PDE has to carry."""
+    p = benchmark_params("D1Q3", advection=(a,))
+    cells = 1600
+    x = np.arange(cells) * p.dx
+    f = equilibrium(np.exp(-(x - cells * p.dx / 2) ** 2), p)
+    variance = {}
+    for step in range(1, 1001):
+        f = stream_collide(f, p)
+        if step in (400, 1000):
+            rho = restrict(f)
+            mean = (x * rho).sum() / rho.sum()
+            variance[step] = ((x - mean) ** 2 * rho).sum() / rho.sum()
+    measured = (variance[1000] - variance[400]) / (2 * 600 * p.dt)
+    assert_allclose(analytic_pde(p).diffusion, measured, rtol=0, atol=1e-12)
+    tau = p.dt * (1 / p.omega - 0.5)
+    assert_allclose(measured, p.sound_speed_sq * tau - 0.75 * a * a * tau,
+                    rtol=0, atol=1e-12)
 
 
 def test_analytic_pde_rejects_zero_omega():

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lblift import (DerivSpec, LbmParams, NceTrainConfig,
-                    analytic_coefficients, apply_lift, augment_time_derivative,
-                    extract_pde, restrict, train_coefficients)
+                    analytic_coefficients, analytic_pde, apply_lift,
+                    augment_time_derivative, extract_pde, lbm_step_count,
+                    restrict, train_coefficients)
 from lblift.lifting import zero_coefficients
-from lblift.training import buffer_width, default_probe_positions
+from lblift.training import _Workspace, buffer_width, default_probe_positions
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import benchmark_params, gaussian_density
@@ -58,7 +59,7 @@ def test_recovers_analytic_coefficients():
     for spec in exact.terms:
         assert_allclose(result.coefficients.terms[spec], exact.terms[spec],
                         atol=1e-12)
-    assert result.iterations <= 10
+    assert result.iterations == 1
     assert result.residual < 1e-11
 
 
@@ -168,3 +169,72 @@ def test_two_d_training_matches_one_d_structure():
     assert_allclose(dx_col[1], dy_col[2], atol=1e-12)
     assert_allclose(dx_col[3], dy_col[4], atol=1e-12)
     assert_allclose(dx_col[0], dy_col[0], atol=1e-12)
+
+
+def newton_reference(cfg, params, tol=1e-12, max_iter=25, eps=1e-8):
+    """The forward-difference Newton iteration on the coefficient map
+    a = H(a) that train_coefficients replaced: flat coefficients, from
+    a = 0."""
+    ws = _Workspace(cfg, params)
+    template = zero_coefficients(params, cfg.spatial_order)
+
+    def residual(flat):
+        return flat - ws.h_map(template.with_flat(flat))
+
+    flat = template.flatten()
+    for _ in range(max_iter):
+        res = residual(flat)
+        jac = np.empty((flat.size, flat.size))
+        for col in range(flat.size):
+            step = eps * max(1.0, abs(flat[col]))
+            bumped = flat.copy()
+            bumped[col] += step
+            jac[:, col] = (residual(bumped) - res) / step
+        delta = np.linalg.solve(jac, res)
+        flat = flat - delta
+        if np.max(np.abs(delta)) < tol:
+            return flat
+    raise AssertionError("reference Newton iteration did not converge")
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_exact_solve_matches_newton_reference(m):
+    """Over the criterion-4 D1Q3 table: coefficients within 1e-9 max|a|
+    of the Newton reference, a closing residual of at most 1e-11, and
+    (p + 2)(m + 1) LBM steps per test density for p coefficients."""
+    p = benchmark_params("D1Q3")
+    for r in range(1, 7):
+        cfg = NceTrainConfig(spatial_order=r, m=m)
+        before = lbm_step_count()
+        result = train_coefficients(cfg, p)
+        steps = lbm_step_count() - before
+        reference = newton_reference(cfg, p)
+        gap = np.abs(result.coefficients.flatten() - reference).max()
+        assert gap <= 1e-9 * np.abs(reference).max(), (r, gap)
+        assert result.residual <= 1e-11, (r, result.residual)
+        assert result.iterations == 1
+        n_densities = len(density_profiles(cfg, 1))
+        assert steps == result.lbm_steps == (3 * r + 2) * (m + 1) * n_densities
+
+
+def test_two_d_step_count():
+    p = benchmark_params("D2Q5")
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    result = train_coefficients(cfg, p)
+    coefficients = 5 * p.vset.q         # terms d10 d01 d20 d11 d02
+    n_densities = len(density_profiles(cfg, 2))
+    assert result.lbm_steps == (coefficients + 2) * 2 * n_densities
+
+
+def test_advective_high_order_trains_to_analytic_pde():
+    """D1Q3 with advection 0.5 at (R, m) = (6, 3): the summation PDE
+    matches the analytic one, whose D carries the -(3/4) a^2 tau term."""
+    p = benchmark_params("D1Q3", advection=(0.5,))
+    cfg = NceTrainConfig(spatial_order=6, m=3)
+    trained = train_coefficients(cfg, p)
+    assert trained.residual <= 1e-11
+    aug = augment_time_derivative(trained.coefficients, cfg, p)
+    pde = extract_pde(aug.coefficients, mode="summation")
+    exact = analytic_pde(p)
+    assert abs(pde.diffusion - exact.diffusion) <= 1e-6
+    assert abs(pde.advection[0] - exact.advection[0]) <= 1e-6
