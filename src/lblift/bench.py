@@ -73,6 +73,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown velocity set {self.velocity_set!r}")
         if self.lifter not in LIFTERS:
             raise ValueError(f"unknown lifter {self.lifter!r}")
+        if self.lifter == "cr" and self.velocity_set != "D1Q3":
+            raise ValueError(
+                f"lifter = cr needs velocity_set = D1Q3: constrained runs "
+                f"solve for the D1Q3 moments (phi, xi), and "
+                f"{self.velocity_set} has no such moment transform")
         if self.pde_source not in ("analytic", "extracted"):
             raise ValueError(f"unknown pde_source {self.pde_source!r}")
         if self.extract_mode not in ("summation", "nullspace"):

@@ -7,11 +7,14 @@ damps the (m+1)-th time difference of the fast moments, so m = 0 keeps
 them constant, m = 1 linear, and so on.
 
 That map is affine in the fast moments, so its fixed point is the
-solution of one linear system, assembled exactly from unit-step probes
-of the residual r(v) = v - cr_map(v) and solved once.  Every map
-evaluation is paid for in LBM steps at every lift.  The solver works on
-full periodic density fields; the D1Q3 moment-space interface matches
-the (rho, phi, xi) transform of the lattice module.
+solution of one linear system.  On a periodic grid the linear part of
+the residual r(v) = v - cr_map(v) is block-circulant and independent of
+the density: one unit impulse per fast moment gives all of it, and an
+FFT turns the solve into one 2x2 system per wavenumber.  The kernel is
+probed again at every lift, and every map evaluation is paid for in LBM
+steps: 4(m+1) per lift.  The solver works on full periodic density
+fields; the D1Q3 moment-space interface matches the (rho, phi, xi)
+transform of the lattice module.
 """
 
 from __future__ import annotations
@@ -120,64 +123,44 @@ def cr_lift(rho0: np.ndarray, config: CrConfig,
     """Lift a periodic density field to distribution functions.
 
     Solves v = cr_map(v) with one linear solve from the equilibrium
-    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0)
-    with J assembled exactly by _jacobian.  A closing evaluation of the
-    residual gives `residual`, and converged = residual <= tol; a lift
-    that misses tol is returned rather than raised, so callers can
-    inspect it.  iterations is 1, the one solve.  A non-finite density
-    is refused with a ValueError naming its first bad cell.
+    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0),
+    solved in Fourier space by _circulant_solve.  A closing evaluation
+    of the residual gives `residual`, and converged = residual <= tol; a
+    lift that misses tol is returned rather than raised, so callers can
+    inspect it.  iterations is 1, the one solve; lbm_steps is 4(m+1),
+    four map evaluations.  A non-finite density is refused with a
+    ValueError naming its first bad cell.
     """
     rho0 = finite_density(rho0)
     m0 = moments(equilibrium(rho0, params))
     v = np.stack([m0.phi, m0.xi])
     r = _residual(rho0, v, config, params)
-    jac, probes = _jacobian(rho0, v, r, config, params)
-    v = v - np.linalg.solve(jac, r.ravel()).reshape(v.shape)
+    v = v - _circulant_solve(r, config, params)
     residual = float(np.max(np.abs(_residual(rho0, v, config, params))))
-    steps = (probes + 2) * (config.m + 1)
-    return CrResult(_assemble(rho0, v), 1, steps, residual,
+    f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
+    return CrResult(f, 1, 4 * (config.m + 1), residual,
                     residual <= config.tol)
-
-
-def _assemble(rho0: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
 
 
 def _residual(rho0, v, config, params):
     return v - cr_map(rho0, v, config, params)
 
 
-def _jacobian(rho0, v, r, config, params):
-    """Jacobian of r(v) = v - cr_map(v) from unit-step probes.
+def _circulant_solve(r, config, params):
+    """dv with J dv = r, J the linear part of r(v) = v - cr_map(v).
 
-    r is affine, so r(v + e_j) - r(v) is column j exactly, whatever the
-    step.  A probe at node j moves the residual only within m+1 cells of
-    it (cr_map runs m+1 LBM steps and D1Q3 streams one cell per step),
-    so nodes 2m+3 apart share one probe and their columns are peeled
-    apart from the shared response.  Returns the (2n, 2n) matrix and the
-    number of map evaluations spent on it.
+    cr_map is linear in (rho0, v) and commutes with periodic shifts, so J
+    is block-circulant and independent of rho0: e_j - cr_map(0, e_j), for
+    a unit impulse in fast moment j at cell 0, holds all of block column
+    j.  An FFT along the grid splits J into one 2x2 block per wavenumber
+    (the Fourier view of the linear BGK operator); two map evaluations.
     """
-    n = rho0.size
-    width = config.m + 1
-    stride = 2 * width + 1
-    window = np.arange(-width, width + 1)
-    jac = np.zeros((2 * n, 2 * n))
-    probes = 0
-    for field in range(2):
-        for color in range(min(stride, n)):
-            cols = list(range(color, n, stride))
-            singles = []
-            # the wrap pair of a colour class may sit closer than the
-            # stride; peel those columns off into probes of their own
-            while len(cols) > 1 and (n - cols[-1] + cols[0]) <= 2 * width:
-                singles.append(cols.pop())
-            for group in [cols] + [[s] for s in singles]:
-                group = np.array(group)
-                dv = v.copy()
-                dv[field, group] += 1.0
-                dr = (_residual(rho0, dv, config, params) - r).ravel()
-                probes += 1
-                rows = (group[:, None] + window) % n
-                rows = np.concatenate([rows, rows + n], axis=1)
-                jac[rows, field * n + group[:, None]] = dr[rows]
-    return jac, probes
+    n = r.shape[1]
+    kernel = np.empty((2, 2, n))        # (response moment, impulse, cell)
+    for j in range(2):
+        impulse = np.zeros((2, n))
+        impulse[j, 0] = 1.0
+        kernel[:, j] = impulse - cr_map(np.zeros(n), impulse, config, params)
+    blocks = np.moveaxis(np.fft.fft(kernel), -1, 0)            # (n, 2, 2)
+    rhs = np.fft.fft(r).T[..., None]                            # (n, 2, 1)
+    return np.fft.ifft(np.linalg.solve(blocks, rhs)[..., 0].T).real

@@ -45,11 +45,18 @@ def analytic_pde(params: LbmParams) -> MacroPde:
     D1Q3 with advection a loses (3/4) a^2 dt (1/omega - 1/2): its three
     velocities lack fourth-order isotropy, so the second moment of the
     equilibrium is c_s^2 + a^2/4 where an isotropic set has c_s^2 + a^2.
+    D2Q5 with advection is refused: it lacks the same isotropy, so its
+    diffusion is a tensor (D_xx = (c_s^2 - a_y^2/2) tau, D_xy = -a_x a_y
+    tau, tau = dt (1/omega - 1/2)) that a scalar D cannot carry.
     """
     if params.omega == 0.0:
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "diffusion coefficient c_s^2 dt (1/omega - 1/2) "
                          "is undefined")
+    if params.vset.name == "D2Q5" and any(params.advection):
+        raise ValueError(f"D2Q5 with advection {params.advection} lacks "
+                         "fourth-order isotropy: its diffusion is a tensor "
+                         "(D_xy = -a_x a_y dt (1/omega - 1/2)), not a scalar")
     diffusion = params.sound_speed_sq * params.dt * (1.0 / params.omega - 0.5)
     if params.vset.dimension == 1:
         diffusion -= (0.75 * params.advection[0] ** 2

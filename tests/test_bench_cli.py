@@ -55,6 +55,18 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="hybrid", velocity_set="D9Q9")
 
 
+def test_cr_lifter_refused_for_two_d_sets():
+    """CR is a D1Q3 moment-space solver: a 2D set is refused when the
+    config is built, before any reference run."""
+    for name in ("D2Q5", "D2Q9"):
+        with pytest.raises(ValueError, match=f"needs velocity_set = D1Q3.*"
+                                             f"{name}"):
+            ExperimentConfig(kind="hybrid", lifter="cr", velocity_set=name)
+    with pytest.raises(ValueError, match="needs velocity_set = D1Q3"):
+        parse_config("kind = cost_table\nlifter = cr\nvelocity_set = D2Q9\n")
+    assert ExperimentConfig(kind="hybrid", lifter="cr").velocity_set == "D1Q3"
+
+
 def test_defaults_match_benchmark_models():
     for name, dt in (("D1Q3", 1e-3), ("D2Q5", 1e-4), ("D2Q9", 1e-5)):
         cfg = ExperimentConfig(kind="lift_bench", velocity_set=name)

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lblift import (CrConfig, Moments, constrained_smooth, cr_lift, cr_map,
-                    equilibrium, from_moments, moments, restrict, run_lbm)
+                    equilibrium, from_moments, lbm_step_count, moments,
+                    restrict, run_lbm)
 from lblift.constrained_runs import extrapolation_weights
 
 from conftest import benchmark_params, gaussian_density
@@ -94,14 +95,15 @@ def dense_reference_lift(rho, m, params):
 
 
 def test_cr_lift_matches_dense_reference():
-    """The coloured probes give the dense fixed point, with and without
-    advection: on n = 200, on a grid that is no multiple of the stride
-    2m+3 (61), and on one smaller than it (2m+2)."""
+    """The block-circulant FFT solve gives the dense fixed point, with and
+    without advection: on n = 200, on 61, on the odd and prime grids 7
+    and 13, and on 2m+2.  The impulse response spans 2m+3 cells, so on
+    the small grids it wraps onto itself."""
     rng = np.random.default_rng(7)
     for advection in ((), (0.66,)):
         p = benchmark_params("D1Q3", advection=advection)
         for m in range(4):
-            for cells in (200, 61, 2 * m + 2):
+            for cells in (200, 61, 13, 7, 2 * m + 2):
                 rho = gaussian_density(p, cells=cells) \
                     + 0.1 * rng.uniform(size=cells)
                 res = cr_lift(rho, CrConfig(m=m), p)
@@ -131,11 +133,14 @@ def test_cr_lift_rejects_non_finite_density():
 
 
 def test_step_accounting_scales_with_m():
-    """Each residual evaluation costs m+1 LBM steps, so lbm_steps must be
-    at least (m+1) * iterations."""
+    """A lift makes four map evaluations of m+1 LBM steps each: the
+    equilibrium residual, two impulse probes and the closing residual.
+    lbm_steps reports exactly the stream_collide calls made."""
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=40)
     for m in range(4):
+        before = lbm_step_count()
         res = cr_lift(rho, CrConfig(m=m), p)
         assert res.converged
-        assert res.lbm_steps >= (m + 1) * res.iterations
+        assert res.lbm_steps == 4 * (m + 1)
+        assert lbm_step_count() - before == res.lbm_steps

@@ -110,6 +110,30 @@ def test_compare_to_reference_shapes():
     assert with_fields.error_fields.shape == (5, 200)
 
 
+def test_compare_to_reference_lifts_initial_density_once():
+    """One lift starts both runs, then one per hybrid step; the hybrid's
+    own start equals init_hybrid's."""
+    p = benchmark_params("D1Q3")
+    calls = []
+
+    class Counting:
+        name = "counting"
+
+        def lift(self, rho, params):
+            calls.append(rho.copy())
+            return order2_lifter(params).lift(rho, params)
+
+    spec = make_spec(p, Counting())
+    start = init_hybrid(spec)
+    calls.clear()
+    out = compare_to_reference(spec, 1)
+    assert len(calls) == 2
+    assert_allclose(calls[0], spec.initial_density, rtol=0, atol=0)
+    stepped = hybrid_step(start, spec)
+    assert np.array_equal(out.final_state.f_lbm, stepped.f_lbm)
+    assert np.array_equal(out.final_state.rho_pde, stepped.rho_pde)
+
+
 def test_two_d_uniform_steady():
     p = benchmark_params("D2Q5")
     rho = np.full((40, 40), 0.9)

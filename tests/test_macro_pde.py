@@ -56,6 +56,28 @@ def test_analytic_pde_rejects_zero_omega():
         analytic_pde(p)
 
 
+def test_analytic_pde_rejects_advective_d2q5():
+    """D2Q5's equilibrium second moment tau (Pi_eq - a a) is no multiple of
+    the identity once a != 0, so no scalar D exists; D2Q9's is."""
+    def diffusion_tensor(p):
+        v = p.vset.direction_array() * (p.dx / p.dt)
+        a = np.asarray(p.advection)
+        pi = np.einsum("i,ia,ib->ab", p.equilibrium_weights(), v, v)
+        return p.dt * (1 / p.omega - 0.5) * (pi - np.outer(a, a))
+
+    for a in ((1.0, 0.5), (0.3, 0.0), (0.0, -0.2)):
+        p = benchmark_params("D2Q5", advection=a)
+        with pytest.raises(ValueError, match="D2Q5 with advection.*tensor"):
+            analytic_pde(p)
+        d = diffusion_tensor(p)
+        assert abs(d[0, 0] - d[1, 1]) + abs(d[0, 1]) > 1e-8
+    q9 = benchmark_params("D2Q9", advection=(1.0, 0.5))
+    assert_allclose(diffusion_tensor(q9),
+                    analytic_pde(q9).diffusion * np.eye(2), atol=1e-14)
+    assert_allclose(analytic_pde(benchmark_params("D2Q5")).diffusion, 1.0,
+                    rtol=1e-14)
+
+
 def test_uniform_is_invariant():
     pde = MacroPde(advection=(0.3,), diffusion=1.0)
     rho = np.full(32, 2.5)
