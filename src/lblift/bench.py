@@ -168,9 +168,13 @@ def lift_restrict_error(config: ExperimentConfig) -> float:
     nodes and velocities of the reconstruction error.
     """
     params = experiment_params(config)
+    lifter, _ = make_lifter(config, params)
+    return _lift_error(config, params, lifter)
+
+
+def _lift_error(config: ExperimentConfig, params: LbmParams, lifter) -> float:
     f_ref = reference_state(params, initial_density(config),
                             config.reference_steps)
-    lifter, _ = make_lifter(config, params)
     lifted = lifter.lift(restrict(f_ref), params)
     return float(np.linalg.norm(lifted - f_ref))
 
@@ -178,9 +182,13 @@ def lift_restrict_error(config: ExperimentConfig) -> float:
 def hybrid_pde(config: ExperimentConfig, params: LbmParams):
     if config.pde_source == "analytic":
         return analytic_pde(params)
+    trained = train_coefficients(train_config(config), params)
+    return _extracted_pde(config, params, trained.coefficients)
+
+
+def _extracted_pde(config: ExperimentConfig, params: LbmParams, coefficients):
     cfg = train_config(config)
-    trained = train_coefficients(cfg, params)
-    augmented = augment_time_derivative(trained.coefficients, cfg, params)
+    augmented = augment_time_derivative(coefficients, cfg, params)
     return extract_pde(augmented.coefficients, mode=config.extract_mode,
                        system=augmented.system)
 
@@ -191,11 +199,16 @@ def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
     if split is None:
         split = default_split(config.cells)
     lifter, _ = make_lifter(config, params)
+    if config.lifter == "nce" and config.pde_source == "extracted":
+        # the lifter's coefficients are the ones hybrid_pde would train
+        pde = _extracted_pde(config, params, lifter.coefficients)
+    else:
+        pde = hybrid_pde(config, params)
     return HybridSpec(
         total_cells=config.cells,
         split_index=split,
         params=params,
-        pde=hybrid_pde(config, params),
+        pde=pde,
         lifter=lifter,
         initial_density=initial_density(config),
     )
@@ -360,8 +373,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> List[Path]:
     mh, mr = _model_columns(config, params)
 
     if config.kind == "lift_bench":
-        error = lift_restrict_error(config)
         lifter, _ = make_lifter(config, params)
+        error = _lift_error(config, params, lifter)
         headers = ["lifter"] + mh + ["order", "m", "reference_steps", "error"]
         row = [lifter.name] + mr + [config.order, config.m,
                                     config.reference_steps, error]

@@ -281,19 +281,6 @@ def run_lbm(f: np.ndarray, params: LbmParams, steps: int) -> np.ndarray:
     return f
 
 
-_M_D1Q3 = np.array([
-    [1.0, 1.0, 1.0],
-    [1.0, 0.0, -1.0],
-    [0.5, 0.0, 0.5],
-])
-
-_MINV_D1Q3 = np.array([
-    [0.0, 0.5, 1.0],
-    [1.0, 0.0, -2.0],
-    [0.0, -0.5, 1.0],
-])
-
-
 def moments(f: np.ndarray) -> Moments:
     """D1Q3 moment transform (rho, phi, xi) of a distribution field."""
     f = np.asarray(f, dtype=float)

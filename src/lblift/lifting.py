@@ -97,17 +97,13 @@ def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:
     return LiftCoefficients(fingerprint=params.fingerprint(), terms=terms)
 
 
-def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients, params: LbmParams,
-               accuracy: int = LIFT_STENCIL_ACCURACY,
-               derivatives: Optional[Dict[DerivSpec, np.ndarray]] = None,
-               ) -> np.ndarray:
+def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
+               params: LbmParams) -> np.ndarray:
     """Lift a density field to distributions on a periodic grid.
 
-    derivatives may supply exact derivative fields keyed by spec (used by
-    the trainer, where the test density is a polynomial); they are added
-    to f_eq term by term.  Otherwise the lift is one linear stencil: the
-    central differences of every term, weighted by its coefficient
-    vector, are summed into a (q x taps) matrix C = A W, and
+    The lift is one linear stencil: the central differences of every
+    term, weighted by its coefficient vector, are summed into a
+    (q x taps) matrix C = A W, and
 
         f_i(x) = w_i rho(x) + sum_u C[i, u] (rho(x + u) - rho(x)),
 
@@ -120,16 +116,13 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients, params: LbmParams,
             f"{coeffs.fingerprint} vs {params.fingerprint()}"
         )
     rho = finite_density(rho)
-    if derivatives is None and coeffs.terms:
-        return _stencil_lift(rho, coeffs, params, accuracy)
-    f = equilibrium(rho, params)
-    for spec, vec in coeffs.terms.items():
-        f += vec.reshape((-1,) + (1,) * rho.ndim) * derivatives[spec][None]
-    return f
+    if not coeffs.terms:
+        return equilibrium(rho, params)
+    return _stencil_lift(rho, coeffs, params)
 
 
 def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
-                  params: LbmParams, accuracy: int) -> np.ndarray:
+                  params: LbmParams) -> np.ndarray:
     """f = [C | w] [rho(x + u) - rho(x); rho(x)], in blocks along axis 0.
 
     Each block gathers one shifted window of the wrap-padded density per
@@ -141,7 +134,8 @@ def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
         raise ValueError(
             f"density rank {rho.ndim} does not match {params.vset.name}")
     specs = tuple(coeffs.sorted_specs())
-    taps, weights = difference_stencils(specs, params.dx, accuracy)
+    taps, weights = difference_stencils(specs, params.dx,
+                                        LIFT_STENCIL_ACCURACY)
     stencil = np.column_stack(
         [np.column_stack([coeffs.terms[s] for s in specs]) @ weights,
          params.equilibrium_weights()])
@@ -154,7 +148,7 @@ def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
                       for h, s, n in zip(reach[1:], u[1:], row_shape)))
                for u in taps]
     row_cells = int(np.prod(row_shape))
-    rows_per_block = max(1, _BLOCK_CELLS // row_cells)
+    rows_per_block = min(rho.shape[0], max(1, _BLOCK_CELLS // row_cells))
     columns = np.empty((len(taps) + 1, rows_per_block * row_cells))
     f = np.empty((params.vset.q,) + rho.shape)
     f_flat = f.reshape(params.vset.q, -1)

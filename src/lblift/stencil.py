@@ -3,11 +3,10 @@
 Central stencils of selectable accuracy for spatial derivatives up to
 total order 6 (mixed 2D derivatives are tensor products of the 1D
 stencils), plus one-sided formulas for time derivatives from a short
-sequence of snapshots.  Periodic application wraps with np.roll;
-interior-only application leaves a NaN rim where the stencil would
-reach across the boundary.  difference_stencils writes the periodic
-stencils of several derivatives as one matrix over grid offsets, for
-evaluating a fixed linear combination of them in one pass.
+sequence of snapshots.  Application is periodic: it wraps with np.roll.
+difference_stencils writes the stencils of several derivatives as one
+matrix over grid offsets, for evaluating a fixed linear combination of
+them in one pass.
 """
 
 from __future__ import annotations
@@ -91,37 +90,25 @@ def central_offsets(order: int, accuracy: int = 2) -> Tuple[int, ...]:
 
 
 def _apply_axis(rho: np.ndarray, order: int, dx: float, axis: int,
-                accuracy: int, mode: str) -> np.ndarray:
+                accuracy: int) -> np.ndarray:
     offsets = central_offsets(order, accuracy)
     w = fd_weights(order, offsets) / dx ** order
     out = np.zeros_like(rho, dtype=float)
     for off, wk in zip(offsets, w):
         out += wk * np.roll(rho, -off, axis=axis)
-    if mode == "interior":
-        half = (len(offsets) - 1) // 2
-        rim = [slice(None)] * rho.ndim
-        for cut in (slice(0, half), slice(-half, None)):
-            rim[axis] = cut
-            out[tuple(rim)] = np.nan
     return out
 
 
 def spatial_derivative(rho: np.ndarray, spec: DerivSpec, dx: float,
-                       mode: str = "periodic", accuracy: int = 2) -> np.ndarray:
-    """Apply a (possibly mixed) central difference to a density field.
-
-    mode="periodic" wraps every axis; mode="interior" marks the rim of
-    half-width points that would wrap as NaN instead.
-    """
+                       accuracy: int = 2) -> np.ndarray:
+    """Apply a (possibly mixed) periodic central difference to a field."""
     rho = np.asarray(rho, dtype=float)
     if len(spec.orders) != rho.ndim:
         raise ValueError("spec arity does not match field rank")
-    if mode not in ("periodic", "interior"):
-        raise ValueError(f"unknown mode {mode!r}")
     out = rho
     for axis, order in enumerate(spec.orders):
         if order:
-            out = _apply_axis(out, order, dx, axis, accuracy, mode)
+            out = _apply_axis(out, order, dx, axis, accuracy)
     return out
 
 

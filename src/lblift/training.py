@@ -8,7 +8,8 @@ coefficients are read back from a linear system over a handful of probe
 nodes.  Coefficients that are invariant under that map describe the slow
 manifold.  Lift, smoothing and probe solve are all linear in the
 coefficients, so the map is affine and its fixed point is one exact
-linear solve.
+linear solve.  Its linear part comes from q impulse responses of the
+smoothing, which is linear and shift-invariant with density 0.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -16,9 +17,10 @@ PDE.  That is exploited twice: the PDE coefficients are read off either
 from the nullspace of the enlarged system or by summing the augmented
 coefficient vectors over the velocities.
 
-All finite differences here use the same stencil accuracy as apply_lift:
-trained coefficients absorb the truncation terms of the stencils they
-were trained with, so training and application must match.
+Test densities are lifted by apply_lift, the production lift, and the
+probe system uses its stencil accuracy: trained coefficients absorb the
+truncation terms of the stencils they were trained with, so training and
+application must match.
 """
 
 from __future__ import annotations
@@ -258,9 +260,8 @@ class _Workspace:
         state.  Coefficients on the slow manifold are invariant under H.
         """
         rows = []
-        for rho, fields, feq_p in zip(self.densities, self.derivative_fields,
-                                      self.feq_probes):
-            lifted = apply_lift(rho, coeffs, self.params, derivatives=fields)
+        for rho, feq_p in zip(self.densities, self.feq_probes):
+            lifted = apply_lift(rho, coeffs, self.params)
             smooth = constrained_smooth(lifted, rho, self.cfg.m, self.params)
             rows.append(self.probe_rows(smooth) - feq_p)
         return self.solve(np.vstack(rows)).ravel()
@@ -309,10 +310,11 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
 
     H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0 with h0 = H(0)
     and M from _linear_part; a closing evaluation gives `residual` =
-    max |a - H(a)|, and iterations is 1.  With p coefficients this costs
-    (p + 2)(m + 1) LBM steps per test density, whatever the production
-    grid or run length; the coefficients are reusable on any grid
-    sharing (velocity set, dx, dt, omega, advection).
+    max |a - H(a)|, and iterations is 1.  This costs
+    (q + 2 n_densities)(m + 1) LBM steps: q impulse runs for M, and two
+    evaluations of H over the test densities, whatever the spatial
+    order, production grid or run length.  The coefficients are reusable
+    on any grid sharing (velocity set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
@@ -343,24 +345,41 @@ def _massless(rows: np.ndarray, q: int) -> np.ndarray:
 
 def _linear_part(ws: _Workspace) -> np.ndarray:
     """M, the linear part of H: column (T, i), in flatten order, is the
-    response to a_T = e_i.  constrained_smooth is linear in (f, rho0), so
-    smoothing the lifted part e_i D_T rho with density 0 gives the column
-    exactly, with no step size; one perturbation field is reused."""
-    q = ws.params.vset.q
-    columns = list(product(ws.specs, range(q)))
-    points = len(ws.probe_points)
-    response = np.empty((points * len(ws.densities), q, len(columns)))
-    delta = np.zeros((q,) + ws.densities[0].shape)
-    zero_density = np.zeros(delta.shape[1:])
-    for d, fields in enumerate(ws.derivative_fields):
-        rows = response[d * points:(d + 1) * points]
-        for k, (spec, i) in enumerate(columns):
-            delta[i] = fields[spec]
-            rows[:, :, k] = ws.probe_rows(constrained_smooth(
-                delta, zero_density, ws.cfg.m, ws.params))
-            delta[i] = 0.0
-    return ws.solve(response.reshape(len(response), -1)).reshape(
-        len(columns), -1)
+    response to a_T = e_i, the probes of constrained_smooth(e_i D_T rho, 0).
+
+    That map is linear and commutes with periodic shifts, so the column
+    at probe p is sum_u G_i(u) D_T rho(p - u), G_i from
+    _impulse_responses.  G_i vanishes beyond m+1 cells per axis and the
+    probes sit m+3 cells inside the test domain, so each window is a
+    plain gather from the derivative fields.
+    """
+    reach = ws.cfg.m + 1
+    offsets = np.array(list(product(range(-reach, reach + 1),
+                                    repeat=len(ws.probe_ix)))).T
+    # kernels[i, j, u]: velocity j of G_i at offset u
+    kernels = np.array([g[(slice(None),) + tuple(offsets)]
+                        for g in _impulse_responses(ws)])
+    window = tuple(ix[:, None] - off for ix, off in zip(ws.probe_ix, offsets))
+    # windows[d, t, p, u] = D_T rho_d(p - u)
+    windows = np.array([[fields[spec][window] for spec in ws.specs]
+                        for fields in ws.derivative_fields])
+    # rows[d, p, j, t, i]; summed over u term by term, so the order of the
+    # sum is fixed whatever the array layout or BLAS build
+    rows = sum(w[:, :, None, :, None] * k[:, None, :]
+               for w, k in zip(windows.transpose(3, 0, 2, 1), kernels.T))
+    columns = len(ws.specs) * ws.params.vset.q
+    return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(columns, -1)
+
+
+def _impulse_responses(ws: _Workspace):
+    """Yield G_i = constrained_smooth(e_i delta_0, 0) on the test grid, as
+    (velocity, grid), for i < q: one run of m+1 LBM steps each.  The
+    impulse sits at cell 0, so offset u is at index u, wrapped."""
+    q, shape = ws.params.vset.q, ws.densities[0].shape
+    for i in range(q):
+        impulse = np.zeros((q,) + shape)
+        impulse[(i,) + (0,) * len(shape)] = 1.0
+        yield constrained_smooth(impulse, np.zeros(shape), ws.cfg.m, ws.params)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +408,8 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     start_steps = lbm_step_count()
     rhs_rows = []
     time_rows = []
-    for rho, fields, feq_p in zip(ws.densities, ws.derivative_fields,
-                                  ws.feq_probes):
-        lifted = apply_lift(rho, coeffs, params, derivatives=fields)
+    for rho, feq_p in zip(ws.densities, ws.feq_probes):
+        lifted = apply_lift(rho, coeffs, params)
         snapshots = [restrict(lifted)]
         f = lifted
         for _ in range(2):

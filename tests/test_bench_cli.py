@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lblift.bench as bench
-from lblift import ExperimentConfig, cost_summary, lift_restrict_error, \
-    parse_config, run_experiment
+from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
+    lift_restrict_error, parse_config, run_experiment
 from lblift.cli import main
 
 
@@ -158,6 +158,23 @@ def test_csv_floats_roundtrip(tmp_path):
     header, row = (tmp_path / "lift_bench.csv").read_text().splitlines()
     err = float(row.split(",")[-1])
     assert err == lift_restrict_error(cfg)
+
+
+def test_lift_bench_trains_once(tmp_path):
+    cfg = ExperimentConfig(kind="lift_bench", lifter="nce", order=4, m=1)
+    before = lbm_step_count()
+    run_experiment(cfg, tmp_path)
+    # the settling run plus one training of (q + 2)(m + 1) steps
+    assert lbm_step_count() - before == cfg.reference_steps + (3 + 2) * 2
+
+
+def test_hybrid_spec_with_extracted_pde_trains_once():
+    cfg = ExperimentConfig(kind="hybrid", lifter="nce", order=6, m=2,
+                           pde_source="extracted")
+    before = lbm_step_count()
+    bench.hybrid_spec(cfg)
+    # one training of (q + 2)(m + 1) steps plus the two-step augmentation
+    assert lbm_step_count() - before == (3 + 2) * 3 + 2
 
 
 def test_determinism_byte_identical(tmp_path):

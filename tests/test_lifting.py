@@ -63,16 +63,6 @@ def test_analytic_lift_tracks_slow_manifold():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_apply_lift_accepts_precomputed_derivatives():
-    p = benchmark_params("D1Q3")
-    rho = gaussian_density(p)
-    co = analytic_coefficients(p, 2)
-    derivs = {spec: spatial_derivative(rho, spec, p.dx, accuracy=2)
-              for spec in co.terms}
-    assert_allclose(apply_lift(rho, co, p, derivatives=derivs),
-                    apply_lift(rho, co, p), atol=0)
-
-
 def test_coefficient_text_roundtrip():
     rng = np.random.default_rng(11)
     for name, a, time_term in (("D1Q3", (0.66,), False), ("D2Q9", (), True)):
@@ -201,13 +191,6 @@ def test_apply_lift_rejects_non_finite_density():
     rho[4, 7] = 1.0
     with pytest.raises(ValueError, match=r"inf at cell \(9, 2\)"):
         apply_lift(rho, co, p)
-    # the trainer's path, with supplied derivative fields, is guarded too
-    p1 = benchmark_params("D1Q3")
-    rho1 = np.ones(10)
-    rho1[3] = -np.inf
-    with pytest.raises(ValueError, match=r"cell \(3,\)"):
-        apply_lift(rho1, zero_coefficients(p1, 1), p1,
-                   derivatives={DerivSpec((1,)): np.zeros(10)})
 
 
 def test_analytic_coefficients_reject_zero_omega():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,8 +8,10 @@ from lblift import (DerivSpec, LbmParams, NceTrainConfig,
                     analytic_coefficients, analytic_pde, apply_lift,
                     augment_time_derivative, extract_pde, lbm_step_count,
                     restrict, train_coefficients)
+from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
-from lblift.training import _Workspace, buffer_width, default_probe_positions
+from lblift.training import (_impulse_responses, _linear_part, _Workspace,
+                             buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import benchmark_params, gaussian_density
@@ -201,7 +205,7 @@ def newton_reference(cfg, params, tol=1e-12, max_iter=25, eps=1e-8):
 def test_exact_solve_matches_newton_reference(m):
     """Over the criterion-4 D1Q3 table: coefficients within 1e-9 max|a|
     of the Newton reference, a closing residual of at most 1e-11, and
-    (p + 2)(m + 1) LBM steps per test density for p coefficients."""
+    (q + 2 n_densities)(m + 1) LBM steps, whatever R."""
     p = benchmark_params("D1Q3")
     for r in range(1, 7):
         cfg = NceTrainConfig(spatial_order=r, m=m)
@@ -214,16 +218,68 @@ def test_exact_solve_matches_newton_reference(m):
         assert result.residual <= 1e-11, (r, result.residual)
         assert result.iterations == 1
         n_densities = len(density_profiles(cfg, 1))
-        assert steps == result.lbm_steps == (3 * r + 2) * (m + 1) * n_densities
+        assert steps == result.lbm_steps == (3 + 2 * n_densities) * (m + 1)
 
 
 def test_two_d_step_count():
     p = benchmark_params("D2Q5")
     cfg = NceTrainConfig(spatial_order=2, m=1)
+    before = lbm_step_count()
     result = train_coefficients(cfg, p)
-    coefficients = 5 * p.vset.q         # terms d10 d01 d20 d11 d02
     n_densities = len(density_profiles(cfg, 2))
-    assert result.lbm_steps == (coefficients + 2) * 2 * n_densities
+    assert lbm_step_count() - before == result.lbm_steps \
+        == (p.vset.q + 2 * n_densities) * (cfg.m + 1)
+
+
+def field_loop_linear_part(ws):
+    """M column by column: smooth e_i D_T rho with density 0 over the
+    whole test grid for every term, velocity and test density."""
+    q = ws.params.vset.q
+    columns = list(product(ws.specs, range(q)))
+    points = len(ws.probe_points)
+    response = np.empty((points * len(ws.densities), q, len(columns)))
+    delta = np.zeros((q,) + ws.densities[0].shape)
+    zero_density = np.zeros(delta.shape[1:])
+    for d, fields in enumerate(ws.derivative_fields):
+        rows = response[d * points:(d + 1) * points]
+        for k, (spec, i) in enumerate(columns):
+            delta[i] = fields[spec]
+            rows[:, :, k] = ws.probe_rows(constrained_smooth(
+                delta, zero_density, ws.cfg.m, ws.params))
+            delta[i] = 0.0
+    return ws.solve(response.reshape(len(response), -1)).reshape(
+        len(columns), -1)
+
+
+LINEAR_PART_CASES = (
+    [("D1Q3", (), r, m) for r in range(1, 7) for m in range(4)]
+    + [("D1Q3", (0.5,), 6, 3), ("D2Q5", (), 4, 1),
+       ("D2Q9", (1.0, 0.5), 4, 1)])
+
+
+@pytest.mark.parametrize("name,advection,r,m", LINEAR_PART_CASES)
+def test_impulse_linear_part_matches_field_loop(name, advection, r, m):
+    p = benchmark_params(name, advection=advection)
+    ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
+    reference = field_loop_linear_part(ws)
+    gap = np.abs(_linear_part(ws) - reference).max()
+    assert gap <= 1e-10 * np.abs(reference).max(), gap
+
+
+@pytest.mark.parametrize("name,m", [("D1Q3", 0), ("D1Q3", 3), ("D2Q9", 1)])
+def test_impulse_responses_vanish_outside_window(name, m):
+    p = benchmark_params(name, advection=(0.5,) * (1 if name == "D1Q3" else 2))
+    ws = _Workspace(NceTrainConfig(spatial_order=2, m=m), p)
+    # the impulse sits at cell 0: centre it, then cut the m+1 window out
+    centre = tuple(n // 2 for n in ws.densities[0].shape)
+    window = (slice(None),) + tuple(slice(c - m - 1, c + m + 2) for c in centre)
+    responses = list(_impulse_responses(ws))
+    assert len(responses) == p.vset.q
+    for g in responses:
+        centred = np.roll(g, centre, axis=tuple(range(1, g.ndim)))
+        assert np.abs(centred[window]).max() > 0
+        centred[window] = 0.0
+        assert not centred.any()
 
 
 def test_advective_high_order_trains_to_analytic_pde():
