@@ -25,7 +25,14 @@ from .lifting import (
     coefficients_to_text,
     expansion_terms,
 )
-from .constrained_runs import CrConfig, CrResult, constrained_smooth, cr_lift, cr_map
+from .constrained_runs import (
+    CrConfig,
+    CrResult,
+    constrained_smooth,
+    cr_kernel,
+    cr_lift,
+    cr_map,
+)
 from .macro_pde import MacroPde, analytic_pde, ftcs_step
 from .training import (
     NceTrainConfig,

@@ -10,11 +10,13 @@ That map is affine in the fast moments, so its fixed point is the
 solution of one linear system.  On a periodic grid the linear part of
 the residual r(v) = v - cr_map(v) is block-circulant and independent of
 the density: one unit impulse per fast moment gives all of it, and an
-FFT turns the solve into one 2x2 system per wavenumber.  The kernel is
-probed again at every lift, and every map evaluation is paid for in LBM
-steps: 4(m+1) per lift.  The solver works on full periodic density
-fields; the D1Q3 moment-space interface matches the (rho, phi, xi)
-transform of the lattice module.
+FFT turns the solve into one 2x2 system per wavenumber.  cr_kernel
+probes those blocks once per grid size and model, and every map
+evaluation is paid for in LBM steps: a lift with a given kernel costs
+2(m+1), the equilibrium residual and the closing residual, and the probe
+2(m+1) more.  The solver works on full periodic density fields; the D1Q3
+moment-space interface matches the (rho, phi, xi) transform of the
+lattice module.
 """
 
 from __future__ import annotations
@@ -118,49 +120,69 @@ def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
     return np.stack([mg.phi, mg.xi])
 
 
-def cr_lift(rho0: np.ndarray, config: CrConfig,
-            params: LbmParams) -> CrResult:
-    """Lift a periodic density field to distribution functions.
-
-    Solves v = cr_map(v) with one linear solve from the equilibrium
-    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0),
-    solved in Fourier space by _circulant_solve.  A closing evaluation
-    of the residual gives `residual`, and converged = residual <= tol; a
-    lift that misses tol is returned rather than raised, so callers can
-    inspect it.  iterations is 1, the one solve; lbm_steps is 4(m+1),
-    four map evaluations.  A non-finite density is refused with a
-    ValueError naming its first bad cell.
-    """
+def cr_density(rho0: np.ndarray) -> np.ndarray:
+    """rho0 as a float array; a ValueError unless it is finite and 1D."""
     rho0 = finite_density(rho0)
-    m0 = moments(equilibrium(rho0, params))
-    v = np.stack([m0.phi, m0.xi])
-    r = _residual(rho0, v, config, params)
-    v = v - _circulant_solve(r, config, params)
-    residual = float(np.max(np.abs(_residual(rho0, v, config, params))))
-    f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
-    return CrResult(f, 1, 4 * (config.m + 1), residual,
-                    residual <= config.tol)
+    if rho0.ndim != 1:
+        raise ValueError(
+            f"density rank {rho0.ndim}: constrained runs lift 1D D1Q3 fields")
+    return rho0
 
 
-def _residual(rho0, v, config, params):
-    return v - cr_map(rho0, v, config, params)
-
-
-def _circulant_solve(r, config, params):
-    """dv with J dv = r, J the linear part of r(v) = v - cr_map(v).
+def cr_kernel(n: int, config: CrConfig, params: LbmParams) -> np.ndarray:
+    """Fourier blocks of J, the linear part of r(v) = v - cr_map(v).
 
     cr_map is linear in (rho0, v) and commutes with periodic shifts, so J
     is block-circulant and independent of rho0: e_j - cr_map(0, e_j), for
     a unit impulse in fast moment j at cell 0, holds all of block column
     j.  An FFT along the grid splits J into one 2x2 block per wavenumber
-    (the Fourier view of the linear BGK operator); two map evaluations.
+    (the Fourier view of the linear BGK operator), returned read-only with
+    shape (n, 2, 2); two map evaluations, 2(m+1) LBM steps.
     """
-    n = r.shape[1]
     kernel = np.empty((2, 2, n))        # (response moment, impulse, cell)
     for j in range(2):
         impulse = np.zeros((2, n))
         impulse[j, 0] = 1.0
         kernel[:, j] = impulse - cr_map(np.zeros(n), impulse, config, params)
-    blocks = np.moveaxis(np.fft.fft(kernel), -1, 0)            # (n, 2, 2)
-    rhs = np.fft.fft(r).T[..., None]                            # (n, 2, 1)
-    return np.fft.ifft(np.linalg.solve(blocks, rhs)[..., 0].T).real
+    blocks = np.moveaxis(np.fft.fft(kernel), -1, 0)
+    blocks.flags.writeable = False
+    return blocks
+
+
+def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
+            kernel: np.ndarray | None = None) -> CrResult:
+    """Lift a periodic density field to distribution functions.
+
+    Solves v = cr_map(v) with one linear solve from the equilibrium
+    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0),
+    solved in Fourier space with the blocks of cr_kernel.  kernel takes
+    those blocks from an earlier cr_kernel call on the same grid size,
+    config and model; without it the lift probes them itself.  A closing
+    evaluation of the residual gives `residual`, and converged = residual
+    <= tol; a lift that misses tol is returned rather than raised, so
+    callers can inspect it.  iterations is 1, the one solve; lbm_steps is
+    2(m+1) with a kernel and 4(m+1) without, two or four map evaluations.
+    A non-finite density (the ValueError names its first bad cell) or
+    one that is not 1D is refused before any LBM step.
+    """
+    rho0 = cr_density(rho0)
+    n = rho0.size
+    evaluations = 2
+    if kernel is None:
+        kernel = cr_kernel(n, config, params)
+        evaluations = 4
+    elif kernel.shape != (n, 2, 2):
+        raise ValueError(
+            f"kernel of shape {kernel.shape} does not fit {n} cells")
+    m0 = moments(equilibrium(rho0, params))
+    v = np.stack([m0.phi, m0.xi])
+    rhs = np.fft.fft(_residual(rho0, v, config, params)).T[..., None]
+    v = v - np.fft.ifft(np.linalg.solve(kernel, rhs)[..., 0].T).real
+    residual = float(np.max(np.abs(_residual(rho0, v, config, params))))
+    f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
+    return CrResult(f, 1, evaluations * (config.m + 1), residual,
+                    residual <= config.tol)
+
+
+def _residual(rho0, v, config, params):
+    return v - cr_map(rho0, v, config, params)

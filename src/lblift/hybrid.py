@@ -21,7 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .lattice import LbmParams, restrict, stream_collide
+from .lattice import LbmParams, finite_density, restrict, stream_collide
 from .macro_pde import MacroPde, ftcs_step
 
 
@@ -138,7 +138,9 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     the two runs agree and every later discrepancy is coupling error
     plus modeling error of the PDE half.  Errors are recorded after each of
     the `steps` updates: the absolute density difference field (kept
-    only on request), its max, and its flat 2-norm.
+    only on request), its max, and its flat 2-norm.  The run stops at
+    the first non-finite hybrid density, whatever the lifter, with a
+    ValueError naming the step and the cell.
     """
     if steps < 1:
         raise ValueError("need at least one step to compare")
@@ -149,8 +151,12 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     fields: List[np.ndarray] = []
     for k in range(steps):
         state = hybrid_step(state, spec)
+        try:
+            rho = finite_density(full_density(state, spec))
+        except ValueError as error:
+            raise ValueError(f"hybrid step {k + 1}: {error}") from error
         f_ref = stream_collide(f_ref, spec.params)
-        diff = np.abs(full_density(state, spec) - restrict(f_ref))
+        diff = np.abs(rho - restrict(f_ref))
         max_err[k] = diff.max()
         l2_err[k] = float(np.sqrt((diff ** 2).sum()))
         if keep_fields:

@@ -9,11 +9,11 @@ drop-in replacements for one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constrained_runs import CrConfig, cr_lift
+from .constrained_runs import CrConfig, cr_density, cr_kernel, cr_lift
 from .lattice import LbmParams, equilibrium
 from .lifting import LiftCoefficients, apply_lift
 
@@ -47,14 +47,23 @@ class CrLifter:
     """Constrained-runs lift: solves for the missing moments on the fly.
 
     Unlike the coefficient routes this pays LBM steps at every
-    application, which is what the cost accounting is designed to show.
+    application, which is what the cost accounting is designed to show:
+    2(m+1) per lift, plus a one-off 2(m+1) the first time a grid size and
+    model come up, to probe the kernel of the solve (cr_kernel).  The
+    kernels live on the instance, so a fresh lifter pays its probes again.
     """
 
     config: CrConfig
     name: str = "constrained-runs"
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        result = cr_lift(rho, self.config, params)
+        rho = cr_density(rho)
+        key = (rho.size, params, self.config)
+        if key not in self._kernels:
+            self._kernels[key] = cr_kernel(rho.size, self.config, params)
+        result = cr_lift(rho, self.config, params, kernel=self._kernels[key])
         if not result.converged:
             raise RuntimeError(
                 f"constrained-runs lift missed its tolerance: closing residual "

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (CrConfig, Moments, constrained_smooth, cr_lift, cr_map,
-                    equilibrium, from_moments, lbm_step_count, moments,
-                    restrict, run_lbm)
+from lblift import (CrConfig, CrLifter, Moments, constrained_smooth,
+                    cr_kernel, cr_lift, cr_map, equilibrium, from_moments,
+                    lbm_step_count, moments, restrict, run_lbm)
 from lblift.constrained_runs import extrapolation_weights
 
 from conftest import benchmark_params, gaussian_density
@@ -123,24 +123,85 @@ def test_nonconvergence_reported_not_raised():
 
 
 def test_cr_lift_rejects_non_finite_density():
+    """cr_lift and CrLifter refuse a non-finite or wrong-rank density
+    before any LBM step, the kernel probe included.  The lifter keeps no
+    kernel for it, so its next good lift of that size still probes."""
     p = benchmark_params("D1Q3")
+    config = CrConfig(m=1)
+    lifter = CrLifter(config)
     rho = np.ones(20)
     rho[6] = np.nan
     rho[11] = np.inf
-    with pytest.raises(ValueError,
-                       match=r"non-finite density nan at cell \(6,\)"):
-        cr_lift(rho, CrConfig(m=1), p)
+    for bad, message in ((rho, r"non-finite density nan at cell \(6,\)"),
+                         (np.ones((20, 3)), r"density rank 2")):
+        for refuse in (lambda: cr_lift(bad, config, p),
+                       lambda: lifter.lift(bad, p)):
+            before = lbm_step_count()
+            with pytest.raises(ValueError, match=message):
+                refuse()
+            assert lbm_step_count() == before
+        before = lbm_step_count()
+        lifter.lift(np.ones(bad.size), p)
+        assert lbm_step_count() - before == 4 * (config.m + 1)
+
+
+def test_cr_lift_refuses_a_kernel_of_another_grid():
+    p = benchmark_params("D1Q3")
+    config = CrConfig(m=1)
+    kernel = cr_kernel(13, config, p)
+    before = lbm_step_count()
+    with pytest.raises(ValueError, match=r"\(13, 2, 2\) does not fit 40"):
+        cr_lift(gaussian_density(p, cells=40), config, p, kernel=kernel)
+    assert lbm_step_count() == before
 
 
 def test_step_accounting_scales_with_m():
-    """A lift makes four map evaluations of m+1 LBM steps each: the
-    equilibrium residual, two impulse probes and the closing residual.
-    lbm_steps reports exactly the stream_collide calls made."""
+    """A lift makes two map evaluations of m+1 LBM steps each, the
+    equilibrium residual and the closing residual, and the kernel probe
+    two more, one unit impulse per fast moment: 4(m+1) without a kernel,
+    2(m+1) with one.  lbm_steps reports exactly the stream_collide calls
+    made."""
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=40)
     for m in range(4):
+        config = CrConfig(m=m)
         before = lbm_step_count()
-        res = cr_lift(rho, CrConfig(m=m), p)
-        assert res.converged
-        assert res.lbm_steps == 4 * (m + 1)
-        assert lbm_step_count() - before == res.lbm_steps
+        kernel = cr_kernel(40, config, p)
+        assert lbm_step_count() - before == 2 * (m + 1)
+        for given, evaluations in ((None, 4), (kernel, 2)):
+            before = lbm_step_count()
+            res = cr_lift(rho, config, p, kernel=given)
+            assert res.converged
+            assert res.lbm_steps == evaluations * (m + 1)
+            assert lbm_step_count() - before == res.lbm_steps
+
+
+def test_cr_lifter_probes_once_per_grid_and_model():
+    """One CrLifter equals a fresh cr_lift on every density, bit for bit.
+    Used on 40, 13, then 40 cells again, on diffusive then advective
+    params, it probes once per (grid size, model) and never reuses a
+    kernel across them: the first lift on a key costs 4(m+1) LBM steps,
+    later ones 2(m+1).  A new lifter probes again."""
+    rng = np.random.default_rng(11)
+    diffusive = benchmark_params("D1Q3")
+    advective = benchmark_params("D1Q3", advection=(0.66,))
+    runs = [(diffusive, 40), (diffusive, 13), (diffusive, 40),
+            (advective, 40), (advective, 13), (diffusive, 13)]
+    for m in range(4):
+        config = CrConfig(m=m)
+        lifter = CrLifter(config)
+        seen = set()
+        for p, cells in runs:
+            for _ in range(2):
+                rho = gaussian_density(p, cells=cells) \
+                    + 0.1 * rng.uniform(size=cells)
+                before = lbm_step_count()
+                f = lifter.lift(rho, p)
+                steps = lbm_step_count() - before
+                assert steps == (2 if (p, cells) in seen else 4) * (m + 1)
+                seen.add((p, cells))
+                assert np.array_equal(f, cr_lift(rho, config, p).f), \
+                    (m, p.advection, cells)
+        before = lbm_step_count()
+        CrLifter(config).lift(rho, p)
+        assert lbm_step_count() - before == 4 * (m + 1)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (CoefficientLifter, EquilibriumLifter, HybridSpec,
+from lblift import (CoefficientLifter, EquilibriumLifter, HybridSpec, MacroPde,
                     analytic_coefficients, analytic_pde, compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
                     restrict)
@@ -132,6 +134,33 @@ def test_compare_to_reference_lifts_initial_density_once():
     stepped = hybrid_step(start, spec)
     assert np.array_equal(out.final_state.f_lbm, stepped.f_lbm)
     assert np.array_equal(out.final_state.rho_pde, stepped.rho_pde)
+
+
+@pytest.mark.parametrize("lifter", [EquilibriumLifter(), "ce2"],
+                         ids=["equilibrium", "ce2"])
+def test_compare_to_reference_stops_at_first_non_finite_density(lifter):
+    """A PDE half with 400x the model's diffusion is far past the FTCS
+    stability limit and overflows; the comparison stops at the first
+    non-finite density with the step and the cell, whatever the lifter."""
+    p = benchmark_params("D1Q3")
+    pde = analytic_pde(p)
+    spec = HybridSpec(total_cells=200, split_index=100, params=p,
+                      pde=MacroPde(pde.advection, 400 * pde.diffusion),
+                      lifter=order2_lifter(p) if lifter == "ce2" else lifter,
+                      initial_density=gaussian_density(p))
+    with pytest.warns(UserWarning, match="forward Euler may be unstable"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as refused:
+            compare_to_reference(spec, 200)
+        match = re.fullmatch(
+            r"hybrid step (\d+): non-finite density \S+ at cell \((\d+),\)",
+            str(refused.value))
+        assert match, str(refused.value)
+        step, cell = (int(g) for g in match.groups())
+        assert cell <= spec.split_index
+        before = compare_to_reference(spec, step - 1)
+    assert np.all(np.isfinite(before.max_error))
+    assert np.all(np.isfinite(full_density(before.final_state, spec)))
 
 
 def test_two_d_uniform_steady():
