@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown extract_mode {self.extract_mode!r}")
         if self.cells < 4 or self.length <= 0 or self.steps < 1:
             raise ValueError("cells, length and steps must be positive")
+        if self.reference_steps < 0:
+            raise ValueError(f"reference_steps = {self.reference_steps}: "
+                             "the reference state needs >= 0 LBM steps")
 
 
 @dataclass

@@ -7,7 +7,8 @@ interface.  The PDE side only needs densities, so its ghosts come from
 restricting the LBM field; the LBM side needs full distributions at its
 ghosts, which is exactly the one-to-many reconstruction the lifting
 operators provide.  The quality of the coupling is the quality of the
-lift.
+lift.  This module is the only one that builds or crops ghost cells:
+the LBM and FTCS kernels it calls are plain periodic updates.
 
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
@@ -100,7 +101,10 @@ def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
     two subdomain updates run independently.  The PDE ghosts at x_{-1}
     (= x_{n-1}, periodic) and x_{p+1} are restricted LBM densities; the
     LBM ghosts at x_p and x_n (= x_0) are lifted from the concatenated
-    density field, stencils straddling the interfaces.
+    density field, stencils straddling the interfaces.  Each rimmed
+    subdomain takes one periodic step and is cropped to its interior:
+    one step moves data one cell, so the wrap across the rim reaches
+    only the ghost cells, which are discarded.
     """
     p = spec.split_index
     rho = full_density(state, spec)
@@ -108,12 +112,12 @@ def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
     f_lift = spec.lifter.lift(rho, spec.params)
     f_ext = np.concatenate(
         [f_lift[:, p: p + 1], state.f_lbm, f_lift[:, 0:1]], axis=1)
-    f_new = stream_collide(f_ext, spec.params, boundary="ghost")
+    f_new = stream_collide(f_ext, spec.params)[:, 1:-1]
 
     rho_ext = np.concatenate(
         [rho[-1:], state.rho_pde, rho[p + 1: p + 2]], axis=0)
-    rho_new = ftcs_step(rho_ext, spec.pde, spec.params.dx, spec.params.dt,
-                        boundary="ghost")
+    rho_new = ftcs_step(rho_ext, spec.pde, spec.params.dx,
+                        spec.params.dt)[1:-1]
 
     return HybridState(rho_pde=rho_new, f_lbm=f_new, t=state.t + 1)
 

@@ -3,7 +3,9 @@
 Velocity sets, equilibria, the stream-collide update and the moment maps
 used by the lifting operators.  Distribution fields are plain numpy arrays
 with the velocity index leading: shape (q, n) in 1D and (q, nx, ny) in 2D.
-Density fields drop the leading axis.
+Density fields drop the leading axis.  The update is periodic on every
+axis; a subdomain fed through ghost cells (the hybrid) updates its rimmed
+field periodically and keeps the interior, which the wrap never reaches.
 
 The D1Q3 moment transform follows the (f_1, f_0, f_-1) ordering with
 dimensionless lattice velocities c_i in {+1, 0, -1}:
@@ -202,16 +204,11 @@ def restrict(f: np.ndarray) -> np.ndarray:
     return np.asarray(f, dtype=float).sum(axis=0)
 
 
-def stream_collide(f: np.ndarray, params: LbmParams,
-                   boundary: str = "periodic") -> np.ndarray:
-    """One BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
+def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
+    """One periodic BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
 
     Collision fills one new field, in which each component then streams
-    one lattice link in place.  boundary="periodic" wraps every axis.
-    boundary="ghost" expects f to carry a one-cell ghost rim along axis 0
-    of the grid (both ends); the returned array is cropped to the
-    interior, so its grid shrinks by two along that axis.  The y axis
-    stays periodic in 2D ghost mode.
+    one lattice link in place; every grid axis wraps.
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
@@ -220,11 +217,6 @@ def stream_collide(f: np.ndarray, params: LbmParams,
     if f.ndim != vset.dimension + 1:
         raise ValueError(f"distribution rank {f.ndim} does not match "
                          f"{vset.name}")
-    if boundary not in ("periodic", "ghost"):
-        raise ValueError(f"unknown boundary mode {boundary!r}")
-    ghost = boundary == "ghost"
-    if ghost and f.shape[1] < 3:
-        raise ValueError("ghost mode needs at least one interior cell plus rim")
 
     global _step_count
     _step_count += 1
@@ -236,34 +228,29 @@ def stream_collide(f: np.ndarray, params: LbmParams,
         relaxed = weights[k] * rho
         relaxed *= params.omega
         post[k] += relaxed
-    for k, copies in _stream_copies(vset.directions, ghost):
+    for k, copies in _stream_copies(vset.directions):
         component = post[k]
         source = component.copy()
         for dst, src in copies:
             component[dst] = source[src]
-    return post[:, 1:-1] if ghost else post
+    return post
 
 
 @lru_cache(maxsize=None)
-def _stream_copies(directions: Tuple[Tuple[int, ...], ...], ghost: bool):
+def _stream_copies(directions: Tuple[Tuple[int, ...], ...]):
     """Per moving direction k, the (destination, source) slice pairs.
 
     Direction k moves one link along c_k: component[x] = source[x - c_k].
-    A periodic axis needs two slice copies per nonzero shift (the bulk and
-    the wrapped edge), independent of the grid size.  In ghost mode only
-    the interior rows along grid axis 0 are written, and their sources
-    never wrap.
+    Each axis needs two slice copies per nonzero shift (the bulk and the
+    wrapped edge), independent of the grid size.
     """
     streams = []
     for k, c in enumerate(directions):
         if not any(c):
             continue
         per_axis = []
-        for axis, shift in enumerate(c):
-            if ghost and axis == 0:
-                rows = slice(1 - shift, -1 - shift or None)
-                per_axis.append([(slice(1, -1), rows)])
-            elif shift:
+        for shift in c:
+            if shift:
                 per_axis.append([(slice(shift, None), slice(None, -shift)),
                                  (slice(None, shift), slice(-shift, None))])
             else:

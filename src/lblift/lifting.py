@@ -18,6 +18,7 @@ coefficient sets that went through the time-derivative augmentation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional
@@ -29,12 +30,6 @@ from .lattice import (D1Q3, VELOCITY_SETS, LbmParams, equilibrium,
 from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
-
-# Accuracy order of the central stencils used to evaluate the derivative
-# corrections.  Trained coefficients absorb the truncation terms of the
-# stencils they were trained with, so training and application must use
-# the same accuracy; 2 matches the closed-form benchmark values.
-LIFT_STENCIL_ACCURACY = 2
 
 # Grid cells per block of the stencil lift: 20 rows of a 200 x 200 field,
 # or a whole 1D grid of up to 4096 cells.  The columns of one block (20
@@ -134,8 +129,7 @@ def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
         raise ValueError(
             f"density rank {rho.ndim} does not match {params.vset.name}")
     specs = tuple(coeffs.sorted_specs())
-    taps, weights = difference_stencils(specs, params.dx,
-                                        LIFT_STENCIL_ACCURACY)
+    taps, weights = difference_stencils(specs, params.dx)
     stencil = np.column_stack(
         [np.column_stack([coeffs.terms[s] for s in specs]) @ weights,
          params.equilibrium_weights()])
@@ -239,53 +233,78 @@ def coefficients_to_text(coeffs: LiftCoefficients) -> str:
 
 
 def coefficients_from_text(text: str) -> LiftCoefficients:
-    header: Dict[str, str] = {}
-    terms: Dict[DerivSpec, np.ndarray] = {}
-    time_term = None
+    """Read back the coefficients_to_text format.
+
+    A malformed, unknown or repeated line is refused with its number.
+    """
+    entries: Dict[object, tuple] = {}  # header field, DerivSpec or "time"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("term "):
-            label = key[5:].strip()
-            orders = tuple(int(tok) for tok in label[1:].split("d"))
-            terms[DerivSpec(orders)] = _finite_vector(value, lineno)
-        elif key.startswith("time"):
-            time_term = _finite_vector(value, lineno)
-        else:
-            header[key] = value
-    for needed in ("set", "dx", "dt", "omega", "advection"):
-        if needed not in header:
+        try:
+            if line:
+                key, value = _coefficient_entry(line)
+                if key in entries:
+                    raise ValueError(f"{_entry_name(key)} repeats line "
+                                     f"{entries[key][0]}")
+                entries[key] = (lineno, value)
+        except ValueError as error:
+            raise ValueError(f"line {lineno}: {error}") from None
+    for needed in _HEADER_FIELDS:
+        if needed not in entries:
             raise ValueError(f"missing header field {needed!r}")
-    if header["set"] not in VELOCITY_SETS:
-        raise ValueError(f"unknown velocity set {header['set']!r}")
-    fingerprint = (
-        header["set"],
-        float(header["dx"]),
-        float(header["dt"]),
-        float(header["omega"]),
-        tuple(float(tok) for tok in header["advection"].split()),
-    )
-    vset = VELOCITY_SETS[header["set"]]
-    for spec, vec in terms.items():
-        if len(spec.orders) != vset.dimension:
-            raise ValueError(f"term {spec.label()} has {len(spec.orders)} "
-                             f"axes, {vset.name} has {vset.dimension}")
+    fingerprint = tuple(entries.pop(key)[1] for key in _HEADER_FIELDS)
+    vset = VELOCITY_SETS[fingerprint[0]]
+    for key, (lineno, vec) in entries.items():
+        if key != "time" and len(key.orders) != vset.dimension:
+            raise ValueError(f"line {lineno}: {_entry_name(key)} has "
+                             f"{len(key.orders)} axes, {vset.name} has "
+                             f"{vset.dimension}")
         if len(vec) != vset.q:
-            raise ValueError(f"term {spec.label()} has {len(vec)} entries, "
-                             f"expected {vset.q}")
-    if time_term is not None and len(time_term) != vset.q:
-        raise ValueError(f"time vector has {len(time_term)} entries, "
-                         f"expected {vset.q}")
-    return LiftCoefficients(fingerprint=fingerprint, terms=terms,
-                            time_term=time_term)
+            raise ValueError(f"line {lineno}: {_entry_name(key)} has "
+                             f"{len(vec)} entries, expected {vset.q}")
+    time_term = entries.pop("time", (0, None))[1]
+    return LiftCoefficients(fingerprint=fingerprint, time_term=time_term,
+                            terms={k: v for k, (_, v) in entries.items()})
 
 
-def _finite_vector(value: str, lineno: int) -> np.ndarray:
+def _velocity_set_name(value: str) -> str:
+    if value not in VELOCITY_SETS:
+        raise ValueError(f"unknown velocity set {value!r}")
+    return value
+
+
+# header fields in fingerprint order, each with its value parser
+_HEADER_FIELDS = {"set": _velocity_set_name, "dx": float, "dt": float,
+                  "omega": float,
+                  "advection": lambda text: tuple(map(float, text.split()))}
+
+
+def _coefficient_entry(line: str) -> tuple:
+    """The key and parsed value of one 'key = value' line."""
+    key, equals, value = (part.strip() for part in line.partition("="))
+    if not equals:
+        raise ValueError("expected 'key = value'")
+    if key.startswith("term "):
+        label = key[5:].strip()
+        if not re.fullmatch(r"d[0-9]+(d[0-9]+)*", label):
+            raise ValueError(f"term label {label!r} is not d<order> per axis")
+        orders = tuple(int(tok) for tok in label[1:].split("d"))
+        return DerivSpec(orders), _finite_vector(value)
+    if key.startswith("time"):
+        return "time", _finite_vector(value)
+    if key not in _HEADER_FIELDS:
+        raise ValueError(f"unknown key {key!r}")
+    return key, _HEADER_FIELDS[key](value)
+
+
+def _entry_name(key: object) -> str:
+    if isinstance(key, DerivSpec):
+        return f"term {key.label()}"
+    return "time vector" if key == "time" else f"header field {key!r}"
+
+
+def _finite_vector(value: str) -> np.ndarray:
     vec = np.array([float(tok) for tok in value.split()])
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"line {lineno}: non-finite coefficient")
+        raise ValueError("non-finite coefficient")
     return vec

@@ -6,8 +6,9 @@ The density of the lattice model evolves, to leading order, by
 
 with D fixed by the collision frequency.  This module provides that
 analytic equivalence plus an explicit cell-centered finite difference
-solver (central in space, forward Euler in time) used as the PDE half of
-the hybrid model.
+solver (central in space, forward Euler in time, periodic on every axis)
+used as the PDE half of the hybrid model, which supplies the subdomain's
+ghost cells itself and keeps the interior of the step.
 """
 
 from __future__ import annotations
@@ -64,15 +65,14 @@ def analytic_pde(params: LbmParams) -> MacroPde:
     return MacroPde(advection=params.advection, diffusion=diffusion)
 
 
-def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float, dt: float,
-              boundary: str = "periodic") -> np.ndarray:
-    """One forward-Euler step of the advection-diffusion PDE.
+def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
+              dt: float) -> np.ndarray:
+    """One periodic forward-Euler step of the advection-diffusion PDE.
 
     rho' = rho + nu (rho_W - 2 rho + rho_E) - (a dt / 2 dx)(rho_E - rho_W)
     per axis, with nu = D dt / dx^2 (the grid spacing is shared by all
-    axes).  boundary="ghost" expects rho to carry one ghost cell at both
-    ends of axis 0, fed by the caller; the result is cropped to the
-    interior.  Remaining axes stay periodic.  Stability bounds are
+    axes).  Axis 0 reads its neighbours from a copy with one wrapped cell
+    at each end, the other axes from np.roll.  Stability bounds are
     warnings, not errors: a subdomain fed by ghost values can behave
     better than the periodic worst case.
     """
@@ -90,30 +90,16 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float, dt: float,
             warnings.warn(f"advection Courant number {abs(a) * dt / dx:.3g} "
                           "exceeds 1", stacklevel=2)
 
-    if boundary == "periodic":
-        out = rho.copy()
-        for ax in range(dim):
-            east = np.roll(rho, -1, axis=ax)
-            west = np.roll(rho, 1, axis=ax)
-            a = pde.advection[ax]
-            out += nu * (east - 2.0 * rho + west) \
-                - (a * dt / (2.0 * dx)) * (east - west)
-        return out
-    if boundary != "ghost":
-        raise ValueError(f"unknown boundary mode {boundary!r}")
-    if rho.shape[0] < 3:
-        raise ValueError("ghost mode needs ghost densities at both ends")
-
-    mid = rho[1:-1]
-    east = rho[2:]
-    west = rho[:-2]
+    padded = np.concatenate([rho[-1:], rho, rho[:1]], axis=0)
+    east = padded[2:]
+    west = padded[:-2]
     a = pde.advection[0]
-    out = mid + nu * (east - 2.0 * mid + west) \
+    out = rho + nu * (east - 2.0 * rho + west) \
         - (a * dt / (2.0 * dx)) * (east - west)
     for ax in range(1, dim):
-        east = np.roll(mid, -1, axis=ax)
-        west = np.roll(mid, 1, axis=ax)
+        east = np.roll(rho, -1, axis=ax)
+        west = np.roll(rho, 1, axis=ax)
         a = pde.advection[ax]
-        out += nu * (east - 2.0 * mid + west) \
+        out += nu * (east - 2.0 * rho + west) \
             - (a * dt / (2.0 * dx)) * (east - west)
     return out

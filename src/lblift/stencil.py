@@ -1,9 +1,12 @@
 """Finite difference stencils on uniform grids.
 
-Central stencils of selectable accuracy for spatial derivatives up to
-total order 6 (mixed 2D derivatives are tensor products of the 1D
-stencils), plus one-sided formulas for time derivatives from a short
-sequence of snapshots.  Application is periodic: it wraps with np.roll.
+Second-order central stencils for spatial derivatives up to total
+order 6 (mixed 2D derivatives are tensor products of the 1D stencils),
+plus a one-sided formula for the first time derivative from a short
+sequence of snapshots.  Trained lifting coefficients absorb the
+truncation terms of the stencils they were trained with, so training
+and application share these.  Application is periodic: it wraps with
+np.roll.
 difference_stencils writes the stencils of several derivatives as one
 matrix over grid offsets, for evaluating a fixed linear combination of
 them in one pass.
@@ -81,17 +84,15 @@ def fd_weights(order: int, offsets: Tuple[int, ...]) -> np.ndarray:
     return c[:, order].copy()
 
 
-def central_offsets(order: int, accuracy: int = 2) -> Tuple[int, ...]:
-    """Symmetric offsets of the minimal central stencil at given accuracy."""
-    if accuracy < 2 or accuracy % 2:
-        raise ValueError("central stencils need even accuracy >= 2")
-    half = (order + 1) // 2 + accuracy // 2 - 1
+def central_offsets(order: int) -> Tuple[int, ...]:
+    """Symmetric offsets of the minimal second-order central stencil."""
+    half = (order + 1) // 2
     return tuple(range(-half, half + 1))
 
 
-def _apply_axis(rho: np.ndarray, order: int, dx: float, axis: int,
-                accuracy: int) -> np.ndarray:
-    offsets = central_offsets(order, accuracy)
+def _apply_axis(rho: np.ndarray, order: int, dx: float,
+                axis: int) -> np.ndarray:
+    offsets = central_offsets(order)
     w = fd_weights(order, offsets) / dx ** order
     out = np.zeros_like(rho, dtype=float)
     for off, wk in zip(offsets, w):
@@ -99,8 +100,8 @@ def _apply_axis(rho: np.ndarray, order: int, dx: float, axis: int,
     return out
 
 
-def spatial_derivative(rho: np.ndarray, spec: DerivSpec, dx: float,
-                       accuracy: int = 2) -> np.ndarray:
+def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
+                       dx: float) -> np.ndarray:
     """Apply a (possibly mixed) periodic central difference to a field."""
     rho = np.asarray(rho, dtype=float)
     if len(spec.orders) != rho.ndim:
@@ -108,13 +109,12 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec, dx: float,
     out = rho
     for axis, order in enumerate(spec.orders):
         if order:
-            out = _apply_axis(out, order, dx, axis, accuracy)
+            out = _apply_axis(out, order, dx, axis)
     return out
 
 
 @lru_cache(maxsize=64)
-def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float,
-                        accuracy: int = 2
+def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float
                         ) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray]:
     """The periodic central differences of several specs as one matrix.
 
@@ -133,7 +133,7 @@ def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float,
         per_axis = []
         for order in spec.orders:
             if order:
-                offsets = central_offsets(order, accuracy)
+                offsets = central_offsets(order)
                 per_axis.append((offsets, fd_weights(order, offsets) / dx ** order))
             else:
                 per_axis.append(((0,), np.ones(1)))
@@ -152,18 +152,18 @@ def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float,
     return tuple(taps), weights
 
 
-def time_derivative_forward(snapshots: Sequence[np.ndarray], dt: float,
-                            order: int = 1) -> np.ndarray:
-    """Forward one-sided estimate of the order-th time derivative.
+def time_derivative_forward(snapshots: Sequence[np.ndarray],
+                            dt: float) -> np.ndarray:
+    """Forward one-sided estimate of the first time derivative.
 
     Evaluated at the first snapshot, using all supplied snapshots; two
-    snapshots and order 1 give (s1 - s0)/dt, three give the second order
-    formula, and so on.
+    snapshots give (s1 - s0)/dt, three give the second-order formula,
+    and so on.
     """
     snaps = [np.asarray(s, dtype=float) for s in snapshots]
-    if len(snaps) < order + 1:
-        raise ValueError("need at least order+1 snapshots")
-    w = fd_weights(order, tuple(range(len(snaps)))) / dt ** order
+    if len(snaps) < 2:
+        raise ValueError("need at least two snapshots")
+    w = fd_weights(1, tuple(range(len(snaps)))) / dt
     out = np.zeros_like(snaps[0])
     for wk, s in zip(w, snaps):
         out += wk * s

@@ -18,9 +18,9 @@ from the nullspace of the enlarged system or by summing the augmented
 coefficient vectors over the velocities.
 
 Test densities are lifted by apply_lift, the production lift, and the
-probe system uses its stencil accuracy: trained coefficients absorb the
-truncation terms of the stencils they were trained with, so training and
-application must match.
+probe system uses the same second-order central stencils: trained
+coefficients absorb the truncation terms of the stencils they were
+trained with, so training and application must match.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from .constrained_runs import constrained_smooth
 from .lattice import LbmParams, equilibrium, lbm_step_count, restrict, stream_collide
 from .lifting import (
-    LIFT_STENCIL_ACCURACY,
     LiftCoefficients,
     apply_lift,
     expansion_terms,
@@ -227,8 +226,7 @@ class _Workspace:
         blocks = []
         for rho in self.densities:
             fields = {
-                spec: spatial_derivative(rho, spec, params.dx,
-                                         accuracy=LIFT_STENCIL_ACCURACY)
+                spec: spatial_derivative(rho, spec, params.dx)
                 for spec in self.specs
             }
             self.derivative_fields.append(fields)

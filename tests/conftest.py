@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lblift import LbmParams, VELOCITY_SETS, equilibrium, run_lbm
+from lblift import LbmParams, VELOCITY_SETS, equilibrium, restrict, run_lbm
 
 # Relaxation rates that make the macroscopic diffusion coefficient
 # exactly 1 for each benchmark model (0.9091 etc. are their roundings).
@@ -30,6 +30,20 @@ def gaussian_density(params: LbmParams, cells: int = 200) -> np.ndarray:
     if params.vset.dimension == 1:
         return bump
     return np.outer(bump, bump)
+
+
+def roll_stream_collide(f, params):
+    """Reference periodic BGK update: collide, then np.roll every component."""
+    post = (1.0 - params.omega) * f + params.omega * equilibrium(restrict(f),
+                                                                  params)
+    out = np.empty_like(post)
+    for k, c in enumerate(params.vset.directions):
+        g = post[k]
+        for axis, shift in enumerate(c):
+            if shift:
+                g = np.roll(g, shift, axis=axis)
+        out[k] = g
+    return out
 
 
 @pytest.fixture(scope="session")

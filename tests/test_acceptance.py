@@ -170,8 +170,19 @@ def test_criterion_4c_monotone_improvement(nce_table):
         (2, 5) (3, 5) 1.502e-9   1.8727e-9   tied in both rows
 
     Open point, not asserted: at R = 4 and R = 5 the m >= 2 rows measure
-    15-20 % below the published values.  Nothing here explains the gap;
-    only criteria 4b and 4d pin values from this table.
+    15-20 % below the published values (ratios 0.855 and 0.802).  No lever
+    tried moves them onto the published values while keeping the rest of
+    the table:
+    - test_length 1.5 or 6 (30 or 120 test cells): every ratio unchanged
+      to 3 digits;
+    - probe positions shifted by -3, +3 or +5 cells: within 0.1 %;
+    - a reference settled for 2,000 steps instead of 1,000: every cell
+      falls, R <= 3 too ((1, 2) to 0.36, (2, 5) to 0.12);
+    - fourth-order stencils for training and lifting: the gap widens
+      ((2, 4) 0.54, (2, 5) 0.56) and criterion 4b breaks ((1, 2) 0.55).
+    The exact affine solve left the table unchanged to 4 digits, so the
+    training tolerance is not the cause either.  Only criteria 4b and 4d
+    pin values from this table.
     """
     results, errors = nce_table
     rs = range(1, 7)

@@ -53,6 +53,12 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="hybrid", pde_source="nope")
     with pytest.raises(ValueError):
         ExperimentConfig(kind="hybrid", velocity_set="D9Q9")
+    with pytest.raises(ValueError, match="reference_steps = -5"):
+        ExperimentConfig(kind="lift_bench", reference_steps=-5)
+    with pytest.raises(ValueError, match="reference_steps = -1"):
+        parse_config("kind = lift_bench\nreference_steps = -1\n")
+    assert ExperimentConfig(kind="lift_bench",
+                            reference_steps=0).reference_steps == 0
 
 
 def test_cr_lifter_refused_for_two_d_sets():

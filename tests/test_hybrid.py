@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (CoefficientLifter, EquilibriumLifter, HybridSpec, MacroPde,
+from lblift import (CoefficientLifter, CrConfig, CrLifter, EquilibriumLifter,
+                    HybridSpec, HybridState, MacroPde, NceTrainConfig,
                     analytic_coefficients, analytic_pde, compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
-                    restrict)
+                    train_coefficients)
 
-from conftest import benchmark_params, gaussian_density
+from conftest import benchmark_params, gaussian_density, roll_stream_collide
 
 
 def make_spec(params, lifter, cells=200, split=None, rho0=None):
@@ -161,6 +162,59 @@ def test_compare_to_reference_stops_at_first_non_finite_density(lifter):
         before = compare_to_reference(spec, step - 1)
     assert np.all(np.isfinite(before.max_error))
     assert np.all(np.isfinite(full_density(before.final_state, spec)))
+
+
+def ghost_hybrid_step(state, spec):
+    """Reference hybrid step whose kernels write only the interior of the
+    ghost rim: the np.roll BGK update cropped to it, and FTCS from shifted
+    slices along the split axis (np.roll on the others)."""
+    p = spec.split_index
+    rho = full_density(state, spec)
+    f_lift = spec.lifter.lift(rho, spec.params)
+    f_ext = np.concatenate(
+        [f_lift[:, p: p + 1], state.f_lbm, f_lift[:, 0:1]], axis=1)
+    f_new = roll_stream_collide(f_ext, spec.params)[:, 1:-1]
+
+    rho_ext = np.concatenate(
+        [rho[-1:], state.rho_pde, rho[p + 1: p + 2]], axis=0)
+    dx, dt = spec.params.dx, spec.params.dt
+    nu = spec.pde.diffusion * dt / dx ** 2
+    mid, east, west = rho_ext[1:-1], rho_ext[2:], rho_ext[:-2]
+    a = spec.pde.advection[0]
+    rho_new = mid + nu * (east - 2.0 * mid + west) \
+        - (a * dt / (2.0 * dx)) * (east - west)
+    for ax in range(1, mid.ndim):
+        east = np.roll(mid, -1, axis=ax)
+        west = np.roll(mid, 1, axis=ax)
+        a = spec.pde.advection[ax]
+        rho_new += nu * (east - 2.0 * mid + west) \
+            - (a * dt / (2.0 * dx)) * (east - west)
+    return HybridState(rho_pde=rho_new, f_lbm=f_new, t=state.t + 1)
+
+
+def trained_lifter(params, order, m):
+    cfg = NceTrainConfig(spatial_order=order, m=m)
+    return CoefficientLifter(train_coefficients(cfg, params).coefficients)
+
+
+@pytest.mark.parametrize("name, advection, lifter, cells", [
+    ("D1Q3", (), lambda p: CrLifter(CrConfig(m=3)), 200),
+    ("D1Q3", (0.66,), lambda p: trained_lifter(p, 4, 2), 200),
+    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 60),
+], ids=["D1Q3-cr", "D1Q3-trained", "D2Q9-advective-trained"])
+def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells):
+    """Periodic kernels on the rimmed subdomains, cropped afterwards, give
+    bit for bit what kernels updating only the interior give."""
+    p = benchmark_params(name, advection=advection)
+    spec = make_spec(p, lifter(p), cells=cells)
+    state = ref = init_hybrid(spec)
+    for step in range(20):
+        state = hybrid_step(state, spec)
+        ref = ghost_hybrid_step(ref, spec)
+        assert np.array_equal(state.f_lbm, ref.f_lbm), step
+        assert np.array_equal(state.rho_pde, ref.rho_pde), step
+    assert state.t == ref.t == 20
+    assert not np.array_equal(state.rho_pde, init_hybrid(spec).rho_pde)
 
 
 def test_two_d_uniform_steady():

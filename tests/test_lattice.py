@@ -10,7 +10,7 @@ from lblift import (D1Q3, D2Q5, D2Q9, LbmParams, Moments, equilibrium,
                     stream_collide)
 from lblift.lattice import reset_density
 
-from conftest import benchmark_params, gaussian_density
+from conftest import benchmark_params, gaussian_density, roll_stream_collide
 
 
 def test_velocity_set_tables():
@@ -116,25 +116,6 @@ def test_streaming_moves_mass_along_directions():
     assert g[0, 3] == 1.0 and g[0].sum() == 1.0
 
 
-def test_ghost_boundary_matches_periodic():
-    for name in ("D1Q3", "D2Q9"):
-        p = benchmark_params(name)
-        rho = gaussian_density(p, cells=20)
-        f = equilibrium(rho, p)
-        f = stream_collide(f, p)  # put some structure off equilibrium
-        periodic = stream_collide(f, p)
-        # supply the periodic wrap as explicit ghost layers on axis 0
-        ext = np.concatenate([f[:, -1:], f, f[:, :1]], axis=1)
-        ghost = stream_collide(ext, p, boundary="ghost")
-        assert_allclose(ghost, periodic, rtol=1e-14, atol=1e-16)
-
-
-def test_ghost_needs_three_columns():
-    p = benchmark_params("D1Q3")
-    with pytest.raises(ValueError):
-        stream_collide(np.zeros((3, 2)), p, boundary="ghost")
-
-
 def test_run_lbm_counts_steps():
     p = benchmark_params("D1Q3")
     f = equilibrium(gaussian_density(p, cells=16), p)
@@ -159,38 +140,20 @@ def test_diffusion_spreads_gaussian():
     assert_allclose(rho.sum(), rho0.sum(), rtol=1e-12)
 
 
-def roll_stream_collide(f, params, boundary="periodic"):
-    """Reference BGK update: collide, then np.roll every component."""
-    post = (1.0 - params.omega) * f + params.omega * equilibrium(restrict(f),
-                                                                  params)
-    out = np.empty_like(post)
-    for k, c in enumerate(params.vset.directions):
-        g = post[k]
-        for axis, shift in enumerate(c):
-            if shift:
-                g = np.roll(g, shift, axis=axis)
-        out[k] = g
-    return out[:, 1:-1] if boundary == "ghost" else out
-
-
-@pytest.mark.parametrize("boundary", ["periodic", "ghost"])
 @pytest.mark.parametrize("name, advection, shapes", [
     ("D1Q3", (0.66,), [(200,), (3,), (1,)]),
     ("D2Q5", (0.3, -0.2), [(17, 11), (3, 1)]),
     ("D2Q9", (1.0, 0.5), [(40, 25), (5, 3), (3, 1)]),
 ])
-def test_stream_collide_matches_roll_reference(name, advection, shapes,
-                                               boundary):
+def test_stream_collide_matches_roll_reference(name, advection, shapes):
     p = benchmark_params(name, advection=advection)
     rng = np.random.default_rng(7)
     for shape in shapes:
-        if boundary == "ghost" and shape[0] < 3:
-            continue
         f = rng.normal(size=(p.vset.q,) + shape)
-        got = stream_collide(f, p, boundary=boundary)
-        ref = roll_stream_collide(f, p, boundary)
+        got = stream_collide(f, p)
+        ref = roll_stream_collide(f, p)
         assert got.shape == ref.shape
-        assert np.array_equal(got, ref), (name, shape, boundary)
+        assert np.array_equal(got, ref), (name, shape)
 
 
 def test_equilibrium_weights_cached_read_only():

@@ -112,7 +112,7 @@ def reference_lift(rho, coeffs, params):
     """f_eq plus one periodic spatial_derivative field per term."""
     f = equilibrium(rho, params)
     for spec, vec in coeffs.terms.items():
-        d = spatial_derivative(rho, spec, params.dx, accuracy=2)
+        d = spatial_derivative(rho, spec, params.dx)
         f += vec.reshape((-1,) + (1,) * rho.ndim) * d[None]
     return f
 
@@ -223,13 +223,49 @@ def test_analytic_order_three_needs_no_sympy(monkeypatch):
 def test_coefficient_text_rejects_wrong_term_arity():
     text = coefficients_to_text(analytic_coefficients(
         benchmark_params("D1Q3"), 2))
-    with pytest.raises(ValueError, match=r"term d1d0 has 2 axes, D1Q3 has 1"):
+    with pytest.raises(ValueError,
+                       match=r"^line 9: term d1d0 has 2 axes, D1Q3 has 1$"):
         coefficients_from_text(text + "term d1d0 = 0.0 0.0 0.0\n")
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("term x1 = 0.0 0.0 0.0", r"line 9: term label 'x1' is not d<order>"),
+    ("term d = 0.0 0.0 0.0", r"line 9: term label 'd' is not d<order>"),
+    ("term d1x = 0.0 0.0 0.0", r"line 9: term label 'd1x' is not d<order>"),
+    ("term d0 = 0.0 0.0 0.0", r"line 9: zeroth derivative has no stencil"),
+    ("dx = 0.1", r"line 9: header field 'dx' repeats line 3"),
+    ("set = D1Q3", r"line 9: header field 'set' repeats line 2"),
+    ("term d01 = 0.0 0.0 0.0", r"line 9: term d1 repeats line 7"),
+    ("time dt1 = 0.0 0.0 0.0\ntime dt1 = 0.0 0.0 0.0",
+     r"line 10: time vector repeats line 9"),
+    ("dxx = 0.1", r"line 9: unknown key 'dxx'"),
+    ("term d2 = 0.0 zero 0.0", r"line 9: could not convert"),
+], ids=["label-x1", "label-d", "label-d1x", "label-d0", "repeat-dx",
+        "repeat-set", "repeat-d1", "repeat-time", "unknown-key",
+        "bad-number"])
+def test_coefficient_text_refuses_malformed_lines(extra, message):
+    """A mislabelled, repeated or unknown line is refused by number
+    instead of loading as another term or overriding an earlier value."""
+    text = coefficients_to_text(analytic_coefficients(
+        benchmark_params("D1Q3"), 2))
+    assert text.splitlines()[2] == "dx = 0.05"
+    assert text.splitlines()[6].startswith("term d1 = ")
+    with pytest.raises(ValueError, match="^" + message):
+        coefficients_from_text(text + extra + "\n")
+
+
+def test_coefficient_text_header_values_name_their_line():
+    text = coefficients_to_text(analytic_coefficients(
+        benchmark_params("D1Q3"), 2))
+    with pytest.raises(ValueError, match=r"^line 3: could not convert"):
+        coefficients_from_text(text.replace("dx = 0.05", "dx = 0.05 0.1"))
+    with pytest.raises(ValueError, match=r"^line 2: unknown velocity set"):
+        coefficients_from_text(text.replace("set = D1Q3", "set = D1Q4"))
 
 
 def test_coefficient_text_rejects_wrong_time_length():
     text = coefficients_to_text(analytic_coefficients(
         benchmark_params("D1Q3"), 2))
-    with pytest.raises(ValueError, match=r"time vector has 2 entries, "
-                                         r"expected 3"):
+    with pytest.raises(ValueError, match=r"^line 9: time vector has 2 "
+                                         r"entries, expected 3$"):
         coefficients_from_text(text + "time dt1 = 1.0 2.0\n")

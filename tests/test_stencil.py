@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,29 +25,51 @@ def test_fd_weights_first_derivative_central():
     assert_allclose(w2, [1.0, -2.0, 1.0], atol=1e-13)
 
 
-def test_fd_weights_exact_on_polynomials():
-    # an accuracy-a central stencil for d^k evaluates monomials x^p at 0
-    # exactly for p < k + a: k! when p = k, zero otherwise
-    from math import factorial
+def leading_error_constant(order):
+    """C with D_h f = f^(k) + C h^2 f^(k+2) + O(h^4) for the d^k stencil."""
+    offs = central_offsets(order)
+    xs = np.array(offs, dtype=float)
+    return fd_weights(order, offs) @ xs ** (order + 2) / factorial(order + 2)
 
-    for order in (1, 2, 3, 4):
-        offs = central_offsets(order, accuracy=4)
+
+def sin_derivative(order, x):
+    return np.sin(x + order * np.pi / 2)
+
+
+def test_fd_weights_exact_on_polynomials():
+    # a second-order central stencil for d^k evaluates monomials x^p at 0
+    # exactly for p < k + 2: k! when p = k, zero otherwise; x^(k+2) gives
+    # the familiar leading error, f^(3)/6 for d1, f^(4)/12 for d2, ...
+    leading = (1 / 6, 1 / 12, 1 / 4, 1 / 6, 1 / 3, 1 / 4)
+    for order in range(1, MAX_TOTAL_ORDER + 1):
+        offs = central_offsets(order)
         w = fd_weights(order, offs)
         xs = np.array(offs, dtype=float)
-        for p in range(order + 4):
+        for p in range(order + 2):
             expected = float(factorial(order)) if p == order else 0.0
             assert_allclose(w @ xs ** p, expected, atol=1e-8)
+        assert_allclose(leading_error_constant(order), leading[order - 1],
+                        rtol=1e-12)
 
 
 def test_spatial_derivative_trig():
-    n, length = 128, 2 * np.pi
-    dx = length / n
-    x = np.arange(n) * dx
-    rho = np.sin(x)
-    d1 = spatial_derivative(rho, DerivSpec((1,)), dx, accuracy=6)
-    assert_allclose(d1, np.cos(x), atol=1e-8)
-    d2 = spatial_derivative(rho, DerivSpec((2,)), dx, accuracy=6)
-    assert_allclose(d2, -np.sin(x), atol=1e-7)
+    """Every stencil's error on sin x is its leading truncation term plus
+    an O(h^4) remainder, which shrinks 16-fold when h halves."""
+    for order in range(1, MAX_TOTAL_ORDER + 1):
+        remainders = []
+        # coarse grids: at n = 128 round-off (~eps / h^6) swamps the
+        # O(h^4) remainder of the d6 stencil
+        for n in (32, 64):
+            dx = 2 * np.pi / n
+            x = np.arange(n) * dx
+            d = spatial_derivative(np.sin(x), DerivSpec((order,)), dx)
+            leading = leading_error_constant(order) * dx ** 2 \
+                * sin_derivative(order + 2, x)
+            error = d - sin_derivative(order, x)
+            assert np.abs(error - leading).max() < 0.01 * np.abs(leading).max()
+            remainders.append(np.abs(error - leading).max())
+        rate = np.log2(remainders[0] / remainders[1])
+        assert 3.9 < rate < 4.1, (order, rate)
 
 
 def test_spatial_derivative_accuracy_order():
@@ -54,7 +78,7 @@ def test_spatial_derivative_accuracy_order():
     for n in (64, 128):
         dx = 2 * np.pi / n
         x = np.arange(n) * dx
-        d = spatial_derivative(np.sin(x), DerivSpec((3,)), dx, accuracy=2)
+        d = spatial_derivative(np.sin(x), DerivSpec((3,)), dx)
         errs.append(np.abs(d + np.cos(x)).max())
     rate = np.log2(errs[0] / errs[1])
     assert 1.7 < rate < 2.3
@@ -66,9 +90,12 @@ def test_spatial_derivative_2d_mixed():
     x = np.arange(n) * dx
     xx, yy = np.meshgrid(x, x, indexing="ij")
     rho = np.sin(xx) * np.cos(2 * yy)
-    d = spatial_derivative(rho, DerivSpec((1, 1)), dx, accuracy=6)
+    d = spatial_derivative(rho, DerivSpec((1, 1)), dx)
     exact = np.cos(xx) * (-2.0) * np.sin(2 * yy)
-    assert_allclose(d, exact, atol=5e-5)
+    # tensor product of two d1 stencils: h^2/6 (f_xxxy + f_xyyy) leads
+    leading = dx ** 2 / 6 * (-np.cos(xx) * (-2.0) * np.sin(2 * yy)
+                             + np.cos(xx) * 8.0 * np.sin(2 * yy))
+    assert_allclose(d, exact + leading, atol=5e-5)
 
 
 def test_zeroth_total_order_rejected():
@@ -90,13 +117,11 @@ def test_time_derivative_forward_exact_on_polynomials():
     snaps = [2.0 + 3.0 * tk + 4.0 * tk ** 2 + np.zeros(5) for tk in t]
     d = time_derivative_forward(snaps, dt)
     assert_allclose(d, np.full(5, 3.0), atol=1e-12)
-    # second derivative from four snapshots of a cubic
-    t4 = np.arange(4) * dt
-    snaps4 = [1.0 + tk ** 3 + np.zeros(5) for tk in t4]
-    d2 = time_derivative_forward(snaps4, dt, order=2)
-    assert_allclose(d2, np.zeros(5), atol=1e-10)
+    # two snapshots give the plain forward difference
+    assert_allclose(time_derivative_forward(snaps[:2], dt),
+                    (snaps[1] - snaps[0]) / dt, rtol=1e-15)
 
 
 def test_time_derivative_needs_enough_snapshots():
     with pytest.raises(ValueError):
-        time_derivative_forward([np.zeros(3)], 0.1, order=1)
+        time_derivative_forward([np.zeros(3)], 0.1)
