@@ -2,13 +2,13 @@
 
 Trained coefficients pay a one-time training bill on a tiny test grid
 and lift for free afterwards.  Constrained runs pay per application:
-every lift burns m+1 LBM steps per map evaluation, for two of them, the
-residual at equilibrium and the closing residual, 2(m+1) steps in all.
-The first lift pays 2(m+1) more for one unit-impulse probe per fast
-moment (the map is block-circulant, so the impulse responses give the
-whole linear part); the lifter keeps that kernel for later lifts on the
-same grid.  The table meters both in a 200-step 1D hybrid run (the LBM
-half's own updates are the model, not overhead, and are excluded).
+every lift burns m+1 LBM steps on its closing constrained run, which
+checks the fixed point.  The first lift pays 3(m+1) more for three
+unit-impulse probes, one in the density and one per fast moment (the
+map is linear and shift-invariant, so the impulse responses give its
+whole transfer kernel); the lifter keeps that kernel for later lifts on
+the same grid.  The table meters both in a 200-step 1D hybrid run (the
+LBM half's own updates are the model, not overhead, and are excluded).
 """
 
 from lblift import ExperimentConfig, cost_summary

@@ -44,6 +44,14 @@ KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
 
 
+class ConfigError(ValueError):
+    """A refused ExperimentConfig value; keys names the fields at fault."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment, as read from a key = value config file."""
@@ -68,25 +76,37 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+            raise ConfigError(f"unknown experiment kind {self.kind!r}", "kind")
         if self.velocity_set not in VELOCITY_SETS:
-            raise ValueError(f"unknown velocity set {self.velocity_set!r}")
+            raise ConfigError(f"unknown velocity set {self.velocity_set!r}",
+                              "velocity_set")
         if self.lifter not in LIFTERS:
-            raise ValueError(f"unknown lifter {self.lifter!r}")
+            raise ConfigError(f"unknown lifter {self.lifter!r}", "lifter")
         if self.lifter == "cr" and self.velocity_set != "D1Q3":
-            raise ValueError(
+            raise ConfigError(
                 f"lifter = cr needs velocity_set = D1Q3: constrained runs "
                 f"solve for the D1Q3 moments (phi, xi), and "
-                f"{self.velocity_set} has no such moment transform")
+                f"{self.velocity_set} has no such moment transform",
+                "lifter", "velocity_set")
         if self.pde_source not in ("analytic", "extracted"):
-            raise ValueError(f"unknown pde_source {self.pde_source!r}")
+            raise ConfigError(f"unknown pde_source {self.pde_source!r}",
+                              "pde_source")
         if self.extract_mode not in ("summation", "nullspace"):
-            raise ValueError(f"unknown extract_mode {self.extract_mode!r}")
-        if self.cells < 4 or self.length <= 0 or self.steps < 1:
-            raise ValueError("cells, length and steps must be positive")
+            raise ConfigError(f"unknown extract_mode {self.extract_mode!r}",
+                              "extract_mode")
+        if self.cells < 4:
+            raise ConfigError(f"cells = {self.cells}: need at least 4 cells",
+                              "cells")
+        if self.length <= 0:
+            raise ConfigError(f"length = {self.length}: must be positive",
+                              "length")
+        if self.steps < 1:
+            raise ConfigError(f"steps = {self.steps}: need at least 1 step",
+                              "steps")
         if self.reference_steps < 0:
-            raise ValueError(f"reference_steps = {self.reference_steps}: "
-                             "the reference state needs >= 0 LBM steps")
+            raise ConfigError(f"reference_steps = {self.reference_steps}: "
+                              "the reference state needs >= 0 LBM steps",
+                              "reference_steps")
 
 
 @dataclass
@@ -307,6 +327,7 @@ _CONFIG_KEYS = {
 def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
     """Parse a flat key = value config; kind from the file or the caller."""
     values: Dict[str, object] = {}
+    lines: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -327,6 +348,7 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
             raise ValueError(
                 f"config line {lineno}: cannot parse {key} = {value!r} "
                 f"({exc})") from None
+        lines[key] = lineno
     if kind is not None:
         stated = values.get("kind")
         if stated is not None and stated != kind:
@@ -335,7 +357,15 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
         values["kind"] = kind
     if "kind" not in values:
         raise ValueError("config does not state an experiment kind")
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ConfigError as exc:
+        at = sorted(lines[key] for key in exc.keys if key in lines)
+        if not at:
+            raise
+        where = " and ".join(str(lineno) for lineno in at)
+        raise ValueError(f"config line{'s' if len(at) > 1 else ''} {where}: "
+                         f"{exc}") from None
 
 
 # ---------------------------------------------------------------------------

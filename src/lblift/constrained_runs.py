@@ -6,15 +6,15 @@ extrapolating the evolved state backward in time.  The m-th order scheme
 damps the (m+1)-th time difference of the fast moments, so m = 0 keeps
 them constant, m = 1 linear, and so on.
 
-That map is affine in the fast moments, so its fixed point is the
-solution of one linear system.  On a periodic grid the linear part of
-the residual r(v) = v - cr_map(v) is block-circulant and independent of
-the density: one unit impulse per fast moment gives all of it, and an
-FFT turns the solve into one 2x2 system per wavenumber.  cr_kernel
-probes those blocks once per grid size and model, and every map
-evaluation is paid for in LBM steps: a lift with a given kernel costs
-2(m+1), the equilibrium residual and the closing residual, and the probe
-2(m+1) more.  The solver works on full periodic density fields; the D1Q3
+That map is linear in the density and the fast moments together, so its
+fixed point is the solution of one linear system.  On a periodic grid
+both parts commute with shifts and do not depend on the density: three
+unit impulses at one cell give all of them, and an FFT turns the fixed
+point into one transfer function per wavenumber, the fast moments being
+that transfer times the density's spectrum.  cr_kernel probes it once
+per grid size and model, for 3(m+1) LBM steps; each lift then pays only
+its closing constrained run, m+1 LBM steps, which checks the fixed
+point.  The solver works on full periodic density fields; the D1Q3
 moment-space interface matches the (rho, phi, xi) transform of the
 lattice module.
 """
@@ -29,7 +29,6 @@ import numpy as np
 from .lattice import (
     LbmParams,
     Moments,
-    equilibrium,
     finite_density,
     from_moments,
     moments,
@@ -130,59 +129,60 @@ def cr_density(rho0: np.ndarray) -> np.ndarray:
 
 
 def cr_kernel(n: int, config: CrConfig, params: LbmParams) -> np.ndarray:
-    """Fourier blocks of J, the linear part of r(v) = v - cr_map(v).
+    """Per-wavenumber transfer G(k) = J(k)^-1 A(k) of the cr_map fixed point.
 
-    cr_map is linear in (rho0, v) and commutes with periodic shifts, so J
-    is block-circulant and independent of rho0: e_j - cr_map(0, e_j), for
-    a unit impulse in fast moment j at cell 0, holds all of block column
-    j.  An FFT along the grid splits J into one 2x2 block per wavenumber
-    (the Fourier view of the linear BGK operator), returned read-only with
-    shape (n, 2, 2); two map evaluations, 2(m+1) LBM steps.
+    cr_map(rho0, v) = A rho0 + B v is linear in both arguments and
+    commutes with periodic shifts, so the fixed point v = cr_map(rho0, v)
+    is v = J^-1 A rho0 with J = I - B, a convolution of rho0.  Three unit
+    impulses at cell 0 hold all of it: the density response cr_map(d, 0)
+    is the column of A, and e_j - cr_map(0, e_j), for an impulse in fast
+    moment j, is block column j of J.  An FFT along the grid splits J into
+    one 2x2 block per wavenumber (the Fourier view of the linear BGK
+    operator) and A into one 2-vector; each block is solved against its
+    vector here, once.  G is returned read-only, complex, with shape
+    (n, 2); three map evaluations, 3(m+1) LBM steps.
     """
-    kernel = np.empty((2, 2, n))        # (response moment, impulse, cell)
+    delta = np.zeros(n)
+    delta[0] = 1.0
+    density = cr_map(delta, np.zeros((2, n)), config, params)
+    jacobian = np.empty((2, 2, n))      # (response moment, impulse, cell)
     for j in range(2):
         impulse = np.zeros((2, n))
         impulse[j, 0] = 1.0
-        kernel[:, j] = impulse - cr_map(np.zeros(n), impulse, config, params)
-    blocks = np.moveaxis(np.fft.fft(kernel), -1, 0)
-    blocks.flags.writeable = False
-    return blocks
+        jacobian[:, j] = impulse - cr_map(np.zeros(n), impulse, config, params)
+    blocks = np.moveaxis(np.fft.fft(jacobian), -1, 0)
+    transfer = np.linalg.solve(blocks, np.fft.fft(density).T[..., None])[..., 0]
+    transfer.flags.writeable = False
+    return transfer
 
 
 def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
             kernel: np.ndarray | None = None) -> CrResult:
     """Lift a periodic density field to distribution functions.
 
-    Solves v = cr_map(v) with one linear solve from the equilibrium
-    moments v0: r(v) = v - cr_map(v) is affine, so v = v0 - J^-1 r(v0),
-    solved in Fourier space with the blocks of cr_kernel.  kernel takes
-    those blocks from an earlier cr_kernel call on the same grid size,
-    config and model; without it the lift probes them itself.  A closing
-    evaluation of the residual gives `residual`, and converged = residual
-    <= tol; a lift that misses tol is returned rather than raised, so
-    callers can inspect it.  iterations is 1, the one solve; lbm_steps is
-    2(m+1) with a kernel and 4(m+1) without, two or four map evaluations.
-    A non-finite density (the ValueError names its first bad cell) or
-    one that is not 1D is refused before any LBM step.
+    Solves v = cr_map(rho0, v) in Fourier space: the fast moments are
+    v = ifft(G fft(rho0)), with G the transfer of cr_kernel.  kernel takes
+    G from an earlier cr_kernel call on the same grid size, config and
+    model; without it the lift probes G itself.  A closing constrained run
+    gives the residual max|v - cr_map(rho0, v)|, and converged = residual
+    <= tol, so a kernel of another model is caught; a lift that misses tol
+    is returned rather than raised, so callers can inspect it.  iterations
+    is 1, the one FFT filter; lbm_steps is m+1 with a kernel and 4(m+1)
+    without, one or four map evaluations.  A non-finite density (the
+    ValueError names its first bad cell) or one that is not 1D is refused
+    before any LBM step, and so is a kernel that is not (n, 2).
     """
     rho0 = cr_density(rho0)
     n = rho0.size
-    evaluations = 2
+    evaluations = 1
     if kernel is None:
         kernel = cr_kernel(n, config, params)
         evaluations = 4
-    elif kernel.shape != (n, 2, 2):
+    elif kernel.shape != (n, 2):
         raise ValueError(
             f"kernel of shape {kernel.shape} does not fit {n} cells")
-    m0 = moments(equilibrium(rho0, params))
-    v = np.stack([m0.phi, m0.xi])
-    rhs = np.fft.fft(_residual(rho0, v, config, params)).T[..., None]
-    v = v - np.fft.ifft(np.linalg.solve(kernel, rhs)[..., 0].T).real
-    residual = float(np.max(np.abs(_residual(rho0, v, config, params))))
+    v = np.fft.ifft(kernel.T * np.fft.fft(rho0)).real
+    residual = float(np.max(np.abs(v - cr_map(rho0, v, config, params))))
     f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
     return CrResult(f, 1, evaluations * (config.m + 1), residual,
                     residual <= config.tol)
-
-
-def _residual(rho0, v, config, params):
-    return v - cr_map(rho0, v, config, params)

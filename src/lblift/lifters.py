@@ -48,9 +48,11 @@ class CrLifter:
 
     Unlike the coefficient routes this pays LBM steps at every
     application, which is what the cost accounting is designed to show:
-    2(m+1) per lift, plus a one-off 2(m+1) the first time a grid size and
-    model come up, to probe the kernel of the solve (cr_kernel).  The
-    kernels live on the instance, so a fresh lifter pays its probes again.
+    m+1 per lift, the closing constrained run that checks the fixed point,
+    plus a one-off 3(m+1) the first time a grid size and model come up, to
+    probe the transfer kernel of the solve (cr_kernel).  The kernels live
+    on the instance, so a fresh lifter pays its probes again.  A lift whose
+    closing residual misses tol raises a RuntimeError.
     """
 
     config: CrConfig

@@ -354,8 +354,8 @@ def test_criterion_7_cost_accounting(d1_params):
         per_lift_ok = per_lift_ok and res.converged \
             and res.lbm_steps >= (m + 1) * max(res.iterations, 1)
     # total extra steps over a 200-step hybrid run: NCE training of
-    # (q + 2)(m + 1) steps, then 201 CR lifts of 2(m+1) steps each plus
-    # one kernel probe of 2(m+1); measured [10, 404, 808, 1212, 1616]
+    # (q + 2)(m + 1) steps, then 201 CR lifts of m+1 steps each plus
+    # one kernel probe of 3(m+1); measured [10, 204, 408, 612, 816]
     totals = [nce_counts[1].total_extra_steps]
     for m in range(4):
         totals.append(cost_summary(ExperimentConfig(

@@ -37,6 +37,29 @@ def test_parse_config_diagnostics_carry_line_numbers():
         parse_config("steps = 5\n")
 
 
+def test_parse_config_names_the_line_of_a_refused_value():
+    """A value that parses but that ExperimentConfig refuses is reported
+    with its config line, comments and blank lines counted."""
+    with pytest.raises(ValueError,
+                       match=r"^config line 2: reference_steps = -1"):
+        parse_config("kind = lift_bench\nreference_steps = -1\n")
+    with pytest.raises(ValueError, match=r"^config line 4: steps = 0"):
+        parse_config("# a comment\nkind = hybrid\n\nsteps = 0\n")
+    with pytest.raises(ValueError, match=r"^config line 1: unknown lifter"):
+        parse_config("lifter = magic\n", kind="hybrid")
+
+
+def test_parse_config_names_both_lines_of_a_refused_pair():
+    """lifter = cr with a 2D velocity set is refused on both keys, so both
+    config lines are named, in file order."""
+    with pytest.raises(ValueError, match=r"^config lines 1 and 4: lifter = cr"
+                                         r" needs velocity_set = D1Q3"):
+        parse_config("velocity_set = D2Q9\nkind = cost_table\nm = 1\n"
+                     "lifter = cr\n")
+    with pytest.raises(ValueError, match=r"^config lines 1 and 2: lifter = cr"):
+        parse_config("lifter = cr\nvelocity_set = D2Q5\n", kind="hybrid")
+
+
 def test_parse_config_kind_from_command():
     cfg = parse_config("velocity_set = D1Q3\n", kind="train_only")
     assert cfg.kind == "train_only"

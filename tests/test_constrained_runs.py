@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (CrConfig, CrLifter, Moments, constrained_smooth,
-                    cr_kernel, cr_lift, cr_map, equilibrium, from_moments,
+from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
+                    compare_to_reference, constrained_smooth, cr_kernel,
+                    cr_lift, cr_map, equilibrium, from_moments,
                     lbm_step_count, moments, restrict, run_lbm)
 from lblift.constrained_runs import extrapolation_weights
 
@@ -95,10 +96,11 @@ def dense_reference_lift(rho, m, params):
 
 
 def test_cr_lift_matches_dense_reference():
-    """The block-circulant FFT solve gives the dense fixed point, with and
+    """The transfer-kernel lift gives the dense fixed point, with and
     without advection: on n = 200, on 61, on the odd and prime grids 7
     and 13, and on 2m+2.  The impulse response spans 2m+3 cells, so on
-    the small grids it wraps onto itself."""
+    the small grids it wraps onto itself.  A kernel probed once serves
+    later densities on the same grid just as well."""
     rng = np.random.default_rng(7)
     for advection in ((), (0.66,)):
         p = benchmark_params("D1Q3", advection=advection)
@@ -111,6 +113,15 @@ def test_cr_lift_matches_dense_reference():
                 assert_allclose(res.f, dense_reference_lift(rho, m, p),
                                 rtol=0, atol=1e-12,
                                 err_msg=f"a={advection} m={m} n={cells}")
+                kernel = cr_kernel(cells, CrConfig(m=m), p)
+                for _ in range(2):
+                    rho = 1.0 + 0.5 * rng.uniform(size=cells)
+                    res = cr_lift(rho, CrConfig(m=m), p, kernel=kernel)
+                    assert res.converged, (advection, m, cells, res.residual)
+                    assert_allclose(res.f, dense_reference_lift(rho, m, p),
+                                    rtol=0, atol=1e-12,
+                                    err_msg=f"reused a={advection} m={m} "
+                                            f"n={cells}")
 
 
 def test_nonconvergence_reported_not_raised():
@@ -150,16 +161,17 @@ def test_cr_lift_refuses_a_kernel_of_another_grid():
     config = CrConfig(m=1)
     kernel = cr_kernel(13, config, p)
     before = lbm_step_count()
-    with pytest.raises(ValueError, match=r"\(13, 2, 2\) does not fit 40"):
+    with pytest.raises(ValueError, match=r"\(13, 2\) does not fit 40"):
         cr_lift(gaussian_density(p, cells=40), config, p, kernel=kernel)
     assert lbm_step_count() == before
 
 
 def test_step_accounting_scales_with_m():
-    """A lift makes two map evaluations of m+1 LBM steps each, the
-    equilibrium residual and the closing residual, and the kernel probe
-    two more, one unit impulse per fast moment: 4(m+1) without a kernel,
-    2(m+1) with one.  lbm_steps reports exactly the stream_collide calls
+    """A lift makes one map evaluation of m+1 LBM steps, the closing
+    residual, and the kernel probe three more, one unit impulse in the
+    density and one per fast moment: 4(m+1) without a kernel, m+1 with
+    one.  The kernel is the read-only complex transfer, one 2-vector per
+    wavenumber.  lbm_steps reports exactly the stream_collide calls
     made."""
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=40)
@@ -167,8 +179,10 @@ def test_step_accounting_scales_with_m():
         config = CrConfig(m=m)
         before = lbm_step_count()
         kernel = cr_kernel(40, config, p)
-        assert lbm_step_count() - before == 2 * (m + 1)
-        for given, evaluations in ((None, 4), (kernel, 2)):
+        assert lbm_step_count() - before == 3 * (m + 1)
+        assert kernel.shape == (40, 2) and kernel.dtype == complex
+        assert not kernel.flags.writeable
+        for given, evaluations in ((None, 4), (kernel, 1)):
             before = lbm_step_count()
             res = cr_lift(rho, config, p, kernel=given)
             assert res.converged
@@ -181,7 +195,7 @@ def test_cr_lifter_probes_once_per_grid_and_model():
     Used on 40, 13, then 40 cells again, on diffusive then advective
     params, it probes once per (grid size, model) and never reuses a
     kernel across them: the first lift on a key costs 4(m+1) LBM steps,
-    later ones 2(m+1).  A new lifter probes again."""
+    later ones m+1.  A new lifter probes again."""
     rng = np.random.default_rng(11)
     diffusive = benchmark_params("D1Q3")
     advective = benchmark_params("D1Q3", advection=(0.66,))
@@ -198,10 +212,59 @@ def test_cr_lifter_probes_once_per_grid_and_model():
                 before = lbm_step_count()
                 f = lifter.lift(rho, p)
                 steps = lbm_step_count() - before
-                assert steps == (2 if (p, cells) in seen else 4) * (m + 1)
+                assert steps == (1 if (p, cells) in seen else 4) * (m + 1)
                 seen.add((p, cells))
                 assert np.array_equal(f, cr_lift(rho, config, p).f), \
                     (m, p.advection, cells)
         before = lbm_step_count()
         CrLifter(config).lift(rho, p)
         assert lbm_step_count() - before == 4 * (m + 1)
+
+
+def test_a_kernel_of_another_model_is_caught():
+    """A kernel probed on diffusive params, used for an advective lift of
+    the same grid size, gives the wrong fast moments; the closing
+    constrained run catches it.  cr_lift reports converged = False, and a
+    CrLifter holding that kernel raises."""
+    diffusive = benchmark_params("D1Q3")
+    advective = benchmark_params("D1Q3", advection=(0.66,))
+    rho = gaussian_density(advective, cells=40)
+    for m in range(4):
+        config = CrConfig(m=m)
+        wrong = cr_kernel(40, config, diffusive)
+        res = cr_lift(rho, config, advective, kernel=wrong)
+        assert not res.converged, (m, res.residual)
+        assert res.residual > 1e3 * config.tol
+        assert cr_lift(rho, config, advective).converged
+        lifter = CrLifter(config)
+        lifter._kernels[(40, advective, config)] = wrong
+        with pytest.raises(RuntimeError, match="missed its tolerance"):
+            lifter.lift(rho, advective)
+
+
+class DenseReferenceLifter:
+    """The lifter interface over dense_reference_lift, for hybrid runs."""
+
+    name = "dense-reference"
+
+    def __init__(self, m):
+        self.m = m
+
+    def lift(self, rho, params):
+        return dense_reference_lift(rho, self.m, params)
+
+
+def test_hybrid_with_cr_lifter_matches_dense_reference():
+    """A short D1Q3 hybrid gives the same max-error history whether its
+    lifts come from CrLifter or from the dense reference fixed point."""
+    for advection in ((), (0.66,)):
+        p = benchmark_params("D1Q3", advection=advection)
+        for m in (1, 3):
+            histories = []
+            for lifter in (CrLifter(CrConfig(m=m)), DenseReferenceLifter(m)):
+                spec = HybridSpec(total_cells=40, split_index=20, params=p,
+                                  pde=analytic_pde(p), lifter=lifter,
+                                  initial_density=gaussian_density(p, 40))
+                histories.append(compare_to_reference(spec, 30).max_error)
+            assert_allclose(histories[0], histories[1], rtol=0, atol=1e-13,
+                            err_msg=f"a={advection} m={m}")
