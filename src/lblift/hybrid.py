@@ -8,7 +8,10 @@ restricting the LBM field; the LBM side needs full distributions at its
 ghosts, which is exactly the one-to-many reconstruction the lifting
 operators provide.  The quality of the coupling is the quality of the
 lift.  This module is the only one that builds or crops ghost cells:
-the LBM and FTCS kernels it calls are plain periodic updates.
+the LBM and FTCS kernels it calls are plain periodic updates.  The LBM
+field is kept with its two ghost columns allocated around it
+(HybridState.f_rim), and each step writes the lifted ghosts into that
+rim in place, so no field-sized copy is made to add them.
 
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
@@ -66,9 +69,21 @@ class HybridSpec:
 
 @dataclass
 class HybridState:
+    """PDE densities on cells 0..p and the rimmed LBM field.
+
+    f_rim holds the LBM cells p+1..n-1 between their two ghost columns,
+    x_p first and x_n (= x_0) last, so each step writes its lifted ghosts
+    into the rim instead of building a new field around the LBM cells.
+    """
+
     rho_pde: np.ndarray
-    f_lbm: np.ndarray
+    f_rim: np.ndarray
     t: int = 0
+
+    @property
+    def f_lbm(self) -> np.ndarray:
+        """The LBM cells p+1..n-1: a view of the interior of f_rim."""
+        return self.f_rim[:, 1:-1]
 
 
 def full_density(state: HybridState, spec: HybridSpec) -> np.ndarray:
@@ -88,10 +103,12 @@ def init_hybrid(spec: HybridSpec) -> HybridState:
 
 
 def _split_state(f_full: np.ndarray, spec: HybridSpec) -> HybridState:
-    """The initial state: PDE densities, then the lift cropped to the LBM."""
+    """The initial state: PDE densities, then the lift cropped to the
+    rimmed LBM subdomain, cells p..n-1 and 0."""
     p = spec.split_index
     return HybridState(rho_pde=spec.initial_density[: p + 1].copy(),
-                       f_lbm=f_full[:, p + 1:].copy())
+                       f_rim=np.concatenate([f_full[:, p:], f_full[:, :1]],
+                                            axis=1))
 
 
 def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
@@ -101,25 +118,29 @@ def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
     two subdomain updates run independently.  The PDE ghosts at x_{-1}
     (= x_{n-1}, periodic) and x_{p+1} are restricted LBM densities; the
     LBM ghosts at x_p and x_n (= x_0) are lifted from the concatenated
-    density field, stencils straddling the interfaces.  Each rimmed
-    subdomain takes one periodic step and is cropped to its interior:
-    one step moves data one cell, so the wrap across the rim reaches
-    only the ghost cells, which are discarded.
+    density field, stencils straddling the interfaces, and written into
+    the rim of state.f_rim, which this overwrites.  Each rimmed subdomain
+    takes one periodic step: one step moves data one cell, so the wrap
+    across the rim reaches only the ghost cells, which the next step
+    overwrites (LBM) or crops (PDE).
     """
     p = spec.split_index
     rho = full_density(state, spec)
 
     f_lift = spec.lifter.lift(rho, spec.params)
-    f_ext = np.concatenate(
-        [f_lift[:, p: p + 1], state.f_lbm, f_lift[:, 0:1]], axis=1)
-    f_new = stream_collide(f_ext, spec.params)[:, 1:-1]
+    state.f_rim[:, 0] = f_lift[:, p]
+    state.f_rim[:, -1] = f_lift[:, 0]
+    # free the full lifted field before the step allocates its own, so
+    # that the allocator hands its pages on instead of faulting in new ones
+    del f_lift
+    f_new = stream_collide(state.f_rim, spec.params)
 
     rho_ext = np.concatenate(
         [rho[-1:], state.rho_pde, rho[p + 1: p + 2]], axis=0)
     rho_new = ftcs_step(rho_ext, spec.pde, spec.params.dx,
                         spec.params.dt)[1:-1]
 
-    return HybridState(rho_pde=rho_new, f_lbm=f_new, t=state.t + 1)
+    return HybridState(rho_pde=rho_new, f_rim=f_new, t=state.t + 1)
 
 
 @dataclass

@@ -6,7 +6,8 @@ plus a one-sided formula for the first time derivative from a short
 sequence of snapshots.  Trained lifting coefficients absorb the
 truncation terms of the stencils they were trained with, so training
 and application share these.  Application is periodic: it wraps with
-np.roll.
+np.roll.  derivative_at evaluates the same stencils at given points
+only, bit for bit, for callers that read a field at a few points.
 difference_stencils writes the stencils of several derivatives as one
 matrix over grid offsets, for evaluating a fixed linear combination of
 them in one pass.
@@ -90,10 +91,15 @@ def central_offsets(order: int) -> Tuple[int, ...]:
     return tuple(range(-half, half + 1))
 
 
+def _axis_stencil(order: int, dx: float):
+    """Offsets and weights, in units of dx, of the 1D central stencil."""
+    offsets = central_offsets(order)
+    return offsets, fd_weights(order, offsets) / dx ** order
+
+
 def _apply_axis(rho: np.ndarray, order: int, dx: float,
                 axis: int) -> np.ndarray:
-    offsets = central_offsets(order)
-    w = fd_weights(order, offsets) / dx ** order
+    offsets, w = _axis_stencil(order, dx)
     out = np.zeros_like(rho, dtype=float)
     for off, wk in zip(offsets, w):
         out += wk * np.roll(rho, -off, axis=axis)
@@ -111,6 +117,38 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
         if order:
             out = _apply_axis(out, order, dx, axis)
     return out
+
+
+def derivative_at(rho: np.ndarray, spec: DerivSpec, dx: float,
+                  index: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """spatial_derivative(rho, spec, dx)[index], evaluated only at index.
+
+    index holds one integer array per axis, as in numpy fancy indexing,
+    and wraps periodically.  One gather reads every stencil tap of every
+    point; the 1D weights then reduce it axis by axis, first axis first,
+    each sum running offset by offset from zero, exactly as
+    spatial_derivative sums them, so the values are bit-identical.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if len(spec.orders) != rho.ndim:
+        raise ValueError("spec arity does not match field rank")
+    index = np.broadcast_arrays(*map(np.asarray, index))
+    derived = [axis for axis, order in enumerate(spec.orders) if order]
+    # taps[j_1, ..., j_k, *points]: rho at the points shifted by offset j_i
+    # along the i-th derived axis
+    gather = list(index)
+    for i, axis in enumerate(derived):
+        offsets = np.array(central_offsets(spec.orders[axis]))
+        trailing = len(derived) - 1 - i + index[0].ndim
+        gather[axis] = gather[axis] + offsets.reshape((-1,) + (1,) * trailing)
+    taps = rho[tuple(ix % n for ix, n in zip(gather, rho.shape))]
+    for axis in derived:
+        _, w = _axis_stencil(spec.orders[axis], dx)
+        out = np.zeros(taps.shape[1:])
+        for wk, values in zip(w, taps):
+            out += wk * values
+        taps = out
+    return taps
 
 
 @lru_cache(maxsize=64)
@@ -133,8 +171,7 @@ def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float
         per_axis = []
         for order in spec.orders:
             if order:
-                offsets = central_offsets(order)
-                per_axis.append((offsets, fd_weights(order, offsets) / dx ** order))
+                per_axis.append(_axis_stencil(order, dx))
             else:
                 per_axis.append(((0,), np.ones(1)))
         axis_stencils.append(per_axis)

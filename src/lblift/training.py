@@ -9,7 +9,10 @@ nodes.  Coefficients that are invariant under that map describe the slow
 manifold.  Lift, smoothing and probe solve are all linear in the
 coefficients, so the map is affine and its fixed point is one exact
 linear solve.  Its linear part comes from q impulse responses of the
-smoothing, which is linear and shift-invariant with density 0.
+smoothing, which is linear and shift-invariant with density 0.  The
+probe system reads the derivatives of the test densities only in the
+probe windows, the m+1 cells around each probe that those responses
+reach, so the derivatives are evaluated there and nowhere else.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -41,10 +44,18 @@ from .lifting import (
     zero_coefficients,
 )
 from .macro_pde import MacroPde
-from .stencil import MAX_TOTAL_ORDER, DerivSpec, spatial_derivative, time_derivative_forward
+from .stencil import (MAX_TOTAL_ORDER, DerivSpec, derivative_at,
+                      time_derivative_forward)
+# perfbench's tracer wraps spatial_derivative at this module attribute
+from .stencil import spatial_derivative  # noqa: F401
 
 # refuse probe systems whose conditioning would poison the coefficients
 CONDITION_LIMIT = 1e12
+
+# refuse trained coefficients whose closing residual max|a - H(a)| exceeds
+# this share of max|a|: the worst measured case, D2Q9 at order 6 with
+# m = 3, reads 1.3e-7, while a wrong linear part misses by far more
+RESIDUAL_LIMIT = 1e-6
 
 # singular-value ratio below which the enlarged system counts as singular,
 # i.e. as evidence that a closed PDE links the derivative columns
@@ -206,6 +217,13 @@ def _probe_index(points, width: int):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
+    """Probes, test densities and the derivative windows around the probes.
+
+    extra_probes builds the workspace of the time-augmented system: more
+    probe rows than columns, and no linear part, so its windows hold the
+    probes alone (u = 0).
+    """
+
     def __init__(self, cfg: NceTrainConfig, params: LbmParams,
                  extra_probes: bool = False):
         test_dx = cfg.test_length / cfg.test_cells
@@ -222,17 +240,27 @@ class _Workspace:
         self.probe_points = points
         self.probe_ix = _probe_index(points, buffer_width(cfg))
         self.densities = test_density_profiles(cfg, dimension)
-        self.derivative_fields = []
-        blocks = []
-        for rho in self.densities:
-            fields = {
-                spec: spatial_derivative(rho, spec, params.dx)
-                for spec in self.specs
-            }
-            self.derivative_fields.append(fields)
-            blocks.append(np.column_stack(
-                [fields[spec][self.probe_ix] for spec in self.specs]))
-        self.block = np.vstack(blocks)
+        # offsets u, one row per axis: |u| <= m+1 per axis, beyond which the
+        # impulse responses of _linear_part vanish, or u = 0 alone for the
+        # augmented system, which takes no linear part
+        reach = 0 if extra_probes else cfg.m + 1
+        self.offsets = np.array(list(product(range(-reach, reach + 1),
+                                             repeat=dimension))).T
+        window = tuple(ix[:, None] - off
+                       for ix, off in zip(self.probe_ix, self.offsets))
+        # windows[d, t, p, u] = D_T rho_d(p - u): the only derivative
+        # values the probe system reads, evaluated nowhere else.  The
+        # densities are stacked along a leading axis that no term derives.
+        stack = np.stack(self.densities)
+        d_ix = np.arange(len(stack)).reshape(-1, 1, 1)
+        self.windows = np.array([
+            derivative_at(stack, DerivSpec((0,) + spec.orders), params.dx,
+                          (d_ix,) + window)
+            for spec in self.specs]).transpose(1, 0, 2, 3)
+        # the block is the u = 0 slice, one row per (density, probe)
+        centre = self.offsets.shape[1] // 2
+        self.block = self.windows[..., centre].transpose(0, 2, 1).reshape(
+            -1, len(self.specs))
         if not np.abs(self.block).max(axis=0).all():
             raise ValueError(
                 "a derivative column vanishes at every probe; "
@@ -271,11 +299,14 @@ class _Workspace:
 
     def make_system(self, block=None,
                     has_time_column: bool = False) -> LinearLiftSystem:
-        block = self.block if block is None else block
+        if block is None:
+            block, condition = self.block, self.condition
+        else:
+            condition = float(np.linalg.cond(block))
         return LinearLiftSystem(
             block=block,
             specs=self.specs,
-            condition=float(np.linalg.cond(block)),
+            condition=condition,
             has_time_column=has_time_column,
         )
 
@@ -308,7 +339,8 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
 
     H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0 with h0 = H(0)
     and M from _linear_part; a closing evaluation gives `residual` =
-    max |a - H(a)|, and iterations is 1.  This costs
+    max |a - H(a)|, refused with a RuntimeError above RESIDUAL_LIMIT
+    max|a|, and iterations is 1.  This costs
     (q + 2 n_densities)(m + 1) LBM steps: q impulse runs for M, and two
     evaluations of H over the test densities, whatever the spatial
     order, production grid or run length.  The coefficients are reusable
@@ -316,12 +348,13 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
-    template = zero_coefficients(params, cfg.spatial_order)
-    # every vector of H(a) sums to zero over the velocities, since the
-    # smoothed state keeps the test density; dropping the round-off of
-    # those sums keeps the trained lift free of mass on rough densities
+    # H(0) lifts the test densities to equilibrium, as an empty coefficient
+    # set does.  Every vector of H(a) sums to zero over the velocities,
+    # since the smoothed state keeps the test density; dropping the
+    # round-off of those sums keeps the trained lift free of mass on rough
+    # densities.
     q = params.vset.q
-    offset = _massless(ws.h_map(template), q)
+    offset = _massless(ws.h_map(LiftCoefficients(params.fingerprint())), q)
     system = np.eye(offset.size) - _massless(_linear_part(ws), q)
     try:
         flat = np.linalg.solve(system, offset)
@@ -329,8 +362,14 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
         raise RuntimeError("singular I - M while training coefficients") from exc
     if not np.all(np.isfinite(flat)):
         raise RuntimeError("coefficient training gave non-finite coefficients")
-    coeffs = template.with_flat(flat)
+    coeffs = zero_coefficients(params, cfg.spatial_order).with_flat(flat)
     residual = float(np.max(np.abs(flat - ws.h_map(coeffs))))
+    scale = float(np.max(np.abs(flat)))
+    if residual > RESIDUAL_LIMIT * scale:
+        raise RuntimeError(
+            f"trained coefficients miss their fixed point: closing residual "
+            f"{residual:.3e} > {RESIDUAL_LIMIT:g} max|a| = "
+            f"{RESIDUAL_LIMIT * scale:.3e}")
     return TrainResult(coeffs, 1, lbm_step_count() - start_steps, residual,
                        ws.make_system())
 
@@ -348,23 +387,16 @@ def _linear_part(ws: _Workspace) -> np.ndarray:
     That map is linear and commutes with periodic shifts, so the column
     at probe p is sum_u G_i(u) D_T rho(p - u), G_i from
     _impulse_responses.  G_i vanishes beyond m+1 cells per axis and the
-    probes sit m+3 cells inside the test domain, so each window is a
-    plain gather from the derivative fields.
+    probes sit m+3 cells inside the test domain, so the windows that
+    _Workspace evaluates are all the derivative values M needs.
     """
-    reach = ws.cfg.m + 1
-    offsets = np.array(list(product(range(-reach, reach + 1),
-                                    repeat=len(ws.probe_ix)))).T
     # kernels[i, j, u]: velocity j of G_i at offset u
-    kernels = np.array([g[(slice(None),) + tuple(offsets)]
+    kernels = np.array([g[(slice(None),) + tuple(ws.offsets)]
                         for g in _impulse_responses(ws)])
-    window = tuple(ix[:, None] - off for ix, off in zip(ws.probe_ix, offsets))
-    # windows[d, t, p, u] = D_T rho_d(p - u)
-    windows = np.array([[fields[spec][window] for spec in ws.specs]
-                        for fields in ws.derivative_fields])
     # rows[d, p, j, t, i]; summed over u term by term, so the order of the
     # sum is fixed whatever the array layout or BLAS build
     rows = sum(w[:, :, None, :, None] * k[:, None, :]
-               for w, k in zip(windows.transpose(3, 0, 2, 1), kernels.T))
+               for w, k in zip(ws.windows.transpose(3, 0, 2, 1), kernels.T))
     columns = len(ws.specs) * ws.params.vset.q
     return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(columns, -1)
 

@@ -167,13 +167,16 @@ def test_compare_to_reference_stops_at_first_non_finite_density(lifter):
 def ghost_hybrid_step(state, spec):
     """Reference hybrid step whose kernels write only the interior of the
     ghost rim: the np.roll BGK update cropped to it, and FTCS from shifted
-    slices along the split axis (np.roll on the others)."""
+    slices along the split axis (np.roll on the others).  The LBM field is
+    built around state.f_lbm by concatenation, and the returned rim keeps
+    zero ghosts, which the next step never reads."""
     p = spec.split_index
     rho = full_density(state, spec)
     f_lift = spec.lifter.lift(rho, spec.params)
     f_ext = np.concatenate(
         [f_lift[:, p: p + 1], state.f_lbm, f_lift[:, 0:1]], axis=1)
-    f_new = roll_stream_collide(f_ext, spec.params)[:, 1:-1]
+    f_new = np.zeros_like(f_ext)
+    f_new[:, 1:-1] = roll_stream_collide(f_ext, spec.params)[:, 1:-1]
 
     rho_ext = np.concatenate(
         [rho[-1:], state.rho_pde, rho[p + 1: p + 2]], axis=0)
@@ -189,7 +192,7 @@ def ghost_hybrid_step(state, spec):
         a = spec.pde.advection[ax]
         rho_new += nu * (east - 2.0 * mid + west) \
             - (a * dt / (2.0 * dx)) * (east - west)
-    return HybridState(rho_pde=rho_new, f_lbm=f_new, t=state.t + 1)
+    return HybridState(rho_pde=rho_new, f_rim=f_new, t=state.t + 1)
 
 
 def trained_lifter(params, order, m):
@@ -238,5 +241,10 @@ def test_two_d_shapes():
     state = init_hybrid(spec)
     assert state.rho_pde.shape == (15, 30)
     assert state.f_lbm.shape == (9, 15, 30)
+    # the LBM field keeps its two ghost columns; f_lbm is a view inside
+    assert state.f_rim.shape == (9, 17, 30)
+    assert state.f_lbm.base is state.f_rim
     state = hybrid_step(state, spec)
+    assert state.f_rim.shape == (9, 17, 30)
+    assert state.f_lbm.base is state.f_rim
     assert full_density(state, spec).shape == (30, 30)

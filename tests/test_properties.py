@@ -1,4 +1,5 @@
 """Property tests: coefficient text round-trip, mass conservation of every
+lifter, linearity and shift invariance of the stepping kernels and every
 lifter, and refusal of malformed coefficient text.
 
 Examples are derandomized, so every run of the suite draws the same ones.
@@ -15,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 from lblift import (VELOCITY_SETS, CoefficientLifter, CrConfig, CrLifter,
                     EquilibriumLifter, LbmParams, NceTrainConfig,
                     analytic_coefficients, coefficients_from_text,
-                    coefficients_to_text, restrict, train_coefficients)
+                    coefficients_to_text, restrict, stream_collide,
+                    train_coefficients)
+from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
 
 from conftest import benchmark_params
@@ -83,16 +86,21 @@ LIFTERS = {
 densities = st.floats(min_value=0.1, max_value=2.0)
 
 
+def grid_shapes(dimension):
+    """Periodic grid shapes: 8-40 cells in 1D, 5-16 per axis in 2D."""
+    if dimension == 1:
+        return st.tuples(st.integers(8, 40))
+    return st.tuples(st.integers(5, 16), st.integers(5, 16))
+
+
 @pytest.mark.parametrize("label", sorted(LIFTERS))
 def test_every_lifter_conserves_mass(label):
     name, advection, make = LIFTERS[label]
     params = benchmark_params(name, advection=advection)
     lifter = make()
-    sizes = st.integers(8, 40) if params.vset.dimension == 1 \
-        else st.tuples(st.integers(5, 16), st.integers(5, 16))
 
     @PROPERTY
-    @given(sizes.flatmap(lambda shape: arrays(np.float64, shape,
+    @given(grid_shapes(params.vset.dimension).flatmap(lambda shape: arrays(np.float64, shape,
                                               elements=densities)))
     def conserves(rho):
         f = lifter.lift(rho, params)
@@ -100,6 +108,85 @@ def test_every_lifter_conserves_mass(label):
         np.testing.assert_allclose(restrict(f), rho, rtol=0, atol=1e-12)
 
     conserves()
+
+
+def assert_linear_and_shift_invariant(op, draw, lead, shape, elements):
+    """op(a x + b y) = a op(x) + b op(y), and op(roll(x)) = roll(op(x)).
+
+    x and y have `lead` leading axes before the grid axes; op returns one
+    leading axis (the velocities).  Both hold up to round-off: the FFT of
+    the CR solve and the sums of the stencil lift are not exactly
+    distributive."""
+    x, y = (draw(arrays(np.float64, shape, elements=elements))
+            for _ in range(2))
+    a, b = (draw(st.floats(min_value=0.25, max_value=2.0)) for _ in range(2))
+    grid = shape[lead:]
+    shift = tuple(draw(st.integers(-n + 1, n - 1)) for n in grid)
+    fx, fy = op(x), op(y)
+    tol = 1e-12 * max(1.0, np.abs(fx).max(), np.abs(fy).max())
+    np.testing.assert_allclose(op(a * x + b * y), a * fx + b * fy,
+                               rtol=0, atol=8 * tol)
+    rolled = np.roll(x, shift, axis=tuple(range(lead, x.ndim)))
+    expected = np.roll(fx, shift, axis=tuple(range(1, fx.ndim)))
+    np.testing.assert_allclose(op(rolled), expected, rtol=0, atol=tol)
+
+
+# (velocity set, advection) of the stepping kernels' cases
+KERNEL_MODELS = [("D1Q3", (0.66,)), ("D2Q5", ()), ("D2Q9", (1.0, 0.5))]
+signed = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@pytest.mark.parametrize("name,advection", KERNEL_MODELS)
+def test_stream_collide_is_linear_and_shift_invariant(name, advection):
+    params = benchmark_params(name, advection=advection)
+    q = params.vset.q
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        shape = (q,) + data.draw(grid_shapes(params.vset.dimension))
+        assert_linear_and_shift_invariant(
+            lambda f: stream_collide(f, params), data.draw, 1, shape, signed)
+
+    check()
+
+
+@pytest.mark.parametrize("name,advection", KERNEL_MODELS)
+def test_constrained_smooth_is_linear_and_shift_invariant(name, advection):
+    """Linear in the field and the pinned density together: both are
+    packed into one input, the density last."""
+    params = benchmark_params(name, advection=advection)
+    q = params.vset.q
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        shape = (q + 1,) + data.draw(grid_shapes(params.vset.dimension))
+        m = data.draw(st.integers(0, 3))
+        assert_linear_and_shift_invariant(
+            lambda z: constrained_smooth(z[:-1], z[-1], m, params),
+            data.draw, 1, shape, signed)
+
+    check()
+
+
+@pytest.mark.parametrize("label", sorted(LIFTERS))
+def test_every_lifter_is_linear_and_shift_invariant(label):
+    """The impulse-response trainer and the CR transfer kernel rest on
+    this; densities stay positive, as the lifters' inputs do."""
+    name, advection, make = LIFTERS[label]
+    params = benchmark_params(name, advection=advection)
+    lifter = make()
+
+    @PROPERTY
+    @given(st.data())
+    def check(data):
+        shape = data.draw(grid_shapes(params.vset.dimension))
+        assert_linear_and_shift_invariant(
+            lambda rho: lifter.lift(rho, params), data.draw, 0, shape,
+            densities)
+
+    check()
 
 
 def _valid_coefficients():

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lblift import DerivSpec, spatial_derivative, time_derivative_forward
-from lblift.stencil import MAX_TOTAL_ORDER, central_offsets, fd_weights
+from lblift.lifting import expansion_terms
+from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets, derivative_at,
+                            fd_weights)
 
 
 def test_deriv_spec_basics():
@@ -108,6 +110,39 @@ def test_zeroth_total_order_rejected():
 def test_spatial_derivative_dimension_mismatch():
     with pytest.raises(ValueError):
         spatial_derivative(np.zeros(8), DerivSpec((1, 1)), 0.1)
+
+
+@pytest.mark.parametrize("shape", [(9,), (9, 8), (3, 9, 8)],
+                         ids=["1D", "2D", "stacked 2D"])
+def test_derivative_at_is_the_field_at_the_index(shape):
+    """Bit for bit spatial_derivative(...)[index] for every spec up to
+    order 6, at every cell (the wrap reaches all of them on 8-9 cells), at
+    indices one grid length out either way, and on broadcast index
+    arrays.  The stacked case leaves its leading axis underived, as
+    training stacks its test densities."""
+    rho = np.random.default_rng(7).standard_normal(shape)
+    grid = shape[-2:] if len(shape) == 3 else shape
+    specs = expansion_terms(len(grid), MAX_TOTAL_ORDER)
+    if len(shape) == 3:
+        specs = [DerivSpec((0,) + s.orders) for s in specs]
+    every_cell = np.indices(shape).reshape(len(shape), -1)
+    for spec in specs:
+        full = spatial_derivative(rho, spec, 0.05)
+        at = derivative_at(rho, spec, 0.05, tuple(every_cell))
+        assert at.tobytes() == full[tuple(every_cell)].tobytes(), spec
+        shifted = tuple(ix + n * (-1) ** k
+                        for k, (ix, n) in enumerate(zip(every_cell, shape)))
+        at = derivative_at(rho, spec, 0.05, shifted)
+        assert at.tobytes() == full[tuple(every_cell)].tobytes(), spec
+        windows = tuple(np.arange(n)[:, None] if k == 0 else
+                        np.arange(n)[None, :2] for k, n in enumerate(shape))
+        assert np.array_equal(derivative_at(rho, spec, 0.05, windows),
+                              full[tuple(np.broadcast_arrays(*windows))]), spec
+
+
+def test_derivative_at_dimension_mismatch():
+    with pytest.raises(ValueError):
+        derivative_at(np.zeros(8), DerivSpec((1, 1)), 0.1, (np.arange(3),))
 
 
 def test_time_derivative_forward_exact_on_polynomials():

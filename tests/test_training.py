@@ -10,8 +10,10 @@ from lblift import (DerivSpec, LbmParams, NceTrainConfig,
                     restrict, train_coefficients)
 from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
-from lblift.training import (_impulse_responses, _linear_part, _Workspace,
-                             buffer_width, default_probe_positions)
+from lblift.stencil import spatial_derivative
+from lblift import training
+from lblift.training import (RESIDUAL_LIMIT, _impulse_responses, _linear_part,
+                             _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import benchmark_params, gaussian_density
@@ -233,14 +235,17 @@ def test_two_d_step_count():
 
 def field_loop_linear_part(ws):
     """M column by column: smooth e_i D_T rho with density 0 over the
-    whole test grid for every term, velocity and test density."""
+    whole test grid for every term, velocity and test density, the
+    derivative fields taken over the whole grid by spatial_derivative."""
     q = ws.params.vset.q
     columns = list(product(ws.specs, range(q)))
     points = len(ws.probe_points)
     response = np.empty((points * len(ws.densities), q, len(columns)))
     delta = np.zeros((q,) + ws.densities[0].shape)
     zero_density = np.zeros(delta.shape[1:])
-    for d, fields in enumerate(ws.derivative_fields):
+    for d, rho in enumerate(ws.densities):
+        fields = {spec: spatial_derivative(rho, spec, ws.params.dx)
+                  for spec in ws.specs}
         rows = response[d * points:(d + 1) * points]
         for k, (spec, i) in enumerate(columns):
             delta[i] = fields[spec]
@@ -264,6 +269,50 @@ def test_impulse_linear_part_matches_field_loop(name, advection, r, m):
     reference = field_loop_linear_part(ws)
     gap = np.abs(_linear_part(ws) - reference).max()
     assert gap <= 1e-10 * np.abs(reference).max(), gap
+
+
+@pytest.mark.parametrize("name,r,m,extra", [
+    ("D1Q3", 6, 3, False), ("D1Q3", 6, 3, True), ("D2Q9", 4, 1, False),
+    ("D2Q9", 4, 1, True)])
+def test_workspace_windows_are_the_full_fields(name, r, m, extra):
+    """windows[d, t, p, u] = D_T rho_d(p - u) bit for bit against
+    spatial_derivative over the whole test grid, for |u| <= m+1 per axis
+    (u = 0 alone for the augmentation's extra probes); the block is the
+    u = 0 slice, and make_system reports the workspace's condition."""
+    p = benchmark_params(name)
+    ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p,
+                    extra_probes=extra)
+    reach = 0 if extra else m + 1
+    offsets = list(product(range(-reach, reach + 1), repeat=p.vset.dimension))
+    assert ws.windows.shape == (len(ws.densities), len(ws.specs),
+                                len(ws.probe_points), len(offsets))
+    for d, rho in enumerate(ws.densities):
+        for t, spec in enumerate(ws.specs):
+            field = spatial_derivative(rho, spec, p.dx)
+            for k, u in enumerate(offsets):
+                shifted = tuple(ix - off for ix, off in zip(ws.probe_ix, u))
+                assert ws.windows[d, t, :, k].tobytes() \
+                    == field[shifted].tobytes(), (d, spec, u)
+    block = np.vstack([np.column_stack(
+        [spatial_derivative(rho, spec, p.dx)[ws.probe_ix]
+         for spec in ws.specs]) for rho in ws.densities])
+    assert ws.block.tobytes() == block.tobytes()
+    assert ws.make_system().condition == ws.condition \
+        == float(np.linalg.cond(block))
+
+
+def test_training_refuses_a_missed_fixed_point(monkeypatch):
+    """A wrong linear part leaves a closing residual far above
+    RESIDUAL_LIMIT max|a|, and training raises instead of returning."""
+    p = benchmark_params("D1Q3")
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    result = train_coefficients(cfg, p)
+    scale = np.abs(result.coefficients.flatten()).max()
+    assert result.residual <= 1e-3 * RESIDUAL_LIMIT * scale
+    monkeypatch.setattr(training, "_linear_part",
+                        lambda ws: 0.9 * _linear_part(ws))
+    with pytest.raises(RuntimeError, match="miss their fixed point"):
+        train_coefficients(cfg, p)
 
 
 @pytest.mark.parametrize("name,m", [("D1Q3", 0), ("D1Q3", 3), ("D2Q9", 1)])
