@@ -3,11 +3,11 @@
 Trained coefficients pay a one-time training bill on a tiny test grid
 and lift for free afterwards.  Constrained runs pay per application:
 every lift burns m+1 LBM steps on its closing constrained run, which
-checks the fixed point.  The first lift pays 3(m+1) more for three
-unit-impulse probes, one in the density and one per fast moment (the
-map is linear and shift-invariant, so the impulse responses give its
-whole transfer kernel); the lifter keeps that kernel for later lifts on
-the same grid.  The table meters both in a 200-step 1D hybrid run (the
+checks the fixed point.  The first lift pays q(m+1) more for q
+unit-impulse probes, one per velocity, 3(m+1) for D1Q3 (the map is
+linear and shift-invariant, so the impulse responses give its whole
+transfer kernel); the lifter keeps that kernel for later lifts on the
+same grid shape.  The table meters both in a 200-step 1D hybrid run (the
 LBM half's own updates are the model, not overhead, and are excluded).
 """
 

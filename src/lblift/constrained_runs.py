@@ -1,22 +1,24 @@
 """Constrained-runs lifting.
 
-Slaves the non-conserved moments of a distribution field to a given
-density by stepping the LBM while pinning the density, then
-extrapolating the evolved state backward in time.  The m-th order scheme
-damps the (m+1)-th time difference of the fast moments, so m = 0 keeps
-them constant, m = 1 linear, and so on.
+Slaves the non-density part of a distribution field to a given density
+by stepping the LBM while pinning the density, then extrapolating the
+evolved state backward in time.  The m-th order scheme damps the
+(m+1)-th time difference of the distributions, so m = 0 keeps them
+constant, m = 1 linear, and so on.
 
-That map is linear in the density and the fast moments together, so its
-fixed point is the solution of one linear system.  On a periodic grid
-both parts commute with shifts and do not depend on the density: three
-unit impulses at one cell give all of them, and an FFT turns the fixed
-point into one transfer function per wavenumber, the fast moments being
-that transfer times the density's spectrum.  cr_kernel probes it once
-per grid size and model, for 3(m+1) LBM steps; each lift then pays only
-its closing constrained run, m+1 LBM steps, which checks the fixed
-point.  The solver works on full periodic density fields; the D1Q3
-moment-space interface matches the (rho, phi, xi) transform of the
-lattice module.
+The unknowns are the q-1 non-rest components of f; the rest component
+is the density minus their sum, the direction that reset_density
+corrects.  The map is linear in the density and those components
+together, so its fixed point is the solution of one linear system.  On
+a periodic grid the map commutes with shifts and does not depend on the
+density: the q impulse responses of the smoothing (impulse_responses,
+which training probes as well) hold all of it, and an FFT over every
+grid axis turns the fixed point into one transfer per wavenumber, the
+components being that transfer times the density's spectrum.  cr_kernel
+probes it once per grid shape and model, for q(m+1) LBM steps; each
+lift then pays only its closing constrained run, m+1 LBM steps, which
+checks the fixed point.  The solver works on full periodic density
+fields of every velocity set.
 """
 
 from __future__ import annotations
@@ -26,15 +28,8 @@ from math import comb
 
 import numpy as np
 
-from .lattice import (
-    LbmParams,
-    Moments,
-    finite_density,
-    from_moments,
-    moments,
-    reset_density,
-    stream_collide,
-)
+from .lattice import (LbmParams, _rest_index, finite_density, reset_density,
+                      stream_collide)
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     difference at t = 0; since the weights sum to 1 this is an affine
     combination.  The density of the extrapolated field is then reset to
     rho0 (the reset only touches the rest direction, so the extrapolated
-    fast moments are kept exactly).  Resetting the density after every
+    non-rest components are kept exactly).  Resetting the density after every
     step instead would hand every m the m = 0 fixed point: a state that
     is invariant under one constrained step is invariant under any
     binomial combination of them, and the m >= 1 benchmark errors never
@@ -101,57 +96,78 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     return reset_density(out, rho0)
 
 
+def impulse_responses(shape: tuple, m: int, params: LbmParams):
+    """Yield R_i = constrained_smooth(e_i delta_0, 0) on a periodic grid of
+    the given shape, as (velocity, grid), for i < q: one run of m+1 LBM
+    steps each.  That smoothing is linear and shift-invariant, so these q
+    responses hold all of it.  The impulse sits at cell 0, so offset u is
+    at index u, wrapped."""
+    q = params.vset.q
+    for i in range(q):
+        impulse = np.zeros((q,) + shape)
+        impulse[(i,) + (0,) * len(shape)] = 1.0
+        yield constrained_smooth(impulse, np.zeros(shape), m, params)
+
+
+def _distributions(rho0: np.ndarray, v: np.ndarray, rest: int) -> np.ndarray:
+    """f with non-rest components v and density rho0."""
+    return np.concatenate((v[:rest], (rho0 - v.sum(axis=0))[None], v[rest:]))
+
+
+def _non_rest(f: np.ndarray, rest: int) -> np.ndarray:
+    """The q-1 non-rest components of f."""
+    return np.concatenate((f[:rest], f[rest + 1:]))
+
+
 def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
            params: LbmParams) -> np.ndarray:
-    """One application of the constrained-runs map on D1Q3 moments.
+    """One application of the constrained-runs map.
 
-    v stacks the fast moments (phi, xi) as shape (2, n).  The map builds
-    f from (rho0, v), applies constrained_smooth and returns the fast
-    moments of the smoothed field.
+    v stacks the q-1 non-rest components of f, shape (q-1,) + grid.  The
+    map builds f from (rho0, v), applies constrained_smooth and returns
+    the non-rest components of the smoothed field.
     """
-    if params.vset.q != 3:
-        raise ValueError("constrained-runs moments are defined for D1Q3")
-    rho0 = np.asarray(rho0, dtype=float)
-    v = np.asarray(v, dtype=float)
-    f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
-    g = constrained_smooth(f, rho0, config.m, params)
-    mg = moments(g)
-    return np.stack([mg.phi, mg.xi])
+    rest = _rest_index(params.vset.q)
+    g = constrained_smooth(_distributions(rho0, v, rest), rho0, config.m,
+                           params)
+    return _non_rest(g, rest)
 
 
-def cr_density(rho0: np.ndarray) -> np.ndarray:
-    """rho0 as a float array; a ValueError unless it is finite and 1D."""
+def cr_density(rho0: np.ndarray, params: LbmParams) -> np.ndarray:
+    """rho0 as a float array; a ValueError unless it is finite and has the
+    rank of the velocity set."""
     rho0 = finite_density(rho0)
-    if rho0.ndim != 1:
+    if rho0.ndim != params.vset.dimension:
         raise ValueError(
-            f"density rank {rho0.ndim}: constrained runs lift 1D D1Q3 fields")
+            f"density rank {rho0.ndim} does not match {params.vset.name}")
     return rho0
 
 
-def cr_kernel(n: int, config: CrConfig, params: LbmParams) -> np.ndarray:
-    """Per-wavenumber transfer G(k) = J(k)^-1 A(k) of the cr_map fixed point.
+def cr_kernel(shape: tuple, config: CrConfig,
+              params: LbmParams) -> np.ndarray:
+    """Per-wavenumber transfer G = (I - B)^-1 A of the cr_map fixed point.
 
     cr_map(rho0, v) = A rho0 + B v is linear in both arguments and
     commutes with periodic shifts, so the fixed point v = cr_map(rho0, v)
-    is v = J^-1 A rho0 with J = I - B, a convolution of rho0.  Three unit
-    impulses at cell 0 hold all of it: the density response cr_map(d, 0)
-    is the column of A, and e_j - cr_map(0, e_j), for an impulse in fast
-    moment j, is block column j of J.  An FFT along the grid splits J into
-    one 2x2 block per wavenumber (the Fourier view of the linear BGK
-    operator) and A into one 2-vector; each block is solved against its
-    vector here, once.  G is returned read-only, complex, with shape
-    (n, 2); three map evaluations, 3(m+1) LBM steps.
+    is v = (I - B)^-1 A rho0, a convolution of rho0.  The q responses R_i
+    of impulse_responses hold all of it: on the non-rest rows, A is the
+    response R_rest to the density, and column j of B is R_j - R_rest,
+    since raising component j lowers the rest one.  An FFT over every
+    grid axis splits I - B into one (q-1)x(q-1) block per wavenumber and
+    A into one (q-1)-vector; each block is solved against its vector
+    here, once.  G is returned read-only and complex, stacked like the
+    unknowns: shape (q-1,) + shape.  q probes, q(m+1) LBM steps.
     """
-    delta = np.zeros(n)
-    delta[0] = 1.0
-    density = cr_map(delta, np.zeros((2, n)), config, params)
-    jacobian = np.empty((2, 2, n))      # (response moment, impulse, cell)
-    for j in range(2):
-        impulse = np.zeros((2, n))
-        impulse[j, 0] = 1.0
-        jacobian[:, j] = impulse - cr_map(np.zeros(n), impulse, config, params)
-    blocks = np.moveaxis(np.fft.fft(jacobian), -1, 0)
-    transfer = np.linalg.solve(blocks, np.fft.fft(density).T[..., None])[..., 0]
+    rest = _rest_index(params.vset.q)
+    axes = tuple(range(1, len(shape) + 1))
+    # spectra[i][k, r]: row r of R_i at wavenumber k
+    spectra = [np.moveaxis(np.fft.fftn(_non_rest(g, rest), axes=axes), 0, -1)
+               for g in impulse_responses(shape, config.m, params)]
+    density = spectra.pop(rest)
+    blocks = np.eye(len(spectra)) - (np.stack(spectra, axis=-1)
+                                     - density[..., None])
+    transfer = np.linalg.solve(blocks, density[..., None])[..., 0]
+    transfer = np.ascontiguousarray(np.moveaxis(transfer, -1, 0))
     transfer.flags.writeable = False
     return transfer
 
@@ -160,29 +176,33 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
             kernel: np.ndarray | None = None) -> CrResult:
     """Lift a periodic density field to distribution functions.
 
-    Solves v = cr_map(rho0, v) in Fourier space: the fast moments are
-    v = ifft(G fft(rho0)), with G the transfer of cr_kernel.  kernel takes
-    G from an earlier cr_kernel call on the same grid size, config and
-    model; without it the lift probes G itself.  A closing constrained run
-    gives the residual max|v - cr_map(rho0, v)|, and converged = residual
-    <= tol, so a kernel of another model is caught; a lift that misses tol
-    is returned rather than raised, so callers can inspect it.  iterations
-    is 1, the one FFT filter; lbm_steps is m+1 with a kernel and 4(m+1)
-    without, one or four map evaluations.  A non-finite density (the
-    ValueError names its first bad cell) or one that is not 1D is refused
-    before any LBM step, and so is a kernel that is not (n, 2).
+    Solves v = cr_map(rho0, v) in Fourier space: the non-rest components
+    are v = ifftn(G fftn(rho0)), with G the transfer of cr_kernel.  kernel
+    takes G from an earlier cr_kernel call on the same grid shape, config
+    and model; without it the lift probes G itself.  A closing constrained
+    run gives the residual max|v - cr_map(rho0, v)|, and converged =
+    residual <= tol, so a kernel of another model is caught; a lift that
+    misses tol is returned rather than raised, so callers can inspect it.
+    iterations is 1, the one FFT filter; lbm_steps is m+1 with a kernel
+    and (q+1)(m+1) without, the closing run plus q probes.  A non-finite
+    density (the ValueError names its first bad cell) or one whose rank is
+    not the velocity set's is refused before any LBM step, and so is a
+    kernel that does not fit the grid.
     """
-    rho0 = cr_density(rho0)
-    n = rho0.size
-    evaluations = 1
+    rho0 = cr_density(rho0, params)
+    q = params.vset.q
+    runs = 1
     if kernel is None:
-        kernel = cr_kernel(n, config, params)
-        evaluations = 4
-    elif kernel.shape != (n, 2):
+        kernel = cr_kernel(rho0.shape, config, params)
+        runs += q
+    elif kernel.shape != (q - 1,) + rho0.shape:
+        cells = " x ".join(str(n) for n in rho0.shape)
         raise ValueError(
-            f"kernel of shape {kernel.shape} does not fit {n} cells")
-    v = np.fft.ifft(kernel.T * np.fft.fft(rho0)).real
+            f"kernel of shape {kernel.shape} does not fit {cells} cells")
+    # an explicit s skips numpy's shape inference, as slow as a 1D FFT
+    v = np.fft.ifftn(kernel * np.fft.fftn(rho0), s=rho0.shape,
+                     axes=tuple(range(1, rho0.ndim + 1))).real
     residual = float(np.max(np.abs(v - cr_map(rho0, v, config, params))))
-    f = from_moments(Moments(rho=rho0, phi=v[0], xi=v[1]))
-    return CrResult(f, 1, evaluations * (config.m + 1), residual,
+    f = _distributions(rho0, v, _rest_index(q))
+    return CrResult(f, 1, runs * (config.m + 1), residual,
                     residual <= config.tol)

@@ -1,11 +1,13 @@
 """Core lattice Boltzmann (BGK) machinery.
 
-Velocity sets, equilibria, the stream-collide update and the moment maps
-used by the lifting operators.  Distribution fields are plain numpy arrays
-with the velocity index leading: shape (q, n) in 1D and (q, nx, ny) in 2D.
-Density fields drop the leading axis.  The update is periodic on every
-axis; a subdomain fed through ghost cells (the hybrid) updates its rimmed
-field periodically and keeps the interior, which the wrap never reaches.
+Velocity sets, equilibria, the stream-collide update and the density
+reset of the lifting operators.  The D1Q3 moment transform serves the
+moment round-trip check (criterion 1); no lifting operator uses it.
+Distribution fields are plain numpy arrays with the velocity index
+leading: shape (q, n) in 1D and (q, nx, ny) in 2D.  Density fields drop
+the leading axis.  The update is periodic on every axis; a subdomain fed
+through ghost cells (the hybrid) updates its rimmed field periodically
+and keeps the interior, which the wrap never reaches.
 
 The D1Q3 moment transform follows the (f_1, f_0, f_-1) ordering with
 dimensionless lattice velocities c_i in {+1, 0, -1}:

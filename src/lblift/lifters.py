@@ -44,15 +44,15 @@ class CoefficientLifter:
 
 @dataclass
 class CrLifter:
-    """Constrained-runs lift: solves for the missing moments on the fly.
+    """Constrained-runs lift: solves for the non-rest components on the fly.
 
     Unlike the coefficient routes this pays LBM steps at every
     application, which is what the cost accounting is designed to show:
     m+1 per lift, the closing constrained run that checks the fixed point,
-    plus a one-off 3(m+1) the first time a grid size and model come up, to
-    probe the transfer kernel of the solve (cr_kernel).  The kernels live
-    on the instance, so a fresh lifter pays its probes again.  A lift whose
-    closing residual misses tol raises a RuntimeError.
+    plus a one-off q(m+1) the first time a grid shape and model come up,
+    for the q probes of the transfer kernel of the solve (cr_kernel).  The
+    kernels live on the instance, so a fresh lifter pays its probes again.
+    A lift whose closing residual misses tol raises a RuntimeError.
     """
 
     config: CrConfig
@@ -61,10 +61,10 @@ class CrLifter:
                            compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        rho = cr_density(rho)
-        key = (rho.size, params, self.config)
+        rho = cr_density(rho, params)
+        key = (rho.shape, params, self.config)
         if key not in self._kernels:
-            self._kernels[key] = cr_kernel(rho.size, self.config, params)
+            self._kernels[key] = cr_kernel(rho.shape, self.config, params)
         result = cr_lift(rho, self.config, params, kernel=self._kernels[key])
         if not result.converged:
             raise RuntimeError(

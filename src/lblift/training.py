@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .constrained_runs import constrained_smooth
+from .constrained_runs import constrained_smooth, impulse_responses
 from .lattice import LbmParams, equilibrium, lbm_step_count, restrict, stream_collide
 from .lifting import (
     LiftCoefficients,
@@ -386,30 +386,20 @@ def _linear_part(ws: _Workspace) -> np.ndarray:
 
     That map is linear and commutes with periodic shifts, so the column
     at probe p is sum_u G_i(u) D_T rho(p - u), G_i from
-    _impulse_responses.  G_i vanishes beyond m+1 cells per axis and the
+    impulse_responses.  G_i vanishes beyond m+1 cells per axis and the
     probes sit m+3 cells inside the test domain, so the windows that
     _Workspace evaluates are all the derivative values M needs.
     """
     # kernels[i, j, u]: velocity j of G_i at offset u
     kernels = np.array([g[(slice(None),) + tuple(ws.offsets)]
-                        for g in _impulse_responses(ws)])
+                        for g in impulse_responses(ws.densities[0].shape,
+                                                   ws.cfg.m, ws.params)])
     # rows[d, p, j, t, i]; summed over u term by term, so the order of the
     # sum is fixed whatever the array layout or BLAS build
     rows = sum(w[:, :, None, :, None] * k[:, None, :]
                for w, k in zip(ws.windows.transpose(3, 0, 2, 1), kernels.T))
     columns = len(ws.specs) * ws.params.vset.q
     return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(columns, -1)
-
-
-def _impulse_responses(ws: _Workspace):
-    """Yield G_i = constrained_smooth(e_i delta_0, 0) on the test grid, as
-    (velocity, grid), for i < q: one run of m+1 LBM steps each.  The
-    impulse sits at cell 0, so offset u is at index u, wrapped."""
-    q, shape = ws.params.vset.q, ws.densities[0].shape
-    for i in range(q):
-        impulse = np.zeros((q,) + shape)
-        impulse[(i,) + (0,) * len(shape)] = 1.0
-        yield constrained_smooth(impulse, np.zeros(shape), ws.cfg.m, ws.params)
 
 
 # ---------------------------------------------------------------------------

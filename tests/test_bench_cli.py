@@ -49,17 +49,6 @@ def test_parse_config_names_the_line_of_a_refused_value():
         parse_config("lifter = magic\n", kind="hybrid")
 
 
-def test_parse_config_names_both_lines_of_a_refused_pair():
-    """lifter = cr with a 2D velocity set is refused on both keys, so both
-    config lines are named, in file order."""
-    with pytest.raises(ValueError, match=r"^config lines 1 and 4: lifter = cr"
-                                         r" needs velocity_set = D1Q3"):
-        parse_config("velocity_set = D2Q9\nkind = cost_table\nm = 1\n"
-                     "lifter = cr\n")
-    with pytest.raises(ValueError, match=r"^config lines 1 and 2: lifter = cr"):
-        parse_config("lifter = cr\nvelocity_set = D2Q5\n", kind="hybrid")
-
-
 def test_parse_config_kind_from_command():
     cfg = parse_config("velocity_set = D1Q3\n", kind="train_only")
     assert cfg.kind == "train_only"
@@ -84,16 +73,24 @@ def test_experiment_config_validation():
                             reference_steps=0).reference_steps == 0
 
 
-def test_cr_lifter_refused_for_two_d_sets():
-    """CR is a D1Q3 moment-space solver: a 2D set is refused when the
-    config is built, before any reference run."""
-    for name in ("D2Q5", "D2Q9"):
-        with pytest.raises(ValueError, match=f"needs velocity_set = D1Q3.*"
-                                             f"{name}"):
-            ExperimentConfig(kind="hybrid", lifter="cr", velocity_set=name)
-    with pytest.raises(ValueError, match="needs velocity_set = D1Q3"):
-        parse_config("kind = cost_table\nlifter = cr\nvelocity_set = D2Q9\n")
-    assert ExperimentConfig(kind="hybrid", lifter="cr").velocity_set == "D1Q3"
+def test_cr_lift_bench_on_a_two_d_set(tmp_path):
+    """lifter = cr runs on D2Q9 from a config file: one settling run, one
+    kernel probe of q(m+1) steps and one closing run of m+1, and a lift
+    error far below the equilibrium lift's."""
+    text = ("kind = lift_bench\nvelocity_set = D2Q9\ncells = 32\n"
+            "m = 2\nreference_steps = 300\n")
+    errors = {}
+    for lifter in ("cr", "equilibrium"):
+        cfg = parse_config(text + f"lifter = {lifter}\n")
+        before = lbm_step_count()
+        run_experiment(cfg, tmp_path / lifter)
+        lift_steps = lbm_step_count() - before - cfg.reference_steps
+        assert lift_steps == (10 * 3 if lifter == "cr" else 0)
+        header, row = (tmp_path / lifter / "lift_bench.csv").read_text() \
+            .splitlines()
+        errors[lifter] = float(row.split(",")[-1])
+    assert row.startswith("equilibrium,D2Q9,")
+    assert errors["cr"] < 1e-4 * errors["equilibrium"], errors
 
 
 def test_defaults_match_benchmark_models():

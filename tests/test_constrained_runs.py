@@ -6,7 +6,7 @@ from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
                     compare_to_reference, constrained_smooth, cr_kernel,
                     cr_lift, cr_map, equilibrium, from_moments,
                     lbm_step_count, moments, restrict, run_lbm)
-from lblift.constrained_runs import extrapolation_weights
+from lblift.constrained_runs import extrapolation_weights, impulse_responses
 
 from conftest import benchmark_params, gaussian_density
 
@@ -37,11 +37,15 @@ def test_constrained_smooth_pins_density():
 
 
 def test_cr_map_shapes():
+    """cr_map takes and returns the q-1 non-rest components."""
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p, cells=30)
     v = np.zeros((2, 30))
     out = cr_map(rho, v, CrConfig(m=1), p)
     assert out.shape == (2, 30)
+    p = benchmark_params("D2Q9")
+    out = cr_map(np.ones((7, 5)), np.zeros((8, 7, 5)), CrConfig(m=1), p)
+    assert out.shape == (8, 7, 5)
 
 
 def test_uniform_density_lifts_to_equilibrium():
@@ -75,24 +79,49 @@ def test_cr_lift_preserves_density_exactly():
     assert_allclose(restrict(res.f), rho, rtol=1e-13)
 
 
-def dense_reference_lift(rho, m, params):
-    """The fixed point of cr_map from a dense Jacobian: one unit probe per
-    column, then one solve."""
-    config = CrConfig(m=m)
-    eq = moments(equilibrium(rho, params))
-    v0 = np.concatenate([eq.phi, eq.xi])
+def dense_fixed_point(step, v0):
+    """v = step(v) for an affine step, from a dense Jacobian of
+    v - step(v) around v0: one unit probe per unknown, then one solve."""
+    shape = v0.shape
 
     def residual(v):
-        return v - cr_map(rho, v.reshape(2, -1), config, params).ravel()
+        return v - step(v.reshape(shape)).ravel()
 
+    v0 = v0.ravel()
     r0 = residual(v0)
     jac = np.empty((v0.size, v0.size))
     for col in range(v0.size):
         probe = v0.copy()
         probe[col] += 1.0
         jac[:, col] = residual(probe) - r0
-    v = (v0 - np.linalg.solve(jac, r0)).reshape(2, -1)
+    return (v0 - np.linalg.solve(jac, r0)).reshape(shape)
+
+
+def dense_reference_lift(rho, m, params):
+    """The D1Q3 constrained-runs fixed point in moment space: the fast
+    moments (phi, xi) are the unknowns, so this reference shares no
+    unknowns with cr_map's f-space components."""
+    def moment_map(v):
+        f = from_moments(Moments(rho=rho, phi=v[0], xi=v[1]))
+        g = moments(constrained_smooth(f, rho, m, params))
+        return np.stack([g.phi, g.xi])
+
+    eq = moments(equilibrium(rho, params))
+    v = dense_fixed_point(moment_map, np.stack([eq.phi, eq.xi]))
     return from_moments(Moments(rho=rho, phi=v[0], xi=v[1]))
+
+
+def dense_f_space_lift(rho, m, params):
+    """The constrained-runs fixed point of a 2D set, which keeps its rest
+    direction first: the unknowns are components 1..q-1, and component 0
+    is the density minus their sum."""
+    def f_of(v):
+        return np.concatenate([(rho - v.sum(axis=0))[None], v])
+
+    def f_space_map(v):
+        return constrained_smooth(f_of(v), rho, m, params)[1:]
+
+    return f_of(dense_fixed_point(f_space_map, equilibrium(rho, params)[1:]))
 
 
 def test_cr_lift_matches_dense_reference():
@@ -113,7 +142,7 @@ def test_cr_lift_matches_dense_reference():
                 assert_allclose(res.f, dense_reference_lift(rho, m, p),
                                 rtol=0, atol=1e-12,
                                 err_msg=f"a={advection} m={m} n={cells}")
-                kernel = cr_kernel(cells, CrConfig(m=m), p)
+                kernel = cr_kernel((cells,), CrConfig(m=m), p)
                 for _ in range(2):
                     rho = 1.0 + 0.5 * rng.uniform(size=cells)
                     res = cr_lift(rho, CrConfig(m=m), p, kernel=kernel)
@@ -122,6 +151,38 @@ def test_cr_lift_matches_dense_reference():
                                     rtol=0, atol=1e-12,
                                     err_msg=f"reused a={advection} m={m} "
                                             f"n={cells}")
+
+
+def test_two_d_cr_lift_matches_dense_f_space_reference():
+    """On a 7x7 grid, D2Q5 and advective D2Q9 lifts give the dense
+    f-space fixed point for every m, and a probed kernel serves a later
+    density of that grid."""
+    rng = np.random.default_rng(3)
+    for name, advection in (("D2Q5", ()), ("D2Q9", (1.0, 0.5))):
+        p = benchmark_params(name, advection=advection)
+        for m in range(4):
+            kernel = cr_kernel((7, 7), CrConfig(m=m), p)
+            for given in (None, kernel):
+                rho = 1.0 + 0.5 * rng.uniform(size=(7, 7))
+                res = cr_lift(rho, CrConfig(m=m), p, kernel=given)
+                assert res.converged, (name, m, res.residual)
+                assert_allclose(res.f, dense_f_space_lift(rho, m, p),
+                                rtol=0, atol=1e-12, err_msg=f"{name} m={m}")
+
+
+def test_two_d_cr_lift_improves_with_m():
+    """Against a settled 64x64 state (1,000 free steps), the D2Q5 and
+    D2Q9 lift errors fall strictly with m, and every closing residual
+    meets tol."""
+    for name in ("D2Q5", "D2Q9"):
+        p = benchmark_params(name)
+        f_ref = run_lbm(equilibrium(gaussian_density(p, 64), p), p, 1000)
+        errs = []
+        for m in range(4):
+            res = cr_lift(restrict(f_ref), CrConfig(m=m), p)
+            assert res.converged, (name, m, res.residual)
+            errs.append(np.abs(res.f - f_ref).max())
+        assert errs[0] > errs[1] > errs[2] > errs[3], (name, errs)
 
 
 def test_nonconvergence_reported_not_raised():
@@ -159,35 +220,38 @@ def test_cr_lift_rejects_non_finite_density():
 def test_cr_lift_refuses_a_kernel_of_another_grid():
     p = benchmark_params("D1Q3")
     config = CrConfig(m=1)
-    kernel = cr_kernel(13, config, p)
+    kernel = cr_kernel((13,), config, p)
     before = lbm_step_count()
-    with pytest.raises(ValueError, match=r"\(13, 2\) does not fit 40"):
+    with pytest.raises(ValueError, match=r"\(2, 13\) does not fit 40 cells"):
         cr_lift(gaussian_density(p, cells=40), config, p, kernel=kernel)
     assert lbm_step_count() == before
 
 
 def test_step_accounting_scales_with_m():
     """A lift makes one map evaluation of m+1 LBM steps, the closing
-    residual, and the kernel probe three more, one unit impulse in the
-    density and one per fast moment: 4(m+1) without a kernel, m+1 with
-    one.  The kernel is the read-only complex transfer, one 2-vector per
-    wavenumber.  lbm_steps reports exactly the stream_collide calls
-    made."""
-    p = benchmark_params("D1Q3")
-    rho = gaussian_density(p, cells=40)
-    for m in range(4):
-        config = CrConfig(m=m)
-        before = lbm_step_count()
-        kernel = cr_kernel(40, config, p)
-        assert lbm_step_count() - before == 3 * (m + 1)
-        assert kernel.shape == (40, 2) and kernel.dtype == complex
-        assert not kernel.flags.writeable
-        for given, evaluations in ((None, 4), (kernel, 1)):
+    residual, and the kernel probe q more, one unit impulse per velocity:
+    (q+1)(m+1) without a kernel, m+1 with one.  The kernel is the
+    read-only complex transfer, one (q-1)-vector per wavenumber, stacked
+    like the non-rest components.  lbm_steps reports exactly the
+    stream_collide calls made."""
+    rng = np.random.default_rng(5)
+    for name, shape in (("D1Q3", (40,)), ("D2Q9", (6, 5))):
+        p = benchmark_params(name)
+        q = p.vset.q
+        rho = 1.0 + rng.uniform(size=shape)
+        for m in range(4):
+            config = CrConfig(m=m)
             before = lbm_step_count()
-            res = cr_lift(rho, config, p, kernel=given)
-            assert res.converged
-            assert res.lbm_steps == evaluations * (m + 1)
-            assert lbm_step_count() - before == res.lbm_steps
+            kernel = cr_kernel(shape, config, p)
+            assert lbm_step_count() - before == q * (m + 1)
+            assert kernel.shape == (q - 1,) + shape
+            assert kernel.dtype == complex and not kernel.flags.writeable
+            for given, evaluations in ((None, q + 1), (kernel, 1)):
+                before = lbm_step_count()
+                res = cr_lift(rho, config, p, kernel=given)
+                assert res.converged
+                assert res.lbm_steps == evaluations * (m + 1)
+                assert lbm_step_count() - before == res.lbm_steps
 
 
 def test_cr_lifter_probes_once_per_grid_and_model():
@@ -221,6 +285,47 @@ def test_cr_lifter_probes_once_per_grid_and_model():
         assert lbm_step_count() - before == 4 * (m + 1)
 
 
+def test_cr_lifter_keys_kernels_by_grid_shape():
+    """A 10x20 and a 20x10 grid have as many cells but not one kernel:
+    each probes its own, and each later lift pays its closing run alone.
+    A density of the wrong rank is refused before any LBM step."""
+    p = benchmark_params("D2Q5")
+    config = CrConfig(m=1)
+    lifter = CrLifter(config)
+    rng = np.random.default_rng(2)
+    for shape, probes in (((10, 20), True), ((20, 10), True),
+                          ((10, 20), False), ((20, 10), False)):
+        rho = 1.0 + rng.uniform(size=shape)
+        before = lbm_step_count()
+        f = lifter.lift(rho, p)
+        steps = lbm_step_count() - before
+        assert steps == (6 if probes else 1) * (config.m + 1), (shape, steps)
+        assert np.array_equal(f, cr_lift(rho, config, p).f), shape
+    assert sorted(key[0] for key in lifter._kernels) == [(10, 20), (20, 10)]
+    before = lbm_step_count()
+    with pytest.raises(ValueError, match="density rank 1 does not match D2Q5"):
+        lifter.lift(np.ones(200), p)
+    assert lbm_step_count() == before
+
+
+@pytest.mark.parametrize("name,m", [("D1Q3", 0), ("D1Q3", 3), ("D2Q9", 1)])
+def test_impulse_responses_vanish_outside_window(name, m):
+    """Each of the q responses lives within m+1 cells of its impulse per
+    axis."""
+    shape = (66,) if name == "D1Q3" else (20, 20)
+    p = benchmark_params(name, advection=(0.5,) * len(shape))
+    # the impulse sits at cell 0: centre it, then cut the m+1 window out
+    centre = tuple(n // 2 for n in shape)
+    window = (slice(None),) + tuple(slice(c - m - 1, c + m + 2) for c in centre)
+    responses = list(impulse_responses(shape, m, p))
+    assert len(responses) == p.vset.q
+    for g in responses:
+        centred = np.roll(g, centre, axis=tuple(range(1, g.ndim)))
+        assert np.abs(centred[window]).max() > 0
+        centred[window] = 0.0
+        assert not centred.any()
+
+
 def test_a_kernel_of_another_model_is_caught():
     """A kernel probed on diffusive params, used for an advective lift of
     the same grid size, gives the wrong fast moments; the closing
@@ -231,13 +336,13 @@ def test_a_kernel_of_another_model_is_caught():
     rho = gaussian_density(advective, cells=40)
     for m in range(4):
         config = CrConfig(m=m)
-        wrong = cr_kernel(40, config, diffusive)
+        wrong = cr_kernel((40,), config, diffusive)
         res = cr_lift(rho, config, advective, kernel=wrong)
         assert not res.converged, (m, res.residual)
         assert res.residual > 1e3 * config.tol
         assert cr_lift(rho, config, advective).converged
         lifter = CrLifter(config)
-        lifter._kernels[(40, advective, config)] = wrong
+        lifter._kernels[((40,), advective, config)] = wrong
         with pytest.raises(RuntimeError, match="missed its tolerance"):
             lifter.lift(rho, advective)
 

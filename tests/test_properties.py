@@ -81,6 +81,8 @@ LIFTERS = {
     "trained 2D": ("D2Q5", (), lambda: trained_lifter("D2Q5", (), 2)),
     "CR m=0": ("D1Q3", (), lambda: CrLifter(CrConfig(m=0))),
     "CR m=2": ("D1Q3", (0.66,), lambda: CrLifter(CrConfig(m=2))),
+    "CR D2Q5 m=1": ("D2Q5", (), lambda: CrLifter(CrConfig(m=1))),
+    "CR D2Q9 m=3": ("D2Q9", (1.0, 0.5), lambda: CrLifter(CrConfig(m=3))),
 }
 
 densities = st.floats(min_value=0.1, max_value=2.0)

@@ -12,7 +12,7 @@ from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
 from lblift.stencil import spatial_derivative
 from lblift import training
-from lblift.training import (RESIDUAL_LIMIT, _impulse_responses, _linear_part,
+from lblift.training import (RESIDUAL_LIMIT, _linear_part,
                              _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
@@ -313,22 +313,6 @@ def test_training_refuses_a_missed_fixed_point(monkeypatch):
                         lambda ws: 0.9 * _linear_part(ws))
     with pytest.raises(RuntimeError, match="miss their fixed point"):
         train_coefficients(cfg, p)
-
-
-@pytest.mark.parametrize("name,m", [("D1Q3", 0), ("D1Q3", 3), ("D2Q9", 1)])
-def test_impulse_responses_vanish_outside_window(name, m):
-    p = benchmark_params(name, advection=(0.5,) * (1 if name == "D1Q3" else 2))
-    ws = _Workspace(NceTrainConfig(spatial_order=2, m=m), p)
-    # the impulse sits at cell 0: centre it, then cut the m+1 window out
-    centre = tuple(n // 2 for n in ws.densities[0].shape)
-    window = (slice(None),) + tuple(slice(c - m - 1, c + m + 2) for c in centre)
-    responses = list(_impulse_responses(ws))
-    assert len(responses) == p.vset.q
-    for g in responses:
-        centred = np.roll(g, centre, axis=tuple(range(1, g.ndim)))
-        assert np.abs(centred[window]).max() > 0
-        centred[window] = 0.0
-        assert not centred.any()
 
 
 def test_advective_high_order_trains_to_analytic_pde():
