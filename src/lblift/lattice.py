@@ -177,8 +177,11 @@ def lbm_step_count() -> int:
 
 
 def finite_density(rho: np.ndarray) -> np.ndarray:
-    """rho as a float array; a ValueError names its first non-finite cell."""
+    """rho as a float array; a ValueError names the shape of an empty grid
+    or the first non-finite cell."""
     rho = np.asarray(rho, dtype=float)
+    if rho.size == 0:
+        raise ValueError(f"empty density grid of shape {rho.shape}")
     bad = ~np.isfinite(rho)
     if bad.any():
         cell = tuple(int(i) for i in np.argwhere(bad)[0])

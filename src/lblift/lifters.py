@@ -4,7 +4,8 @@ Every lifter maps a density field to a distribution field for a given
 model, via .lift(rho, params).  The hybrid solver and the benchmark
 harness only ever talk to this interface, so equilibrium, closed-form
 coefficients, trained coefficients, and constrained-runs lifting are
-drop-in replacements for one another.
+drop-in replacements for one another.  Each refuses an empty grid or a
+non-finite density with the same ValueError (lattice.finite_density).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constrained_runs import CrConfig, cr_density, cr_kernel, cr_lift
-from .lattice import LbmParams, equilibrium
+from .lattice import LbmParams, equilibrium, finite_density
 from .lifting import LiftCoefficients, apply_lift
 
 
@@ -24,7 +25,7 @@ class EquilibriumLifter:
     name = "equilibrium"
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        return equilibrium(rho, params)
+        return equilibrium(finite_density(rho), params)
 
 
 @dataclass

@@ -12,6 +12,16 @@ closed-form Chapman-Enskog expansion (D1Q3 pure diffusion, orders 0-3)
 or from numerical training (any supported model); application is the
 same either way.
 
+Application takes the stencil form of the sum, one (q x taps) matrix
+over the differences rho(x + u) - rho(x), and evaluates each tap
+difference as a short sum of local differences: along the last axis
+within a row, and first differences along axis 0 between neighbouring
+rows.  A block of rows keeps those of every row it reads in one small
+buffer, and one batched matrix product lifts the whole block.  Every
+local difference of a uniform density is exactly zero, so it lifts to
+exactly f_eq.  A 1D grid is the degenerate case: one row with no reach
+along axis 0, whose local differences are the tap differences.
+
 The optional time term gamma multiplies d rho / dt and only exists on
 coefficient sets that went through the time-derivative augmentation.
 """
@@ -20,10 +30,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .lattice import (D1Q3, VELOCITY_SETS, LbmParams, equilibrium,
                       finite_density)
@@ -31,9 +43,10 @@ from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
 
-# Grid cells per block of the stencil lift: 20 rows of a 200 x 200 field,
-# or a whole 1D grid of up to 4096 cells.  The columns of one block (20
-# tap differences at D2Q9 order 4, plus the density) then take 690 kB.
+# Output cells per row block of the stencil lift: 20 rows of a 200 x 200
+# field.  The block's buffer holds 6 slots (4 differences along the last
+# axis, 1 along axis 0, the density) of its 24 source rows at D2Q9 order 4:
+# 230 kB.  A 1D grid is always one block of one row.
 _BLOCK_CELLS = 4096
 
 
@@ -102,8 +115,9 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
 
         f_i(x) = w_i rho(x) + sum_u C[i, u] (rho(x + u) - rho(x)),
 
-    with w_i the equilibrium weights.  The difference form gives a
-    uniform density no correction at all.
+    with w_i the equilibrium weights.  Each tap difference is evaluated
+    as a short sum of local differences (see _stencil_lift), all of which
+    vanish on a uniform density, so that lifts to exactly f_eq.
     """
     if coeffs.fingerprint != params.fingerprint():
         raise ValueError(
@@ -116,47 +130,98 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
     return _stencil_lift(rho, coeffs, params)
 
 
+@lru_cache(maxsize=64)
+def _slot_map(taps: Tuple[Tuple[int, ...], ...]
+              ) -> Tuple[int, Tuple[int, ...], np.ndarray]:
+    """The tap differences of a stencil as sums of local differences.
+
+    A tap u = (a, b) of a 2D stencil splits exactly as
+
+        rho(x+a, y+b) - rho(x, y) = I_b(x+a, y) + sum_t (+-) s(x+t, y),
+
+    with I_b(x', y) = rho(x', y+b) - rho(x', y) the difference along the
+    last axis within row x', and s(x', y) = rho(x'+1, y) - rho(x', y) the
+    first difference along axis 0, summed over 0 <= t < a for a > 0 and
+    subtracted over a <= t < 0 for a < 0.  A 1D tap (b,) reads as (0, b):
+    it is I_b itself.
+
+    Returns (h0, shifts, to_slots).  h0 is the reach along axis 0 and
+    shifts the nonzero last-axis offsets b, sorted.  The local
+    differences of one source row fill `slots` slots: I_b for each shift,
+    then s if h0 > 0, then one slot for rho itself.  The window of an
+    output row x is its 2 h0 + 1 source rows x - h0 .. x + h0, and
+    to_slots (taps x window slots, entries 0 and +-1) maps tap
+    differences onto it.  to_slots is read-only, because the cache hands
+    the same array to every caller.
+    """
+    taps = [(0,) * (2 - len(u)) + tuple(u) for u in taps]
+    h0 = max(abs(a) for a, _ in taps)
+    shifts = tuple(sorted({b for _, b in taps if b}))
+    slots = len(shifts) + (h0 > 0) + 1
+    to_slots = np.zeros((len(taps), (2 * h0 + 1) * slots))
+    for j, (a, b) in enumerate(taps):
+        if b:
+            to_slots[j, (h0 + a) * slots + shifts.index(b)] = 1.0
+        for t in range(min(a, 0), max(a, 0)):
+            to_slots[j, (h0 + t) * slots + len(shifts)] = np.sign(a)
+    to_slots.flags.writeable = False
+    return h0, shifts, to_slots
+
+
 def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
                   params: LbmParams) -> np.ndarray:
-    """f = [C | w] [rho(x + u) - rho(x); rho(x)], in blocks along axis 0.
+    """f = K Z: one batched matrix product per block of rows along axis 0.
 
-    Each block gathers one shifted window of the wrap-padded density per
-    tap, plus the density itself, and takes one matrix product straight
-    into f, so temporaries stay a few hundred kilobytes whatever the grid
-    size.
+    The density is taken as a stack of rows along its last axis; a 1D
+    grid is one row with no reach along axis 0.  Per block, the buffer
+    z[row, slot, y] holds the local differences of _slot_map (and rho)
+    of every source row the block reads, from h0 rows before its first
+    output row to h0 rows after its last.  The window of the block's
+    output row x is then the contiguous run z[x : x + 2 h0 + 1], one
+    (window slots x row length) matrix with a uniform row stride, so a
+    strided view stacks the windows of the whole block and one matmul with
+    K = [C to_slots, w at the centre rho slot] writes every row of the
+    block straight into f.  Every slot but rho is a difference of
+    neighbouring values, so a uniform density gives exactly zero there;
+    in 1D the slots are the tap differences themselves.  Temporaries stay
+    a few hundred kilobytes whatever the grid size.
     """
     if rho.ndim != params.vset.dimension:
         raise ValueError(
             f"density rank {rho.ndim} does not match {params.vset.name}")
     specs = tuple(coeffs.sorted_specs())
     taps, weights = difference_stencils(specs, params.dx)
-    stencil = np.column_stack(
-        [np.column_stack([coeffs.terms[s] for s in specs]) @ weights,
-         params.equilibrium_weights()])
-    reach = np.abs(np.array(taps)).max(axis=0)
-    padded = np.pad(rho, [(h, h) for h in reach], mode="wrap")
-    row_shape = rho.shape[1:]
-    # per tap: first padded row of the window, and the window on the other axes
-    windows = [(reach[0] + u[0],
-                tuple(slice(h + s, h + s + n)
-                      for h, s, n in zip(reach[1:], u[1:], row_shape)))
-               for u in taps]
-    row_cells = int(np.prod(row_shape))
-    rows_per_block = min(rho.shape[0], max(1, _BLOCK_CELLS // row_cells))
-    columns = np.empty((len(taps) + 1, rows_per_block * row_cells))
-    f = np.empty((params.vset.q,) + rho.shape)
-    f_flat = f.reshape(params.vset.q, -1)
-    for start in range(0, rho.shape[0], rows_per_block):
-        stop = min(start + rows_per_block, rho.shape[0])
-        block = rho[start:stop]
-        cols = columns[:, :block.size]
-        shaped = cols.reshape((len(taps) + 1,) + block.shape)
-        for j, (first, inner) in enumerate(windows):
-            np.subtract(padded[(slice(first + start, first + stop),) + inner],
-                        block, out=shaped[j])
-        shaped[-1] = block
-        np.matmul(stencil, cols,
-                  out=f_flat[:, start * row_cells:stop * row_cells])
+    h0, shifts, to_slots = _slot_map(taps)
+    slots = to_slots.shape[1] // (2 * h0 + 1)
+    kernel = (np.column_stack([coeffs.terms[s] for s in specs]) @ weights
+              @ to_slots)
+    kernel[:, h0 * slots + slots - 1] = params.equilibrium_weights()
+    n1 = rho.shape[-1]
+    n0 = rho.size // n1
+    h1 = max(map(abs, shifts), default=0)
+    padded = np.pad(rho, [(h0, h0)] * (rho.ndim - 1) + [(h1, h1)],
+                    mode="wrap").reshape(n0 + 2 * h0, n1 + 2 * h1)
+    rows_per_block = min(n0, max(1, _BLOCK_CELLS // n1))
+    z = np.empty((rows_per_block + 2 * h0, slots, n1))
+    windows = as_strided(z, shape=(rows_per_block, (2 * h0 + 1) * slots, n1),
+                         strides=z.strides, writeable=False)
+    q = params.vset.q
+    f = np.empty((q,) + rho.shape)
+    f_rows = f.reshape(q, n0, n1).transpose(1, 0, 2)
+    for start in range(0, n0, rows_per_block):
+        stop = min(start + rows_per_block, n0)
+        source = stop - start + 2 * h0
+        centre = padded[start:start + source, h1:h1 + n1]
+        for j, b in enumerate(shifts):
+            np.subtract(padded[start:start + source, h1 + b:h1 + b + n1],
+                        centre, out=z[:source, j])
+        if h0:
+            np.subtract(padded[start + 1:start + source, h1:h1 + n1],
+                        centre[:-1], out=z[:source - 1, -2])
+            # no window reads s of the last source row, but 0 * z must be 0
+            z[source - 1, -2] = 0.0
+        z[:source, -1] = centre
+        np.matmul(kernel, windows[:stop - start], out=f_rows[start:stop])
     return f
 
 

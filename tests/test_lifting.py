@@ -1,4 +1,5 @@
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from lblift import (DerivSpec, LbmParams, analytic_coefficients, apply_lift,
                     expansion_terms, restrict, run_lbm)
 from lblift.lattice import D1Q3
 from lblift.lifting import zero_coefficients
-from lblift.stencil import spatial_derivative
+from lblift.stencil import central_offsets, fd_weights, spatial_derivative
 
 from conftest import benchmark_params, gaussian_density
 
@@ -170,8 +171,62 @@ def test_stencil_lift_grid_smaller_than_stencil(cells):
                              random_coefficients(p2, 6, seed=9), p2)
 
 
+def long_double_lift(rho, coeffs, params):
+    """The difference form of the lift, summed in long double term by term:
+
+        f = w rho + sum_T a_T sum_u W_T[u] (rho(x + u) - rho(x)),
+
+    with W_T the tensor product of the 1D central weights (float64, as the
+    stencils define them) and every difference taken by np.roll."""
+    rho = np.asarray(rho, dtype=np.longdouble)
+    axes = tuple(range(rho.ndim))
+    column = (-1,) + (1,) * rho.ndim
+    f = params.equilibrium_weights().astype(np.longdouble).reshape(column) \
+        * rho
+    for spec, vec in coeffs.terms.items():
+        per_axis = []
+        for order in spec.orders:
+            offsets = central_offsets(order) if order else (0,)
+            weights = (fd_weights(order, offsets) / params.dx ** order
+                       if order else np.ones(1))
+            per_axis.append(list(zip(offsets, weights)))
+        d = np.zeros_like(rho)
+        for pairs in product(*per_axis):
+            u = tuple(off for off, _ in pairs)
+            if any(u):
+                weight = np.longdouble(np.prod([w for _, w in pairs]))
+                d += weight * (np.roll(rho, [-s for s in u], axis=axes) - rho)
+        f += vec.astype(np.longdouble).reshape(column) * d
+    return f
+
+
+@pytest.mark.parametrize("shape", [(150, 61), (61, 150), (9, 2), (2, 9)],
+                         ids=["150x61", "61x150", "9x2", "2x9"])
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("name", ["D2Q5", "D2Q9"])
+def test_stencil_lift_matches_long_double_difference_form(name, order, shape):
+    """Within 1e-15 max|f| of the exact difference form, on a noisy density
+    and the benchmark Gaussian: 150 and 61 rows are no multiple of the 67-
+    and 27-row blocks, and 2 cells are narrower than every stencil."""
+    p = benchmark_params(name, advection=(1.0, 0.5))
+    co = random_coefficients(p, order, seed=order)
+    rng = np.random.default_rng(order)
+    x, y = ((np.arange(n) - n / 2) * p.dx for n in shape)
+    for rho in (1.0 + 0.1 * rng.normal(size=shape),
+                np.exp(-np.add.outer(x ** 2, y ** 2))):
+        ref = long_double_lift(rho, co, p)
+        gap = np.abs(apply_lift(rho, co, p) - ref).max()
+        assert gap <= 1e-15 * np.abs(ref).max(), float(gap / np.abs(ref).max())
+
+
 def test_stencil_lift_uniform_density_is_exactly_equilibrium():
-    for name, shape in (("D1Q3", (50,)), ("D2Q9", (30, 20))):
+    """Every slot of the lift but rho is a local difference, so a uniform
+    density lifts to f_eq bit for bit, also on non-square grids and on
+    grids narrower than the order-6 stencil."""
+    for name, shape in (("D1Q3", (50,)), ("D2Q9", (30, 20)),
+                        ("D2Q5", (30, 20)), ("D2Q9", (17, 45)),
+                        ("D2Q5", (45, 17)), ("D2Q9", (5, 4)),
+                        ("D2Q5", (4, 5))):
         p = benchmark_params(name)
         rho = np.full(shape, 1.3)
         assert_array_equal(apply_lift(rho, random_coefficients(p, 6, seed=1),

@@ -1,10 +1,12 @@
 """Property tests: coefficient text round-trip, mass conservation of every
 lifter, linearity and shift invariance of the stepping kernels and every
-lifter, and refusal of malformed coefficient text.
+lifter, refusal of empty and non-finite densities by every lifter, and
+refusal of malformed coefficient text.
 
 Examples are derandomized, so every run of the suite draws the same ones.
 """
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -16,8 +18,8 @@ from hypothesis.extra.numpy import arrays
 from lblift import (VELOCITY_SETS, CoefficientLifter, CrConfig, CrLifter,
                     EquilibriumLifter, LbmParams, NceTrainConfig,
                     analytic_coefficients, coefficients_from_text,
-                    coefficients_to_text, restrict, stream_collide,
-                    train_coefficients)
+                    coefficients_to_text, lbm_step_count, restrict,
+                    stream_collide, train_coefficients)
 from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
 
@@ -79,6 +81,8 @@ LIFTERS = {
     "trained 1D": ("D1Q3", (0.66,),
                    lambda: trained_lifter("D1Q3", (0.66,), 4)),
     "trained 2D": ("D2Q5", (), lambda: trained_lifter("D2Q5", (), 2)),
+    "trained D2Q9": ("D2Q9", (1.0, 0.5),
+                     lambda: trained_lifter("D2Q9", (1.0, 0.5), 4)),
     "CR m=0": ("D1Q3", (), lambda: CrLifter(CrConfig(m=0))),
     "CR m=2": ("D1Q3", (0.66,), lambda: CrLifter(CrConfig(m=2))),
     "CR D2Q5 m=1": ("D2Q5", (), lambda: CrLifter(CrConfig(m=1))),
@@ -189,6 +193,26 @@ def test_every_lifter_is_linear_and_shift_invariant(label):
             densities)
 
     check()
+
+
+@pytest.mark.parametrize("label", sorted(LIFTERS))
+def test_every_lifter_refuses_empty_and_non_finite_densities(label):
+    """One ValueError from lattice.finite_density, before any LBM step."""
+    name, advection, make = LIFTERS[label]
+    params = benchmark_params(name, advection=advection)
+    lifter = make()
+    empty = [(0,)] if params.vset.dimension == 1 else [(0, 5), (5, 0), (0, 0)]
+    steps = lbm_step_count()
+    for shape in empty:
+        with pytest.raises(ValueError, match=re.escape(
+                f"empty density grid of shape {shape}")):
+            lifter.lift(np.ones(shape), params)
+    rho = np.ones((7,) * params.vset.dimension)
+    rho[(3,) * rho.ndim] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite density nan at cell "
+                                         + re.escape(str((3,) * rho.ndim))):
+        lifter.lift(rho, params)
+    assert lbm_step_count() == steps
 
 
 def _valid_coefficients():
