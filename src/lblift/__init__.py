@@ -24,6 +24,7 @@ from .lifting import (
     coefficients_from_text,
     coefficients_to_text,
     expansion_terms,
+    lift_kernel,
 )
 from .constrained_runs import (
     CrConfig,

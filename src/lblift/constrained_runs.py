@@ -155,13 +155,17 @@ def cr_kernel(shape: tuple, config: CrConfig,
     since raising component j lowers the rest one.  An FFT over every
     grid axis splits I - B into one (q-1)x(q-1) block per wavenumber and
     A into one (q-1)-vector; each block is solved against its vector
-    here, once.  G is returned read-only and complex, stacked like the
-    unknowns: shape (q-1,) + shape.  q probes, q(m+1) LBM steps.
+    here, once.  The responses are real, so wavenumbers k and -k carry
+    conjugate blocks, and only the half spectrum of rfftn is kept: the
+    last axis has shape[-1] // 2 + 1 wavenumbers.  G is returned
+    read-only and complex, stacked like the unknowns: shape
+    (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  q probes, q(m+1) LBM
+    steps.
     """
     rest = _rest_index(params.vset.q)
     axes = tuple(range(1, len(shape) + 1))
     # spectra[i][k, r]: row r of R_i at wavenumber k
-    spectra = [np.moveaxis(np.fft.fftn(_non_rest(g, rest), axes=axes), 0, -1)
+    spectra = [np.moveaxis(np.fft.rfftn(_non_rest(g, rest), axes=axes), 0, -1)
                for g in impulse_responses(shape, config.m, params)]
     density = spectra.pop(rest)
     blocks = np.eye(len(spectra)) - (np.stack(spectra, axis=-1)
@@ -177,31 +181,35 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     """Lift a periodic density field to distribution functions.
 
     Solves v = cr_map(rho0, v) in Fourier space: the non-rest components
-    are v = ifftn(G fftn(rho0)), with G the transfer of cr_kernel.  kernel
-    takes G from an earlier cr_kernel call on the same grid shape, config
-    and model; without it the lift probes G itself.  A closing constrained
-    run gives the residual max|v - cr_map(rho0, v)|, and converged =
-    residual <= tol, so a kernel of another model is caught; a lift that
-    misses tol is returned rather than raised, so callers can inspect it.
+    are v = irfftn(G rfftn(rho0)), with G the half-spectrum transfer of
+    cr_kernel.  kernel takes G from an earlier cr_kernel call on the same
+    grid shape, config and model; without it the lift probes G itself.
+    A closing constrained run gives the residual max|v - cr_map(rho0, v)|,
+    and converged = residual <= tol, so a kernel of another model is
+    caught; a lift that misses tol is returned rather than raised, so
+    callers can inspect it.
     iterations is 1, the one FFT filter; lbm_steps is m+1 with a kernel
     and (q+1)(m+1) without, the closing run plus q probes.  A non-finite
     density (the ValueError names its first bad cell) or one whose rank is
     not the velocity set's is refused before any LBM step, and so is a
-    kernel that does not fit the grid.
+    kernel whose shape does not fit the grid.  A kernel of a grid whose
+    last axis differs by one cell can have the same shape; its closing
+    run fails.
     """
     rho0 = cr_density(rho0, params)
     q = params.vset.q
     runs = 1
+    half_spectrum = rho0.shape[:-1] + (rho0.shape[-1] // 2 + 1,)
     if kernel is None:
         kernel = cr_kernel(rho0.shape, config, params)
         runs += q
-    elif kernel.shape != (q - 1,) + rho0.shape:
+    elif kernel.shape != (q - 1,) + half_spectrum:
         cells = " x ".join(str(n) for n in rho0.shape)
         raise ValueError(
             f"kernel of shape {kernel.shape} does not fit {cells} cells")
     # an explicit s skips numpy's shape inference, as slow as a 1D FFT
-    v = np.fft.ifftn(kernel * np.fft.fftn(rho0), s=rho0.shape,
-                     axes=tuple(range(1, rho0.ndim + 1))).real
+    v = np.fft.irfftn(kernel * np.fft.rfftn(rho0), s=rho0.shape,
+                      axes=tuple(range(1, rho0.ndim + 1)))
     residual = float(np.max(np.abs(v - cr_map(rho0, v, config, params))))
     f = _distributions(rho0, v, _rest_index(q))
     return CrResult(f, 1, runs * (config.m + 1), residual,

@@ -213,7 +213,8 @@ def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     """One periodic BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
 
     Collision fills one new field, in which each component then streams
-    one lattice link in place; every grid axis wraps.
+    one lattice link in place; every grid axis wraps.  One component-sized
+    scratch array serves every relaxation term and every streaming copy.
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
@@ -229,15 +230,16 @@ def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     weights = params.equilibrium_weights()
     post = (1.0 - params.omega) * f
     # one component at a time: no second field-sized buffer
+    scratch = np.empty_like(rho)
     for k in range(vset.q):
-        relaxed = weights[k] * rho
-        relaxed *= params.omega
-        post[k] += relaxed
+        np.multiply(weights[k], rho, out=scratch)
+        scratch *= params.omega
+        post[k] += scratch
     for k, copies in _stream_copies(vset.directions):
         component = post[k]
-        source = component.copy()
+        scratch[...] = component
         for dst, src in copies:
-            component[dst] = source[src]
+            component[dst] = scratch[src]
     return post
 
 

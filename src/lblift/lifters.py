@@ -11,12 +11,13 @@ non-finite density with the same ValueError (lattice.finite_density).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .constrained_runs import CrConfig, cr_density, cr_kernel, cr_lift
 from .lattice import LbmParams, equilibrium, finite_density
-from .lifting import LiftCoefficients, apply_lift
+from .lifting import LiftCoefficients, LiftKernel, apply_lift, lift_kernel
 
 
 class EquilibriumLifter:
@@ -33,14 +34,22 @@ class CoefficientLifter:
     """Derivative-correction lift with fixed coefficient vectors.
 
     Works for closed-form and trained coefficient sets alike; the
-    fingerprint check inside apply_lift refuses mismatched models.
+    fingerprint check inside apply_lift refuses mismatched models.  The
+    lifter holds the stencil matrix of its model (lift_kernel), built at
+    its first lift and reused by every later one, so the coefficient
+    vectors must not be changed after that first lift.
     """
 
     coefficients: LiftCoefficients
     name: str = "coefficients"
+    _kernel: Optional[LiftKernel] = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        return apply_lift(rho, self.coefficients, params)
+        if self._kernel is None and self.coefficients.terms:
+            self._kernel = lift_kernel(self.coefficients, params)
+        return apply_lift(rho, self.coefficients, params,
+                          kernel=self._kernel)
 
 
 @dataclass

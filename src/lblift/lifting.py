@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,11 +43,11 @@ from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
 
-# Output cells per row block of the stencil lift: 20 rows of a 200 x 200
+# Output cells per row block of the stencil lift: 40 rows of a 200 x 200
 # field.  The block's buffer holds 6 slots (4 differences along the last
-# axis, 1 along axis 0, the density) of its 24 source rows at D2Q9 order 4:
-# 230 kB.  A 1D grid is always one block of one row.
-_BLOCK_CELLS = 4096
+# axis, 1 along axis 0, the density) of its 44 source rows at D2Q9 order 4:
+# 422 kB.  A 1D grid is always one block of one row.
+_BLOCK_CELLS = 8192
 
 
 @dataclass
@@ -105,8 +105,25 @@ def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:
     return LiftCoefficients(fingerprint=params.fingerprint(), terms=terms)
 
 
+class LiftKernel(NamedTuple):
+    """The matrix K of the stencil lift of one coefficient set and model.
+
+    matrix (q x columns, read-only) multiplies the window columns first to
+    first + columns - 1 of an output row.  A window holds 2 h0 + 1 source
+    rows of `slots` local differences each, and shifts are the offsets of
+    the differences along the last axis (see _slot_map).
+    """
+
+    matrix: np.ndarray
+    first: int
+    slots: int
+    h0: int
+    shifts: Tuple[int, ...]
+
+
 def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
-               params: LbmParams) -> np.ndarray:
+               params: LbmParams,
+               kernel: Optional[LiftKernel] = None) -> np.ndarray:
     """Lift a density field to distributions on a periodic grid.
 
     The lift is one linear stencil: the central differences of every
@@ -117,22 +134,52 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
 
     with w_i the equilibrium weights.  Each tap difference is evaluated
     as a short sum of local differences (see _stencil_lift), all of which
-    vanish on a uniform density, so that lifts to exactly f_eq.
+    vanish on a uniform density, so that lifts to exactly f_eq.  kernel
+    takes K from an earlier lift_kernel(coeffs, params) call, which a
+    caller lifting many densities with one coefficient set makes once;
+    without it the lift builds K itself.
     """
+    _check_fingerprint(coeffs, params)
+    rho = finite_density(rho)
+    if not coeffs.terms:
+        return equilibrium(rho, params)
+    if kernel is None:
+        kernel = lift_kernel(coeffs, params)
+    return _stencil_lift(rho, kernel, params)
+
+
+def _check_fingerprint(coeffs: LiftCoefficients, params: LbmParams) -> None:
     if coeffs.fingerprint != params.fingerprint():
         raise ValueError(
             "coefficient fingerprint does not match the model parameters: "
             f"{coeffs.fingerprint} vs {params.fingerprint()}"
         )
-    rho = finite_density(rho)
+
+
+def lift_kernel(coeffs: LiftCoefficients, params: LbmParams) -> LiftKernel:
+    """K = [C to_slots, w at the centre rho slot], the matrix of _stencil_lift.
+
+    Its columns are the window slots from the first that a tap or the
+    centre rho reads to the last: slots that no coefficient can reach
+    are left out of the product.  Coefficients of another model are
+    refused, and an empty set has no stencil (it lifts to f_eq).
+    """
+    _check_fingerprint(coeffs, params)
     if not coeffs.terms:
-        return equilibrium(rho, params)
-    return _stencil_lift(rho, coeffs, params)
+        raise ValueError("an empty coefficient set has no stencil kernel")
+    specs = tuple(coeffs.sorted_specs())
+    taps, weights = difference_stencils(specs, params.dx)
+    h0, shifts, slots, first, to_slots = _slot_map(taps)
+    matrix = (np.column_stack([coeffs.terms[s] for s in specs]) @ weights
+              @ to_slots)
+    matrix[:, h0 * slots + slots - 1 - first] = params.equilibrium_weights()
+    matrix.flags.writeable = False
+    return LiftKernel(matrix, first, slots, h0, shifts)
 
 
 @lru_cache(maxsize=64)
 def _slot_map(taps: Tuple[Tuple[int, ...], ...]
-              ) -> Tuple[int, Tuple[int, ...], np.ndarray]:
+              ) -> Tuple[int, Tuple[int, ...], int, int, np.ndarray]:
     """The tap differences of a stencil as sums of local differences.
 
     A tap u = (a, b) of a 2D stencil splits exactly as
@@ -145,14 +192,16 @@ def _slot_map(taps: Tuple[Tuple[int, ...], ...]
     subtracted over a <= t < 0 for a < 0.  A 1D tap (b,) reads as (0, b):
     it is I_b itself.
 
-    Returns (h0, shifts, to_slots).  h0 is the reach along axis 0 and
-    shifts the nonzero last-axis offsets b, sorted.  The local
+    Returns (h0, shifts, slots, first, to_slots).  h0 is the reach along
+    axis 0 and shifts the nonzero last-axis offsets b, sorted.  The local
     differences of one source row fill `slots` slots: I_b for each shift,
     then s if h0 > 0, then one slot for rho itself.  The window of an
-    output row x is its 2 h0 + 1 source rows x - h0 .. x + h0, and
-    to_slots (taps x window slots, entries 0 and +-1) maps tap
-    differences onto it.  to_slots is read-only, because the cache hands
-    the same array to every caller.
+    output row x is its 2 h0 + 1 source rows x - h0 .. x + h0.  to_slots
+    (taps x window slots, entries 0 and +-1) maps tap differences onto
+    the window, from slot `first` to the last slot that a tap or the
+    centre rho reads; at D2Q9 order 4 that is 26 of 30 slots, and in 1D
+    all of them.  to_slots is read-only, because the cache hands the same
+    array to every caller.
     """
     taps = [(0,) * (2 - len(u)) + tuple(u) for u in taps]
     h0 = max(abs(a) for a, _ in taps)
@@ -164,11 +213,15 @@ def _slot_map(taps: Tuple[Tuple[int, ...], ...]
             to_slots[j, (h0 + a) * slots + shifts.index(b)] = 1.0
         for t in range(min(a, 0), max(a, 0)):
             to_slots[j, (h0 + t) * slots + len(shifts)] = np.sign(a)
+    used = np.flatnonzero(to_slots.any(axis=0))
+    centre = h0 * slots + slots - 1
+    first = min(int(used[0]), centre)
+    to_slots = to_slots[:, first:max(int(used[-1]), centre) + 1].copy()
     to_slots.flags.writeable = False
-    return h0, shifts, to_slots
+    return h0, shifts, slots, first, to_slots
 
 
-def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
+def _stencil_lift(rho: np.ndarray, kernel: LiftKernel,
                   params: LbmParams) -> np.ndarray:
     """f = K Z: one batched matrix product per block of rows along axis 0.
 
@@ -177,52 +230,79 @@ def _stencil_lift(rho: np.ndarray, coeffs: LiftCoefficients,
     z[row, slot, y] holds the local differences of _slot_map (and rho)
     of every source row the block reads, from h0 rows before its first
     output row to h0 rows after its last.  The window of the block's
-    output row x is then the contiguous run z[x : x + 2 h0 + 1], one
-    (window slots x row length) matrix with a uniform row stride, so a
-    strided view stacks the windows of the whole block and one matmul with
-    K = [C to_slots, w at the centre rho slot] writes every row of the
-    block straight into f.  Every slot but rho is a difference of
-    neighbouring values, so a uniform density gives exactly zero there;
-    in 1D the slots are the tap differences themselves.  Temporaries stay
-    a few hundred kilobytes whatever the grid size.
+    output row x is then a contiguous run of z from slot `first` of row x
+    on, one (window columns x row length) matrix with a uniform row
+    stride, so a strided view stacks the windows of the whole block and
+    one matmul with the kernel's K writes every row of the block straight
+    into f.  Every slot but rho is a difference of neighbouring values,
+    so a uniform density gives exactly zero there; in 1D the slots are
+    the tap differences themselves.  Each difference is one contiguous
+    subtraction over whole wrapped rows of the block, its wrapped columns
+    then dropped by the copy into its slot: a subtraction over strided
+    rows would cost numpy a buffered iteration per call.  Besides f, the
+    temporaries are the wrapped density, z and that difference buffer:
+    333, 422 and 72 kB on a 200 x 200 D2Q9 order-4 lift.
     """
     if rho.ndim != params.vset.dimension:
         raise ValueError(
             f"density rank {rho.ndim} does not match {params.vset.name}")
-    specs = tuple(coeffs.sorted_specs())
-    taps, weights = difference_stencils(specs, params.dx)
-    h0, shifts, to_slots = _slot_map(taps)
-    slots = to_slots.shape[1] // (2 * h0 + 1)
-    kernel = (np.column_stack([coeffs.terms[s] for s in specs]) @ weights
-              @ to_slots)
-    kernel[:, h0 * slots + slots - 1] = params.equilibrium_weights()
+    matrix, first, slots, h0, shifts = kernel
     n1 = rho.shape[-1]
     n0 = rho.size // n1
     h1 = max(map(abs, shifts), default=0)
-    padded = np.pad(rho, [(h0, h0)] * (rho.ndim - 1) + [(h1, h1)],
-                    mode="wrap").reshape(n0 + 2 * h0, n1 + 2 * h1)
+    padded = _wrapped(rho.reshape(n0, n1), h0, h1)
+    width = n1 + 2 * h1
+    flat = padded.reshape(-1)
     rows_per_block = min(n0, max(1, _BLOCK_CELLS // n1))
     z = np.empty((rows_per_block + 2 * h0, slots, n1))
-    windows = as_strided(z, shape=(rows_per_block, (2 * h0 + 1) * slots, n1),
+    windows = as_strided(z.reshape(-1, n1)[first:],
+                         shape=(rows_per_block, matrix.shape[1], n1),
                          strides=z.strides, writeable=False)
-    q = params.vset.q
+    # a difference over whole wrapped rows, before it is copied to its slot
+    diff = np.empty((rows_per_block + 2 * h0, width))
+    diff_flat = diff.reshape(-1)
+    q = matrix.shape[0]
     f = np.empty((q,) + rho.shape)
     f_rows = f.reshape(q, n0, n1).transpose(1, 0, 2)
     for start in range(0, n0, rows_per_block):
         stop = min(start + rows_per_block, n0)
         source = stop - start + 2 * h0
-        centre = padded[start:start + source, h1:h1 + n1]
+        lo, hi = start * width, (start + source) * width
         for j, b in enumerate(shifts):
-            np.subtract(padded[start:start + source, h1 + b:h1 + b + n1],
-                        centre, out=z[:source, j])
+            np.subtract(flat[lo + h1 + b:hi - h1 + b], flat[lo + h1:hi - h1],
+                        out=diff_flat[h1:hi - lo - h1])
+            z[:source, j] = diff[:source, h1:h1 + n1]
         if h0:
-            np.subtract(padded[start + 1:start + source, h1:h1 + n1],
-                        centre[:-1], out=z[:source - 1, -2])
+            np.subtract(flat[lo + width:hi], flat[lo:hi - width],
+                        out=diff_flat[:hi - lo - width])
+            z[:source - 1, -2] = diff[:source - 1, h1:h1 + n1]
             # no window reads s of the last source row, but 0 * z must be 0
             z[source - 1, -2] = 0.0
-        z[:source, -1] = centre
-        np.matmul(kernel, windows[:stop - start], out=f_rows[start:stop])
+        z[:source, -1] = padded[start:start + source, h1:h1 + n1]
+        np.matmul(matrix, windows[:stop - start], out=f_rows[start:stop])
     return f
+
+
+def _wrapped(rows: np.ndarray, h0: int, h1: int) -> np.ndarray:
+    """rows with h0 rows and h1 columns wrapped on at each end, as
+    np.pad(mode="wrap") gives them, filled by slice copies."""
+    n0, n1 = rows.shape
+    padded = np.empty((n0 + 2 * h0, n1 + 2 * h1))
+    padded[h0:h0 + n0, h1:h1 + n1] = rows
+    _wrap_ends(padded[h0:h0 + n0].T, h1)
+    _wrap_ends(padded, h0)
+    return padded
+
+
+def _wrap_ends(a: np.ndarray, h: int) -> None:
+    """Fill the h entries at each end of a's first axis periodically from
+    the n entries between them.  No copy is longer than n, and each reads
+    entries already filled, so a reach beyond the period wraps again."""
+    n = len(a) - 2 * h
+    for done in range(0, h, n):
+        k = min(n, h - done)
+        a[h + n + done:h + n + done + k] = a[h + done:h + done + k]
+        a[h - done - k:h - done] = a[h + n - done - k:h + n - done]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
     rho' = rho + nu (rho_W - 2 rho + rho_E) - (a dt / 2 dx)(rho_E - rho_W)
     per axis, with nu = D dt / dx^2 (the grid spacing is shared by all
     axes).  Axis 0 reads its neighbours from a copy with one wrapped cell
-    at each end, the other axes from np.roll.  Stability bounds are
+    at each end, the other axes from np.roll; 2 rho is formed once and
+    every axis reuses the same two term buffers.  Stability bounds are
     warnings, not errors: a subdomain fed by ghost values can behave
     better than the periodic worst case.
     """
@@ -91,15 +92,25 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
                           "exceeds 1", stacklevel=2)
 
     padded = np.concatenate([rho[-1:], rho, rho[:1]], axis=0)
-    east = padded[2:]
-    west = padded[:-2]
-    a = pde.advection[0]
-    out = rho + nu * (east - 2.0 * rho + west) \
-        - (a * dt / (2.0 * dx)) * (east - west)
-    for ax in range(1, dim):
-        east = np.roll(rho, -1, axis=ax)
-        west = np.roll(rho, 1, axis=ax)
-        a = pde.advection[ax]
-        out += nu * (east - 2.0 * rho + west) \
-            - (a * dt / (2.0 * dx)) * (east - west)
+    two_rho = 2.0 * rho
+    diffusion = np.empty_like(rho)
+    drift = np.empty_like(rho)
+    for ax, a in enumerate(pde.advection):
+        if ax:
+            east = np.roll(rho, -1, axis=ax)
+            west = np.roll(rho, 1, axis=ax)
+        else:
+            east = padded[2:]
+            west = padded[:-2]
+        np.subtract(east, two_rho, out=diffusion)
+        diffusion += west
+        diffusion *= nu
+        np.subtract(east, west, out=drift)
+        drift *= a * dt / (2.0 * dx)
+        if ax:
+            diffusion -= drift
+            out += diffusion
+        else:
+            out = rho + diffusion
+            out -= drift
     return out

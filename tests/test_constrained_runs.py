@@ -222,9 +222,21 @@ def test_cr_lift_refuses_a_kernel_of_another_grid():
     config = CrConfig(m=1)
     kernel = cr_kernel((13,), config, p)
     before = lbm_step_count()
-    with pytest.raises(ValueError, match=r"\(2, 13\) does not fit 40 cells"):
+    with pytest.raises(ValueError, match=r"\(2, 7\) does not fit 40 cells"):
         cr_lift(gaussian_density(p, cells=40), config, p, kernel=kernel)
     assert lbm_step_count() == before
+
+
+def test_a_kernel_of_the_same_half_spectrum_fails_the_closing_run():
+    """40 and 41 cells share the 21 wavenumbers of a real half spectrum,
+    so the shape check passes a 40-cell kernel on 41 cells; the closing
+    run catches it, as it does a kernel of another model."""
+    p = benchmark_params("D1Q3")
+    config = CrConfig(m=1)
+    kernel = cr_kernel((40,), config, p)
+    res = cr_lift(gaussian_density(p, cells=41), config, p, kernel=kernel)
+    assert kernel.shape == (2, 21) and not res.converged
+    assert res.residual > 1e-6
 
 
 def test_step_accounting_scales_with_m():
@@ -244,7 +256,8 @@ def test_step_accounting_scales_with_m():
             before = lbm_step_count()
             kernel = cr_kernel(shape, config, p)
             assert lbm_step_count() - before == q * (m + 1)
-            assert kernel.shape == (q - 1,) + shape
+            assert kernel.shape == ((q - 1,) + shape[:-1]
+                                    + (shape[-1] // 2 + 1,))
             assert kernel.dtype == complex and not kernel.flags.writeable
             for given, evaluations in ((None, q + 1), (kernel, 1)):
                 before = lbm_step_count()

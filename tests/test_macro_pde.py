@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lblift import (D1Q3, LbmParams, MacroPde, analytic_pde, equilibrium,
                     ftcs_step, restrict, stream_collide)
@@ -143,6 +143,30 @@ def test_ftcs_step_matches_roll_reference():
         rho = rng.random(shape)
         assert_allclose(ftcs_step(rho, pde, 0.05, dt),
                         roll_ftcs_step(rho, pde, 0.05, dt), rtol=1e-15)
+
+
+def test_ftcs_step_keeps_its_summation_order():
+    """ftcs_step sums each axis as the one-expression form does, rho plus
+    the diffusion term minus the advection term, then one term pair per
+    later axis, so its reused buffers give that form bit for bit."""
+    rng = np.random.default_rng(10)
+    for advection, shape, dt in (((0.25,), (30,), 1e-3),
+                                 ((0.1, -0.3), (12, 7), 1e-4),
+                                 ((0.1, -0.3), (2, 5), 1e-4)):
+        pde = MacroPde(advection=advection, diffusion=1.0)
+        rho = rng.random(shape)
+        nu = pde.diffusion * dt / 0.05 ** 2
+        expected = None
+        for ax, a in enumerate(advection):
+            east = np.roll(rho, -1, axis=ax)
+            west = np.roll(rho, 1, axis=ax)
+            term = nu * (east - 2.0 * rho + west)
+            drift = (a * dt / (2.0 * 0.05)) * (east - west)
+            if expected is None:
+                expected = rho + term - drift
+            else:
+                expected += term - drift
+        assert_array_equal(ftcs_step(rho, pde, 0.05, dt), expected)
 
 
 def test_stability_warnings():
