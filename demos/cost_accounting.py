@@ -3,9 +3,9 @@
 Trained coefficients pay a one-time training bill on a tiny test grid
 and lift for free afterwards.  Constrained runs pay per application:
 every lift burns m+1 LBM steps on its closing constrained run, which
-checks the fixed point.  The first lift pays q(m+1) more for q
-unit-impulse probes, one per velocity, 3(m+1) for D1Q3 (the map is
-linear and shift-invariant, so the impulse responses give its whole
+checks the fixed point.  The first lift pays m+1 more for one probe
+run of q unit impulses, one per velocity, 2(m+1)+1 cells apart (the map
+is linear and shift-invariant, so the impulse responses give its whole
 transfer kernel); the lifter keeps that kernel for later lifts on the
 same grid shape.  The table meters both in a 200-step 1D hybrid run (the
 LBM half's own updates are the model, not overhead, and are excluded).

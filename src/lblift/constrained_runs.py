@@ -14,17 +14,21 @@ a periodic grid the map commutes with shifts and does not depend on the
 density: the q impulse responses of the smoothing (impulse_responses,
 which training probes as well) hold all of it, and an FFT over every
 grid axis turns the fixed point into one transfer per wavenumber, the
-components being that transfer times the density's spectrum.  cr_kernel
-probes it once per grid shape and model, for q(m+1) LBM steps; each
-lift then pays only its closing constrained run, m+1 LBM steps, which
-checks the fixed point.  The solver works on full periodic density
-fields of every velocity set.
+components being that transfer times the density's spectrum.  Each
+response reaches only m+1 cells, so the q impulses share one
+constrained run wherever the grid holds q windows of 2(m+1)+1 cells.
+cr_kernel probes it once per grid shape and model, for m+1 LBM steps on
+such a grid and at most q(m+1) on a smaller one; each lift then pays
+only its closing constrained run, m+1 LBM steps, which checks the fixed
+point.  The solver works on full periodic density fields of every
+velocity set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from itertools import islice, product
+from math import ceil, comb
 
 import numpy as np
 
@@ -96,17 +100,52 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     return reset_density(out, rho0)
 
 
+def _impulse_slots(shape: tuple, m: int, q: int) -> list:
+    """Up to q cells that can hold unit impulses of one constrained run, on
+    a lattice 2(m+1)+1 cells apart on every axis.  max(1, n // pitch)
+    slots per axis keep that spacing across the periodic wrap too, so the
+    m+1 windows of the responses never overlap."""
+    pitch = 2 * (m + 1) + 1
+    return list(islice(product(*(range(0, pitch * max(1, n // pitch), pitch)
+                                 for n in shape)), q))
+
+
+def probe_runs(shape: tuple, m: int, q: int) -> int:
+    """Constrained runs that impulse_responses makes for q impulses."""
+    return ceil(q / len(_impulse_slots(shape, m, q)))
+
+
 def impulse_responses(shape: tuple, m: int, params: LbmParams):
     """Yield R_i = constrained_smooth(e_i delta_0, 0) on a periodic grid of
-    the given shape, as (velocity, grid), for i < q: one run of m+1 LBM
-    steps each.  That smoothing is linear and shift-invariant, so these q
-    responses hold all of it.  The impulse sits at cell 0, so offset u is
-    at index u, wrapped."""
+    the given shape, as (velocity, grid), for i < q.  That smoothing is
+    linear and shift-invariant, so these q responses hold all of it.  The
+    impulse sits at cell 0, so offset u is at index u, wrapped.
+
+    R_i vanishes beyond m+1 cells of its impulse per axis, so one run
+    probes as many impulses as _impulse_slots places on the grid: each
+    response is read back from its own window, shifted to cell 0, and is
+    zero outside it.  A grid that holds q windows pays one run of m+1 LBM
+    steps; probe_runs counts them.  On an axis shorter than 2(m+1)+1
+    cells the window wraps onto itself and is kept whole.
+    """
     q = params.vset.q
-    for i in range(q):
+    slots = _impulse_slots(shape, m, q)
+    pitch = 2 * (m + 1) + 1
+    window = [np.arange(-(m + 1), m + 2) % n if n >= pitch else np.arange(n)
+              for n in shape]
+    for first in range(0, q, len(slots)):
         impulse = np.zeros((q,) + shape)
-        impulse[(i,) + (0,) * len(shape)] = 1.0
-        yield constrained_smooth(impulse, np.zeros(shape), m, params)
+        run = list(zip(range(first, min(first + len(slots), q)), slots))
+        for i, slot in run:
+            impulse[(i,) + slot] = 1.0
+        smooth = constrained_smooth(impulse, np.zeros(shape), m, params)
+        for i, slot in run:
+            source = np.ix_(*((w + s) % n
+                              for w, s, n in zip(window, slot, shape)))
+            response = np.zeros((q,) + shape)
+            response[(slice(None),) + np.ix_(*window)] = \
+                smooth[(slice(None),) + source]
+            yield response
 
 
 def _distributions(rho0: np.ndarray, v: np.ndarray, rest: int) -> np.ndarray:
@@ -159,8 +198,9 @@ def cr_kernel(shape: tuple, config: CrConfig,
     conjugate blocks, and only the half spectrum of rfftn is kept: the
     last axis has shape[-1] // 2 + 1 wavenumbers.  G is returned
     read-only and complex, stacked like the unknowns: shape
-    (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  q probes, q(m+1) LBM
-    steps.
+    (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  The probe costs
+    probe_runs(shape, m, q) runs of m+1 LBM steps: one when the grid holds
+    q windows of 2(m+1)+1 cells, at most q.
     """
     rest = _rest_index(params.vset.q)
     axes = tuple(range(1, len(shape) + 1))
@@ -189,10 +229,11 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     caught; a lift that misses tol is returned rather than raised, so
     callers can inspect it.
     iterations is 1, the one FFT filter; lbm_steps is m+1 with a kernel
-    and (q+1)(m+1) without, the closing run plus q probes.  A non-finite
-    density (the ValueError names its first bad cell) or one whose rank is
-    not the velocity set's is refused before any LBM step, and so is a
-    kernel whose shape does not fit the grid.  A kernel of a grid whose
+    and (1 + probe_runs)(m+1) without, the closing run plus the probe
+    runs of cr_kernel.  A non-finite density (the ValueError names its
+    first bad cell) or one whose rank is not the velocity set's is refused
+    before any LBM step, and so is a kernel whose shape does not fit the
+    grid.  A kernel of a grid whose
     last axis differs by one cell can have the same shape; its closing
     run fails.
     """
@@ -202,7 +243,7 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     half_spectrum = rho0.shape[:-1] + (rho0.shape[-1] // 2 + 1,)
     if kernel is None:
         kernel = cr_kernel(rho0.shape, config, params)
-        runs += q
+        runs += probe_runs(rho0.shape, config.m, q)
     elif kernel.shape != (q - 1,) + half_spectrum:
         cells = " x ".join(str(n) for n in rho0.shape)
         raise ValueError(

@@ -59,9 +59,11 @@ class CrLifter:
     Unlike the coefficient routes this pays LBM steps at every
     application, which is what the cost accounting is designed to show:
     m+1 per lift, the closing constrained run that checks the fixed point,
-    plus a one-off q(m+1) the first time a grid shape and model come up,
-    for the q probes of the transfer kernel of the solve (cr_kernel).  The
-    kernels live on the instance, so a fresh lifter pays its probes again.
+    plus a one-off probe the first time a grid shape and model come up,
+    for the transfer kernel of the solve (cr_kernel): one run of m+1 when
+    the grid holds q windows of 2(m+1)+1 cells, up to q such runs on a
+    smaller one.  The kernels live on the instance, so a fresh lifter pays
+    its probe again.
     A lift whose closing residual misses tol raises a RuntimeError.
     """
 

@@ -8,11 +8,14 @@ coefficients are read back from a linear system over a handful of probe
 nodes.  Coefficients that are invariant under that map describe the slow
 manifold.  Lift, smoothing and probe solve are all linear in the
 coefficients, so the map is affine and its fixed point is one exact
-linear solve.  Its linear part comes from q impulse responses of the
-smoothing, which is linear and shift-invariant with density 0.  The
-probe system reads the derivatives of the test densities only in the
-probe windows, the m+1 cells around each probe that those responses
-reach, so the derivatives are evaluated there and nowhere else.
+linear solve.  Both its linear part and its offset, the map at zero
+coefficients, are superposed from the q impulse responses of the
+smoothing, which is linear and shift-invariant with density 0; one
+constrained run probes all q on the test grid.  The probe system reads
+the test densities and their derivatives only in the probe windows, the
+m+1 cells around each probe that those responses reach, so they are
+gathered there and nowhere else.  One evaluation of the map by direct
+constrained runs closes the solve as an independent check.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -240,9 +243,9 @@ class _Workspace:
         self.probe_points = points
         self.probe_ix = _probe_index(points, buffer_width(cfg))
         self.densities = test_density_profiles(cfg, dimension)
-        # offsets u, one row per axis: |u| <= m+1 per axis, beyond which the
-        # impulse responses of _linear_part vanish, or u = 0 alone for the
-        # augmented system, which takes no linear part
+        # offsets u, one row per axis: |u| <= m+1 per axis, beyond which
+        # the impulse responses of _window_responses vanish, or u = 0 alone
+        # for the augmented system, which takes no linear part
         reach = 0 if extra_probes else cfg.m + 1
         self.offsets = np.array(list(product(range(-reach, reach + 1),
                                              repeat=dimension))).T
@@ -253,6 +256,8 @@ class _Workspace:
         # densities are stacked along a leading axis that no term derives.
         stack = np.stack(self.densities)
         d_ix = np.arange(len(stack)).reshape(-1, 1, 1)
+        # density_windows[d, p, u] = rho_d(p - u), which H(0) reads
+        self.density_windows = stack[(d_ix,) + window]
         self.windows = np.array([
             derivative_at(stack, DerivSpec((0,) + spec.orders), params.dx,
                           (d_ix,) + window)
@@ -337,25 +342,26 @@ def _widen_probes(points, cfg: NceTrainConfig):
 def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     """Solve a = H(a), H = _Workspace.h_map, with one exact linear solve.
 
-    H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0 with h0 = H(0)
-    and M from _linear_part; a closing evaluation gives `residual` =
-    max |a - H(a)|, refused with a RuntimeError above RESIDUAL_LIMIT
-    max|a|, and iterations is 1.  This costs
-    (q + 2 n_densities)(m + 1) LBM steps: q impulse runs for M, and two
-    evaluations of H over the test densities, whatever the spatial
-    order, production grid or run length.  The coefficients are reusable
-    on any grid sharing (velocity set, dx, dt, omega, advection).
+    H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0, with h0 = H(0)
+    from _offset and M from _linear_part, both superposed from the q
+    impulse responses of one probe; a closing evaluation of H by direct
+    constrained runs gives `residual` = max |a - H(a)|, refused with a
+    RuntimeError above RESIDUAL_LIMIT max|a|, and iterations is 1.  This
+    costs (n_densities + 1)(m + 1) LBM steps: one probe run for the
+    responses (the test grid holds all q windows) and one evaluation of
+    H over the test densities, whatever the spatial order, production
+    grid or run length.  The coefficients are reusable on any grid
+    sharing (velocity set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
-    # H(0) lifts the test densities to equilibrium, as an empty coefficient
-    # set does.  Every vector of H(a) sums to zero over the velocities,
-    # since the smoothed state keeps the test density; dropping the
-    # round-off of those sums keeps the trained lift free of mass on rough
-    # densities.
+    kernels = _window_responses(ws)
+    # Every vector of H(a) sums to zero over the velocities, since the
+    # smoothed state keeps the test density; dropping the round-off of
+    # those sums keeps the trained lift free of mass on rough densities.
     q = params.vset.q
-    offset = _massless(ws.h_map(LiftCoefficients(params.fingerprint())), q)
-    system = np.eye(offset.size) - _massless(_linear_part(ws), q)
+    offset = _massless(_offset(ws, kernels), q)
+    system = np.eye(offset.size) - _massless(_linear_part(ws, kernels), q)
     try:
         flat = np.linalg.solve(system, offset)
     except np.linalg.LinAlgError as exc:
@@ -380,20 +386,48 @@ def _massless(rows: np.ndarray, q: int) -> np.ndarray:
     return (per_term - per_term.mean(axis=1, keepdims=True)).reshape(rows.shape)
 
 
-def _linear_part(ws: _Workspace) -> np.ndarray:
+def _window_responses(ws: _Workspace) -> np.ndarray:
+    """kernels[i, j, u]: velocity j of G_i = constrained_smooth(e_i delta_0,
+    0) at offset u, from impulse_responses on the test grid.  G_i vanishes
+    beyond m+1 cells per axis, so the window offsets of ws hold all of it."""
+    return np.array([g[(slice(None),) + tuple(ws.offsets)]
+                     for g in impulse_responses(ws.densities[0].shape,
+                                                ws.cfg.m, ws.params)])
+
+
+def _offset(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
+    """h0 = H(0), superposed from the impulse responses: row j at probe p
+    of test density d is sum_u Gw[j, u] (rho_d(p - u) - rho_d(p)), with
+    Gw = sum_i w_i G_i and w the equilibrium weights.
+
+    H(0) smooths the equilibrium w rho, which is sum_u Gw(u) rho(p - u)
+    on the non-rest rows; the density reset gives the rest row the same
+    form, as the responses have density 0.  The smoothing keeps a uniform
+    state at equilibrium, so sum_u Gw[j, u] = w_j, and subtracting f_eq =
+    w rho(p) leaves the differences alone: the O(rho) parts cancel
+    exactly and never enter the sum.
+    """
+    # gw[j, u], then rows[d, p, j], each summed term by term, so the order
+    # of the sums is fixed whatever the array layout or BLAS build; rows
+    # sum from the window's edge inward, where the responses are small
+    gw = sum(w * k for w, k in zip(ws.params.equilibrium_weights(), kernels))
+    centre = ws.offsets.shape[1] // 2
+    diffs = ws.density_windows - ws.density_windows[..., centre, None]
+    inward = np.argsort(-np.abs(ws.offsets).sum(axis=0), kind="stable")
+    rows = sum(diffs[..., u, None] * gw[:, u] for u in inward)
+    return ws.solve(rows.reshape(-1, ws.params.vset.q)).ravel()
+
+
+def _linear_part(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
     """M, the linear part of H: column (T, i), in flatten order, is the
     response to a_T = e_i, the probes of constrained_smooth(e_i D_T rho, 0).
 
     That map is linear and commutes with periodic shifts, so the column
-    at probe p is sum_u G_i(u) D_T rho(p - u), G_i from
-    impulse_responses.  G_i vanishes beyond m+1 cells per axis and the
-    probes sit m+3 cells inside the test domain, so the windows that
-    _Workspace evaluates are all the derivative values M needs.
+    at probe p is sum_u G_i(u) D_T rho(p - u), with kernels from
+    _window_responses.  The probes sit m+3 cells inside the test domain,
+    so the windows that _Workspace evaluates are all the derivative
+    values M needs.
     """
-    # kernels[i, j, u]: velocity j of G_i at offset u
-    kernels = np.array([g[(slice(None),) + tuple(ws.offsets)]
-                        for g in impulse_responses(ws.densities[0].shape,
-                                                   ws.cfg.m, ws.params)])
     # rows[d, p, j, t, i]; summed over u term by term, so the order of the
     # sum is fixed whatever the array layout or BLAS build
     rows = sum(w[:, :, None, :, None] * k[:, None, :]

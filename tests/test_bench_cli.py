@@ -75,7 +75,8 @@ def test_experiment_config_validation():
 
 def test_cr_lift_bench_on_a_two_d_set(tmp_path):
     """lifter = cr runs on D2Q9 from a config file: one settling run, one
-    kernel probe of q(m+1) steps and one closing run of m+1, and a lift
+    kernel probe of m+1 steps (32x32 holds the 9 windows of 2m+3 cells)
+    and one closing run of m+1, and a lift
     error far below the equilibrium lift's."""
     text = ("kind = lift_bench\nvelocity_set = D2Q9\ncells = 32\n"
             "m = 2\nreference_steps = 300\n")
@@ -85,7 +86,7 @@ def test_cr_lift_bench_on_a_two_d_set(tmp_path):
         before = lbm_step_count()
         run_experiment(cfg, tmp_path / lifter)
         lift_steps = lbm_step_count() - before - cfg.reference_steps
-        assert lift_steps == (10 * 3 if lifter == "cr" else 0)
+        assert lift_steps == (2 * 3 if lifter == "cr" else 0)
         header, row = (tmp_path / lifter / "lift_bench.csv").read_text() \
             .splitlines()
         errors[lifter] = float(row.split(",")[-1])
@@ -190,8 +191,8 @@ def test_lift_bench_trains_once(tmp_path):
     cfg = ExperimentConfig(kind="lift_bench", lifter="nce", order=4, m=1)
     before = lbm_step_count()
     run_experiment(cfg, tmp_path)
-    # the settling run plus one training of (q + 2)(m + 1) steps
-    assert lbm_step_count() - before == cfg.reference_steps + (3 + 2) * 2
+    # the settling run plus one training of (n_densities + 1)(m + 1) steps
+    assert lbm_step_count() - before == cfg.reference_steps + (1 + 1) * 2
 
 
 def test_hybrid_spec_with_extracted_pde_trains_once():
@@ -199,8 +200,9 @@ def test_hybrid_spec_with_extracted_pde_trains_once():
                            pde_source="extracted")
     before = lbm_step_count()
     bench.hybrid_spec(cfg)
-    # one training of (q + 2)(m + 1) steps plus the two-step augmentation
-    assert lbm_step_count() - before == (3 + 2) * 3 + 2
+    # one training of (n_densities + 1)(m + 1) steps plus the two-step
+    # augmentation
+    assert lbm_step_count() - before == (1 + 1) * 3 + 2
 
 
 def test_determinism_byte_identical(tmp_path):

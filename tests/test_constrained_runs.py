@@ -6,7 +6,8 @@ from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
                     compare_to_reference, constrained_smooth, cr_kernel,
                     cr_lift, cr_map, equilibrium, from_moments,
                     lbm_step_count, moments, restrict, run_lbm)
-from lblift.constrained_runs import extrapolation_weights, impulse_responses
+from lblift.constrained_runs import (extrapolation_weights,
+                                    impulse_responses, probe_runs)
 
 from conftest import benchmark_params, gaussian_density
 
@@ -214,7 +215,8 @@ def test_cr_lift_rejects_non_finite_density():
             assert lbm_step_count() == before
         before = lbm_step_count()
         lifter.lift(np.ones(bad.size), p)
-        assert lbm_step_count() - before == 4 * (config.m + 1)
+        # one probe run (20 cells hold the 3 windows) and the closing run
+        assert lbm_step_count() - before == 2 * (config.m + 1)
 
 
 def test_cr_lift_refuses_a_kernel_of_another_grid():
@@ -241,13 +243,16 @@ def test_a_kernel_of_the_same_half_spectrum_fails_the_closing_run():
 
 def test_step_accounting_scales_with_m():
     """A lift makes one map evaluation of m+1 LBM steps, the closing
-    residual, and the kernel probe q more, one unit impulse per velocity:
-    (q+1)(m+1) without a kernel, m+1 with one.  The kernel is the
-    read-only complex transfer, one (q-1)-vector per wavenumber, stacked
-    like the non-rest components.  lbm_steps reports exactly the
-    stream_collide calls made."""
+    residual, and the kernel probe its probe runs of m+1 more:
+    (1 + runs)(m+1) without a kernel, m+1 with one.  40 cells hold the
+    three D1Q3 windows of every m, so one run probes them; a 6x5 grid
+    holds two D2Q9 windows at m = 0 (five runs) and one beyond (nine).
+    The kernel is the read-only complex transfer, one (q-1)-vector per
+    wavenumber, stacked like the non-rest components.  lbm_steps reports
+    exactly the stream_collide calls made."""
     rng = np.random.default_rng(5)
-    for name, shape in (("D1Q3", (40,)), ("D2Q9", (6, 5))):
+    for name, shape, runs in (("D1Q3", (40,), (1, 1, 1, 1)),
+                              ("D2Q9", (6, 5), (5, 9, 9, 9))):
         p = benchmark_params(name)
         q = p.vset.q
         rho = 1.0 + rng.uniform(size=shape)
@@ -255,11 +260,11 @@ def test_step_accounting_scales_with_m():
             config = CrConfig(m=m)
             before = lbm_step_count()
             kernel = cr_kernel(shape, config, p)
-            assert lbm_step_count() - before == q * (m + 1)
+            assert lbm_step_count() - before == runs[m] * (m + 1)
             assert kernel.shape == ((q - 1,) + shape[:-1]
                                     + (shape[-1] // 2 + 1,))
             assert kernel.dtype == complex and not kernel.flags.writeable
-            for given, evaluations in ((None, q + 1), (kernel, 1)):
+            for given, evaluations in ((None, runs[m] + 1), (kernel, 1)):
                 before = lbm_step_count()
                 res = cr_lift(rho, config, p, kernel=given)
                 assert res.converged
@@ -271,13 +276,16 @@ def test_cr_lifter_probes_once_per_grid_and_model():
     """One CrLifter equals a fresh cr_lift on every density, bit for bit.
     Used on 40, 13, then 40 cells again, on diffusive then advective
     params, it probes once per (grid size, model) and never reuses a
-    kernel across them: the first lift on a key costs 4(m+1) LBM steps,
-    later ones m+1.  A new lifter probes again."""
+    kernel across them: the first lift on a key costs (1 + probe runs)
+    (m+1) LBM steps, later ones m+1.  40 cells take one probe run at
+    every m; 13 cells hold 3, 2, 1 and 1 windows of 2m+3 cells, so they
+    take 1, 2, 3 and 3.  A new lifter probes again."""
     rng = np.random.default_rng(11)
     diffusive = benchmark_params("D1Q3")
     advective = benchmark_params("D1Q3", advection=(0.66,))
     runs = [(diffusive, 40), (diffusive, 13), (diffusive, 40),
             (advective, 40), (advective, 13), (diffusive, 13)]
+    probe_runs_at = {40: (1, 1, 1, 1), 13: (1, 2, 3, 3)}
     for m in range(4):
         config = CrConfig(m=m)
         lifter = CrLifter(config)
@@ -289,19 +297,21 @@ def test_cr_lifter_probes_once_per_grid_and_model():
                 before = lbm_step_count()
                 f = lifter.lift(rho, p)
                 steps = lbm_step_count() - before
-                assert steps == (1 if (p, cells) in seen else 4) * (m + 1)
+                probes = 0 if (p, cells) in seen else probe_runs_at[cells][m]
+                assert steps == (1 + probes) * (m + 1), (m, cells, steps)
                 seen.add((p, cells))
                 assert np.array_equal(f, cr_lift(rho, config, p).f), \
                     (m, p.advection, cells)
         before = lbm_step_count()
         CrLifter(config).lift(rho, p)
-        assert lbm_step_count() - before == 4 * (m + 1)
+        assert lbm_step_count() - before == (1 + probe_runs_at[13][m]) * (m + 1)
 
 
 def test_cr_lifter_keys_kernels_by_grid_shape():
     """A 10x20 and a 20x10 grid have as many cells but not one kernel:
-    each probes its own, and each later lift pays its closing run alone.
-    A density of the wrong rank is refused before any LBM step."""
+    each probes its own, in one run (each has room for 8 windows, and
+    D2Q5 needs 5), and each later lift pays its closing run alone.  A density of
+    the wrong rank is refused before any LBM step."""
     p = benchmark_params("D2Q5")
     config = CrConfig(m=1)
     lifter = CrLifter(config)
@@ -312,7 +322,7 @@ def test_cr_lifter_keys_kernels_by_grid_shape():
         before = lbm_step_count()
         f = lifter.lift(rho, p)
         steps = lbm_step_count() - before
-        assert steps == (6 if probes else 1) * (config.m + 1), (shape, steps)
+        assert steps == (2 if probes else 1) * (config.m + 1), (shape, steps)
         assert np.array_equal(f, cr_lift(rho, config, p).f), shape
     assert sorted(key[0] for key in lifter._kernels) == [(10, 20), (20, 10)]
     before = lbm_step_count()
@@ -337,6 +347,49 @@ def test_impulse_responses_vanish_outside_window(name, m):
         assert np.abs(centred[window]).max() > 0
         centred[window] = 0.0
         assert not centred.any()
+
+
+def one_impulse_responses(shape, m, params):
+    """The q responses R_i = constrained_smooth(e_i delta_0, 0), one
+    constrained run per unit impulse at cell 0."""
+    q = params.vset.q
+    for i in range(q):
+        impulse = np.zeros((q,) + shape)
+        impulse[(i,) + (0,) * len(shape)] = 1.0
+        yield constrained_smooth(impulse, np.zeros(shape), m, params)
+
+
+PACKED_PROBE_CASES = (
+    [("D1Q3", advection, shape) for advection in ((), (0.5,))
+     for shape in ((66,), (72,), (200,), (40,), (7,))]
+    + [("D2Q5", (), shape) for shape in ((68, 68), (20, 20), (10, 20),
+                                         (7, 7), (6, 5))]
+    + [("D2Q9", advection, shape) for advection in ((), (1.0, 0.5))
+       for shape in ((64, 64), (72, 72), (20, 20), (10, 20), (7, 7),
+                     (6, 5))])
+
+
+@pytest.mark.parametrize("name,advection,shape", PACKED_PROBE_CASES)
+def test_packed_impulse_responses_match_one_run_per_impulse(name, advection,
+                                                            shape):
+    """The responses that share constrained runs equal, bit for bit, the
+    responses of one run per impulse, for m = 0..3 and grids that hold
+    every window (68x68, 200 cells), some (10x20; 20x20 at m >= 2) or
+    one (7x7 and 6x5 at m >= 1).  The probe costs ceil(q / slots) runs
+    of m+1 LBM steps, with max(1, n // (2m+3)) slots per axis."""
+    p = benchmark_params(name, advection=advection)
+    q = p.vset.q
+    for m in range(4):
+        slots = int(np.prod([max(1, n // (2 * m + 3)) for n in shape]))
+        before = lbm_step_count()
+        packed = list(impulse_responses(shape, m, p))
+        steps = lbm_step_count() - before
+        assert steps == -(-q // slots) * (m + 1), (m, slots, steps)
+        assert probe_runs(shape, m, q) == -(-q // slots)
+        assert len(packed) == q
+        for i, (got, want) in enumerate(zip(packed, one_impulse_responses(
+                shape, m, p))):
+            assert np.array_equal(got, want), (m, i)
 
 
 def test_a_kernel_of_another_model_is_caught():

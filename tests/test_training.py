@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lblift import (DerivSpec, LbmParams, NceTrainConfig,
+from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
                     analytic_coefficients, analytic_pde, apply_lift,
                     augment_time_derivative, extract_pde, lbm_step_count,
                     restrict, train_coefficients)
@@ -12,8 +12,9 @@ from lblift.constrained_runs import constrained_smooth
 from lblift.lifting import zero_coefficients
 from lblift.stencil import spatial_derivative
 from lblift import training
-from lblift.training import (RESIDUAL_LIMIT, _linear_part,
-                             _Workspace, buffer_width, default_probe_positions)
+from lblift.training import (RESIDUAL_LIMIT, _linear_part, _offset,
+                             _window_responses, _Workspace, buffer_width,
+                             default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import benchmark_params, gaussian_density
@@ -207,7 +208,7 @@ def newton_reference(cfg, params, tol=1e-12, max_iter=25, eps=1e-8):
 def test_exact_solve_matches_newton_reference(m):
     """Over the criterion-4 D1Q3 table: coefficients within 1e-9 max|a|
     of the Newton reference, a closing residual of at most 1e-11, and
-    (q + 2 n_densities)(m + 1) LBM steps, whatever R."""
+    (n_densities + 1)(m + 1) LBM steps, whatever R."""
     p = benchmark_params("D1Q3")
     for r in range(1, 7):
         cfg = NceTrainConfig(spatial_order=r, m=m)
@@ -220,17 +221,22 @@ def test_exact_solve_matches_newton_reference(m):
         assert result.residual <= 1e-11, (r, result.residual)
         assert result.iterations == 1
         n_densities = len(density_profiles(cfg, 1))
-        assert steps == result.lbm_steps == (3 + 2 * n_densities) * (m + 1)
+        assert steps == result.lbm_steps == (n_densities + 1) * (m + 1)
 
 
 def test_two_d_step_count():
-    p = benchmark_params("D2Q5")
-    cfg = NceTrainConfig(spatial_order=2, m=1)
-    before = lbm_step_count()
-    result = train_coefficients(cfg, p)
-    n_densities = len(density_profiles(cfg, 2))
-    assert lbm_step_count() - before == result.lbm_steps \
-        == (p.vset.q + 2 * n_densities) * (cfg.m + 1)
+    """One probe run and one closing run per test density: 8 LBM steps
+    for D2Q5 at order 2 (3 densities) and 12 for advective D2Q9 at order
+    4 (5 densities), with m = 1."""
+    for name, advection, order, steps in (("D2Q5", (), 2, 8),
+                                          ("D2Q9", (1.0, 0.5), 4, 12)):
+        p = benchmark_params(name, advection=advection)
+        cfg = NceTrainConfig(spatial_order=order, m=1)
+        before = lbm_step_count()
+        result = train_coefficients(cfg, p)
+        n_densities = len(density_profiles(cfg, 2))
+        assert lbm_step_count() - before == result.lbm_steps \
+            == (n_densities + 1) * (cfg.m + 1) == steps
 
 
 def field_loop_linear_part(ws):
@@ -267,8 +273,21 @@ def test_impulse_linear_part_matches_field_loop(name, advection, r, m):
     p = benchmark_params(name, advection=advection)
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
     reference = field_loop_linear_part(ws)
-    gap = np.abs(_linear_part(ws) - reference).max()
+    gap = np.abs(_linear_part(ws, _window_responses(ws)) - reference).max()
     assert gap <= 1e-10 * np.abs(reference).max(), gap
+
+
+@pytest.mark.parametrize("name,advection,r,m", LINEAR_PART_CASES)
+def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
+    """H(0) superposed from the impulse responses matches the direct
+    evaluation, constrained runs of the test densities lifted to
+    equilibrium, to 1e-9 max|H(0)|; the worst measured gap is 2.6e-10, at
+    D1Q3 (R, m) = (6, 3)."""
+    p = benchmark_params(name, advection=advection)
+    ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
+    reference = ws.h_map(LiftCoefficients(p.fingerprint()))
+    gap = np.abs(_offset(ws, _window_responses(ws)) - reference).max()
+    assert gap <= 1e-9 * np.abs(reference).max(), gap
 
 
 @pytest.mark.parametrize("name,r,m,extra", [
@@ -310,7 +329,18 @@ def test_training_refuses_a_missed_fixed_point(monkeypatch):
     scale = np.abs(result.coefficients.flatten()).max()
     assert result.residual <= 1e-3 * RESIDUAL_LIMIT * scale
     monkeypatch.setattr(training, "_linear_part",
-                        lambda ws: 0.9 * _linear_part(ws))
+                        lambda ws, kernels: 0.9 * _linear_part(ws, kernels))
+    with pytest.raises(RuntimeError, match="miss their fixed point"):
+        train_coefficients(cfg, p)
+
+
+def test_training_refuses_a_wrong_offset(monkeypatch):
+    """A superposed H(0) off by 10 % misses the closing evaluation by
+    direct constrained runs, and training raises."""
+    p = benchmark_params("D1Q3")
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    monkeypatch.setattr(training, "_offset",
+                        lambda ws, kernels: 0.9 * _offset(ws, kernels))
     with pytest.raises(RuntimeError, match="miss their fixed point"):
         train_coefficients(cfg, p)
 
