@@ -13,6 +13,17 @@ field is kept with its two ghost columns allocated around it
 (HybridState.f_rim), and each step writes the lifted ghosts into that
 rim in place, so no field-sized copy is made to add them.
 
+A step reads lifted distributions only at its two ghost columns, x_p
+and x_0.  When the lifter states a finite reach h along the split axis
+(lifters.lift_reach) and the grid holds more than 4h+2 cells, the step
+lifts only the ghost slab: the 2h+1 density rows around each
+interface, p-h..p+h then n-h..n-1, 0..h, through the unchanged
+lifter.lift.  The slab is periodic to the lift, but the two output rows
+kept, h and 3h+1, read no wrapped row, so they are exactly the rows a
+full-field lift gives.  Otherwise (a constrained-runs lift, a lifter
+that states no reach, or a grid too small) the step lifts the whole
+field.
+
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
 diagonal links find their corners in them.
@@ -20,12 +31,13 @@ diagonal links find their corners in them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .lattice import LbmParams, finite_density, restrict, stream_collide
+from .lifters import lift_reach
 from .macro_pde import MacroPde, ftcs_step
 
 
@@ -40,6 +52,12 @@ class HybridSpec:
 
     PDE on cells 0..split_index, LBM on the rest; initial_density covers
     the full domain (the lifting stencils want the whole field).
+
+    Construction also fixes which density rows each step reads: `reads`
+    are runs (start, stop) of domain rows, in the order the step gathers
+    them, each on one side of the split; the first `lifted_rows` gathered
+    rows are lifted, `lift_ghosts` are the lifted rows of x_p and x_0,
+    and `pde_ghosts` the gathered rows of x_{n-1} and x_{p+1}.
     """
 
     total_cells: int
@@ -48,6 +66,10 @@ class HybridSpec:
     pde: MacroPde
     lifter: object
     initial_density: np.ndarray
+    reads: Tuple[Tuple[int, int], ...] = field(init=False, repr=False)
+    lifted_rows: int = field(init=False, repr=False)
+    lift_ghosts: Tuple[int, int] = field(init=False, repr=False)
+    pde_ghosts: Tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, p = self.total_cells, self.split_index
@@ -65,6 +87,35 @@ class HybridSpec:
         if not np.all(np.isfinite(rho)):
             raise ValueError("initial density contains non-finite values")
         self.initial_density = rho
+
+        h = lift_reach(self.lifter, self.params)
+        if h is None or 4 * h + 2 >= n:
+            spans = [(0, n)]
+            self.lifted_rows = n
+            self.lift_ghosts, self.pde_ghosts = (p, 0), (n - 1, p + 1)
+        else:
+            spans = [(p - h, p + h + 1), (n - h, n + h + 1)]
+            self.lifted_rows = 4 * h + 2
+            self.lift_ghosts, self.pde_ghosts = (h, 3 * h + 1), (3 * h, h + 1)
+            if h == 0:
+                # the slab holds neither FTCS ghost: gather both after it
+                spans += [(n - 1, n), (p + 1, p + 2)]
+                self.pde_ghosts = (2, 3)
+        self.reads = _side_runs(spans, n, p)
+
+
+def _side_runs(spans, n: int, p: int) -> Tuple[Tuple[int, int], ...]:
+    """Domain rows lo..hi-1 (mod n) of each span as runs (start, stop)
+    that neither wrap nor cross the split: the PDE holds 0..p, the LBM
+    p+1..n-1."""
+    runs = []
+    for lo, hi in spans:
+        while lo < hi:
+            base = lo - lo % n
+            stop = min(hi, base + (p + 1 if lo - base <= p else n))
+            runs.append((lo - base, stop - base))
+            lo = stop
+    return tuple(runs)
 
 
 @dataclass
@@ -115,28 +166,35 @@ def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
     """Advance both subdomains by one dt with a simultaneous ghost exchange.
 
     Ghosts on both sides are built from the time-t data first, then the
-    two subdomain updates run independently.  The PDE ghosts at x_{-1}
-    (= x_{n-1}, periodic) and x_{p+1} are restricted LBM densities; the
-    LBM ghosts at x_p and x_n (= x_0) are lifted from the concatenated
-    density field, stencils straddling the interfaces, and written into
-    the rim of state.f_rim, which this overwrites.  Each rimmed subdomain
-    takes one periodic step: one step moves data one cell, so the wrap
-    across the rim reaches only the ghost cells, which the next step
-    overwrites (LBM) or crops (PDE).
+    two subdomain updates run independently.  The step builds only the
+    densities of spec.reads, from rho_pde and the restricted LBM columns:
+    the ghost slab (or the whole field, see the module docstring) and the
+    PDE ghosts.  The PDE ghosts at x_{-1} (= x_{n-1}, periodic) and
+    x_{p+1} are restricted LBM densities; the LBM ghosts at x_p and
+    x_n (= x_0) are lifted from the gathered densities, stencils
+    straddling the interfaces, and written into the rim of state.f_rim,
+    which this overwrites.  Each rimmed subdomain takes one periodic
+    step: one step moves data one cell, so the wrap across the rim
+    reaches only the ghost cells, which the next step overwrites (LBM)
+    or crops (PDE).  The lift refuses a non-finite density only within
+    what it is handed; compare_to_reference checks the whole field after
+    every step.
     """
     p = spec.split_index
-    rho = full_density(state, spec)
+    rho = np.concatenate(
+        [state.rho_pde[a:b] if b <= p + 1
+         else restrict(state.f_rim[:, a - p:b - p]) for a, b in spec.reads],
+        axis=0)
 
-    f_lift = spec.lifter.lift(rho, spec.params)
-    state.f_rim[:, 0] = f_lift[:, p]
-    state.f_rim[:, -1] = f_lift[:, 0]
-    # free the full lifted field before the step allocates its own, so
-    # that the allocator hands its pages on instead of faulting in new ones
-    del f_lift
+    f_lift = spec.lifter.lift(rho[:spec.lifted_rows], spec.params)
+    at_p, at_0 = spec.lift_ghosts
+    state.f_rim[:, 0] = f_lift[:, at_p]
+    state.f_rim[:, -1] = f_lift[:, at_0]
     f_new = stream_collide(state.f_rim, spec.params)
 
+    west, east = spec.pde_ghosts
     rho_ext = np.concatenate(
-        [rho[-1:], state.rho_pde, rho[p + 1: p + 2]], axis=0)
+        [rho[west:west + 1], state.rho_pde, rho[east:east + 1]], axis=0)
     rho_new = ftcs_step(rho_ext, spec.pde, spec.params.dx,
                         spec.params.dt)[1:-1]
 
@@ -165,7 +223,8 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     the `steps` updates: the absolute density difference field (kept
     only on request), its max, and its flat 2-norm.  The run stops at
     the first non-finite hybrid density, whatever the lifter, with a
-    ValueError naming the step and the cell.
+    ValueError naming the step and the cell: this check, not the lift,
+    sees the densities outside the ghost slab.
     """
     if steps < 1:
         raise ValueError("need at least one step to compare")

@@ -6,6 +6,14 @@ harness only ever talk to this interface, so equilibrium, closed-form
 coefficients, trained coefficients, and constrained-runs lifting are
 drop-in replacements for one another.  Each refuses an empty grid or a
 non-finite density with the same ValueError (lattice.finite_density).
+
+Each lifter also states its reach(params): how many cells along the
+first grid axis (the hybrid's split axis) on either side of a cell its
+lifted distributions read, or None when a lifted cell may read the
+whole grid.  The hybrid uses it to lift only the rows around its ghost
+cells.  A wrapper that meters or counts lifts keeps the wrapped lifter
+as `inner` and must lift exactly as `inner` does: lift_reach looks
+through it.
 """
 
 from __future__ import annotations
@@ -28,6 +36,10 @@ class EquilibriumLifter:
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
         return equilibrium(finite_density(rho), params)
 
+    def reach(self, params: LbmParams) -> int:
+        """0: f_eq at a cell reads only the density there."""
+        return 0
+
 
 @dataclass
 class CoefficientLifter:
@@ -36,8 +48,8 @@ class CoefficientLifter:
     Works for closed-form and trained coefficient sets alike; the
     fingerprint check inside apply_lift refuses mismatched models.  The
     lifter holds the stencil matrix of its model (lift_kernel), built at
-    its first lift and reused by every later one, so the coefficient
-    vectors must not be changed after that first lift.
+    its first lift or reach and reused by every later one, so the
+    coefficient vectors must not be changed after that.
     """
 
     coefficients: LiftCoefficients
@@ -46,10 +58,23 @@ class CoefficientLifter:
                                           repr=False, compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        if self._kernel is None and self.coefficients.terms:
+        kernel = self._stencil(params) if self.coefficients.terms else None
+        return apply_lift(rho, self.coefficients, params, kernel=kernel)
+
+    def reach(self, params: LbmParams) -> int:
+        """The largest offset |u[0]| of the stencil taps: h0 of the kernel
+        in 2D, its reach along the grid in 1D, and 0 for an empty set."""
+        if not self.coefficients.terms:
+            return 0
+        kernel = self._stencil(params)
+        if params.vset.dimension > 1:
+            return kernel.h0
+        return max(map(abs, kernel.shifts))
+
+    def _stencil(self, params: LbmParams) -> LiftKernel:
+        if self._kernel is None:
             self._kernel = lift_kernel(self.coefficients, params)
-        return apply_lift(rho, self.coefficients, params,
-                          kernel=self._kernel)
+        return self._kernel
 
 
 @dataclass
@@ -83,3 +108,17 @@ class CrLifter:
                 f"constrained-runs lift missed its tolerance: closing residual "
                 f"{result.residual:.3e} > tol {self.config.tol:.3e}")
         return result.f
+
+    def reach(self, params: LbmParams) -> None:
+        """None: the lift is a convolution over the whole periodic grid."""
+        return None
+
+
+def lift_reach(lifter, params: LbmParams) -> Optional[int]:
+    """The reach of a lifter, looked up through wrappers that keep the
+    wrapped lifter as `inner`; None for a lifter that states none."""
+    while not hasattr(lifter, "reach"):
+        lifter = getattr(lifter, "inner", None)
+        if lifter is None:
+            return None
+    return lifter.reach(params)

@@ -8,7 +8,7 @@ from lblift import (CoefficientLifter, CrConfig, CrLifter, EquilibriumLifter,
                     HybridSpec, HybridState, MacroPde, NceTrainConfig,
                     analytic_coefficients, analytic_pde, compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
-                    train_coefficients)
+                    lbm_step_count, train_coefficients)
 
 from conftest import benchmark_params, gaussian_density, roll_stream_collide
 from test_lifting import reference_lift
@@ -201,16 +201,39 @@ def trained_lifter(params, order, m):
     return CoefficientLifter(train_coefficients(cfg, params).coefficients)
 
 
-@pytest.mark.parametrize("name, advection, lifter, cells", [
-    ("D1Q3", (), lambda p: CrLifter(CrConfig(m=3)), 200),
-    ("D1Q3", (0.66,), lambda p: trained_lifter(p, 4, 2), 200),
-    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 60),
-], ids=["D1Q3-cr", "D1Q3-trained", "D2Q9-advective-trained"])
-def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells):
+@pytest.mark.parametrize("name, advection, lifter, cells, split", [
+    ("D1Q3", (), lambda p: CrLifter(CrConfig(m=3)), 200, None),
+    ("D1Q3", (0.66,), lambda p: trained_lifter(p, 4, 2), 200, None),
+    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 60, None),
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 200, None),
+    ("D1Q3", (0.66,), lambda p: trained_lifter(p, 4, 1), 200, None),
+    ("D2Q5", (), lambda p: trained_lifter(p, 4, 1), 60, None),
+    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 6, 3), 60, None),
+    ("D2Q9", (), lambda p: trained_lifter(p, 2, 1), 60, None),
+    # reach 3: a 14-cell slab just fits 15 cells, and its two segments
+    # overlap at splits 1 and 13; 14 cells take the full-field lift
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 1),
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 7),
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 13),
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 14, 7),
+    # reach 2: a 10-row slab on 11 rows
+    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 11, 1),
+    ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 11, 9),
+    ("D2Q9", (), lambda p: EquilibriumLifter(), 11, 3),
+], ids=["D1Q3-cr", "D1Q3-trained", "D2Q9-advective-trained",
+        "D1Q3-R6-m2", "D1Q3-advective-R4-m1", "D2Q5-R4-m1",
+        "D2Q9-advective-R6-m3", "D2Q9-R2-m1",
+        "D1Q3-15-split-1", "D1Q3-15-split-7", "D1Q3-15-split-13",
+        "D1Q3-14-full-field", "D2Q9-11-split-1", "D2Q9-11-split-9",
+        "D2Q9-11-equilibrium"])
+def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells,
+                                             split):
     """Periodic kernels on the rimmed subdomains, cropped afterwards, give
-    bit for bit what kernels updating only the interior give."""
+    bit for bit what kernels updating only the interior give; and the
+    ghost slab lift gives bit for bit what the reference's full-field
+    lift gives, overlapping slab segments included."""
     p = benchmark_params(name, advection=advection)
-    spec = make_spec(p, lifter(p), cells=cells)
+    spec = make_spec(p, lifter(p), cells=cells, split=split)
     state = ref = init_hybrid(spec)
     for step in range(20):
         state = hybrid_step(state, spec)
@@ -219,6 +242,73 @@ def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells):
         assert np.array_equal(state.rho_pde, ref.rho_pde), step
     assert state.t == ref.t == 20
     assert not np.array_equal(state.rho_pde, init_hybrid(spec).rho_pde)
+
+
+def spied(lifter, shapes):
+    """lifter, its lift now recording the shape of every density handed
+    to it."""
+    lift = lifter.lift
+
+    def recording(rho, params):
+        shapes.append(rho.shape)
+        return lift(rho, params)
+
+    lifter.lift = recording
+    return lifter
+
+
+class Forwarding:
+    """A wrapper that lifts exactly as the wrapped lifter; it exposes the
+    wrapped lifter as `inner` only if asked to."""
+
+    name = "forwarding"
+
+    def __init__(self, lifter, expose):
+        if expose:
+            self.inner = lifter
+        self._lifter = lifter
+
+    def lift(self, rho, params):
+        return self._lifter.lift(rho, params)
+
+
+@pytest.mark.parametrize("name, lifter, lifted", [
+    ("D1Q3", order2_lifter, (6,)),
+    ("D1Q3", lambda p: trained_lifter(p, 6, 2), (14,)),
+    ("D2Q9", lambda p: EquilibriumLifter(), (2, 40)),
+    ("D2Q9", lambda p: trained_lifter(p, 4, 1), (10, 40)),
+    ("D1Q3", lambda p: CrLifter(CrConfig(m=1)), (40,)),
+    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), False), (40, 40)),
+    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), True), (10, 40)),
+], ids=["D1Q3-order2", "D1Q3-R6", "D2Q9-equilibrium", "D2Q9-R4",
+        "D1Q3-cr", "D2Q9-no-reach", "D2Q9-inner"])
+def test_hybrid_step_lifts_the_ghost_slab(name, lifter, lifted):
+    """Each step hands the lifter the 4h+2 density rows around the two
+    interfaces when the lifter states a finite reach h, itself or through
+    `inner`, and the whole field otherwise; init_hybrid always lifts the
+    whole field."""
+    p = benchmark_params(name, advection=(1.0, 0.5) if name == "D2Q9" else ())
+    outer = lifter(p)
+    shapes = []
+    spied(getattr(outer, "_lifter", outer), shapes)
+    spec = make_spec(p, outer, cells=40)
+    state = init_hybrid(spec)
+    for _ in range(3):
+        state = hybrid_step(state, spec)
+    assert shapes == [spec.initial_density.shape] + 3 * [lifted]
+
+
+def test_cr_hybrid_spec_probes_nothing():
+    """Looking up the reach of a constrained-runs lifter runs no LBM step
+    and probes no transfer kernel: the spec reads the whole field."""
+    p = benchmark_params("D1Q3")
+    lifter = CrLifter(CrConfig(m=3))
+    before = lbm_step_count()
+    spec = make_spec(p, lifter)
+    assert lbm_step_count() == before
+    assert lifter._kernels == {}
+    assert spec.reads == ((0, 101), (101, 200))
+    assert spec.lifted_rows == 200
 
 
 def test_two_d_uniform_steady():

@@ -281,6 +281,31 @@ def test_coefficient_lifter_keeps_refusing_another_model():
     assert_array_equal(fresh.lift(rho, p), apply_lift(rho, co, p))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", ["D1Q3", "D2Q5", "D2Q9"])
+def test_coefficient_lifter_reach_bounds_the_support_of_an_impulse(name,
+                                                                   order):
+    """A unit density at one cell, zero elsewhere, lifts to distributions
+    that differ from f_eq only within `reach` cells of it along the first
+    axis, and do differ `reach` cells away: reach is the exact extent of
+    the lift's dependence along the split axis.  An empty set (order 0)
+    has reach 0 and lifts to f_eq."""
+    shape = (25,) if name == "D1Q3" else (25, 12)
+    p = benchmark_params(name, advection=(1.0, 0.5)[:len(shape)])
+    rho = np.zeros(shape)
+    rho[(12, 5)[:len(shape)]] = 1.0
+    lifter = CoefficientLifter(random_coefficients(p, order, seed=order))
+    h = lifter.reach(p)
+    moved = lifter.lift(rho, p) - equilibrium(rho, p)
+    rows = np.flatnonzero(
+        np.abs(moved).reshape(p.vset.q, 25, -1).max(axis=(0, 2)))
+    assert h == (order + 1) // 2
+    if order:
+        assert rows.min() == 12 - h and rows.max() == 12 + h, (rows, h)
+    else:
+        assert rows.size == 0
+
+
 def test_stencil_lift_temporaries_stay_small():
     """One 200 x 200 D2Q9 order-4 lift allocates its 2.88 MB output and
     less than 0.92 MB more: the wrapped density (333 kB), the row-block
