@@ -17,11 +17,11 @@ grid axis turns the fixed point into one transfer per wavenumber, the
 components being that transfer times the density's spectrum.  Each
 response reaches only m+1 cells, so the q impulses share one
 constrained run wherever the grid holds q windows of 2(m+1)+1 cells.
-cr_kernel probes it once per grid shape and model, for m+1 LBM steps on
-such a grid and at most q(m+1) on a smaller one; each lift then pays
-only its closing constrained run, m+1 LBM steps, which checks the fixed
-point.  The solver works on full periodic density fields of every
-velocity set.
+cr_kernel probes it, for m+1 LBM steps on such a grid and at most
+q(m+1) on a smaller one; a lift handed the kernel of an earlier one
+(CrResult.kernel) pays only its closing constrained run, m+1 LBM steps,
+which checks the fixed point.  The solver works on full periodic
+density fields of every velocity set.
 """
 
 from __future__ import annotations
@@ -36,33 +36,32 @@ from .lattice import (LbmParams, _rest_index, finite_density, reset_density,
                       stream_collide)
 
 
+# the largest max-norm of a closing residual that counts as converged
+CR_TOL = 1e-13
+
+
 @dataclass(frozen=True)
 class CrConfig:
-    """Settings for the constrained-runs lift.
-
-    m is the extrapolation order; a lift counts as converged when the
-    max-norm of its closing residual is at most tol.
-    """
+    """Settings for the constrained-runs lift: m is the extrapolation order."""
 
     m: int = 1
-    tol: float = 1e-13
 
     def __post_init__(self):
         if self.m not in (0, 1, 2, 3):
             raise ValueError(f"extrapolation order m={self.m}, expected 0..3")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
 class CrResult:
-    """Lifted field plus solver diagnostics."""
+    """Lifted field plus solver diagnostics, and the transfer kernel of the
+    solve, which later lifts on the same grid shape and model can reuse."""
 
     f: np.ndarray
     iterations: int
     lbm_steps: int
     residual: float
     converged: bool
+    kernel: np.ndarray
 
 
 def extrapolation_weights(m: int) -> np.ndarray:
@@ -172,16 +171,6 @@ def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
     return _non_rest(g, rest)
 
 
-def cr_density(rho0: np.ndarray, params: LbmParams) -> np.ndarray:
-    """rho0 as a float array; a ValueError unless it is finite and has the
-    rank of the velocity set."""
-    rho0 = finite_density(rho0)
-    if rho0.ndim != params.vset.dimension:
-        raise ValueError(
-            f"density rank {rho0.ndim} does not match {params.vset.name}")
-    return rho0
-
-
 def cr_kernel(shape: tuple, config: CrConfig,
               params: LbmParams) -> np.ndarray:
     """Per-wavenumber transfer G = (I - B)^-1 A of the cr_map fixed point.
@@ -222,22 +211,24 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
 
     Solves v = cr_map(rho0, v) in Fourier space: the non-rest components
     are v = irfftn(G rfftn(rho0)), with G the half-spectrum transfer of
-    cr_kernel.  kernel takes G from an earlier cr_kernel call on the same
-    grid shape, config and model; without it the lift probes G itself.
-    A closing constrained run gives the residual max|v - cr_map(rho0, v)|,
-    and converged = residual <= tol, so a kernel of another model is
-    caught; a lift that misses tol is returned rather than raised, so
-    callers can inspect it.
+    cr_kernel.  kernel takes G from an earlier lift (CrResult.kernel) or
+    cr_kernel call on the same grid shape, config and model; without it
+    the lift probes G itself.  A closing constrained run of the lifted f
+    gives the residual max|v - cr_map(rho0, v)|, and converged = residual
+    <= CR_TOL, so a kernel of another model is caught; a lift that misses
+    CR_TOL is returned rather than raised, so callers can inspect it.
     iterations is 1, the one FFT filter; lbm_steps is m+1 with a kernel
     and (1 + probe_runs)(m+1) without, the closing run plus the probe
     runs of cr_kernel.  A non-finite density (the ValueError names its
     first bad cell) or one whose rank is not the velocity set's is refused
     before any LBM step, and so is a kernel whose shape does not fit the
-    grid.  A kernel of a grid whose
-    last axis differs by one cell can have the same shape; its closing
-    run fails.
+    grid.  A kernel of a grid whose last axis differs by one cell can
+    have the same shape; its closing run fails.
     """
-    rho0 = cr_density(rho0, params)
+    rho0 = finite_density(rho0)
+    if rho0.ndim != params.vset.dimension:
+        raise ValueError(
+            f"density rank {rho0.ndim} does not match {params.vset.name}")
     q = params.vset.q
     runs = 1
     half_spectrum = rho0.shape[:-1] + (rho0.shape[-1] // 2 + 1,)
@@ -251,7 +242,9 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     # an explicit s skips numpy's shape inference, as slow as a 1D FFT
     v = np.fft.irfftn(kernel * np.fft.rfftn(rho0), s=rho0.shape,
                       axes=tuple(range(1, rho0.ndim + 1)))
-    residual = float(np.max(np.abs(v - cr_map(rho0, v, config, params))))
-    f = _distributions(rho0, v, _rest_index(q))
+    rest = _rest_index(q)
+    f = _distributions(rho0, v, rest)
+    smooth = _non_rest(constrained_smooth(f, rho0, config.m, params), rest)
+    residual = float(np.max(np.abs(smooth - v)))
     return CrResult(f, 1, runs * (config.m + 1), residual,
-                    residual <= config.tol)
+                    residual <= CR_TOL, kernel)

@@ -15,14 +15,15 @@ rim in place, so no field-sized copy is made to add them.
 
 A step reads lifted distributions only at its two ghost columns, x_p
 and x_0.  When the lifter states a finite reach h along the split axis
-(lifters.lift_reach) and the grid holds more than 4h+2 cells, the step
-lifts only the ghost slab: the 2h+1 density rows around each
-interface, p-h..p+h then n-h..n-1, 0..h, through the unchanged
-lifter.lift.  The slab is periodic to the lift, but the two output rows
-kept, h and 3h+1, read no wrapped row, so they are exactly the rows a
-full-field lift gives.  Otherwise (a constrained-runs lift, a lifter
-that states no reach, or a grid too small) the step lifts the whole
-field.
+(lifters.lift_reach), the step lifts only the ghost slab of half-width
+g = max(h, 1): the 2g+1 density rows around each interface, p-g..p+g
+then n-g..n-1, 0..g, through the unchanged lifter.lift, provided the
+grid holds more than 4g+2 cells.  g >= 1 keeps the two FTCS ghosts,
+x_{p+1} and x_{n-1}, in the slab.  The slab is periodic to the lift, but
+the two output rows kept, g and 3g+1, read no wrapped row, so they are
+exactly the rows a full-field lift gives.  Otherwise (a
+constrained-runs lift, a lifter that states no reach, or a grid too
+small) the step lifts the whole field.
 
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
@@ -89,18 +90,16 @@ class HybridSpec:
         self.initial_density = rho
 
         h = lift_reach(self.lifter, self.params)
-        if h is None or 4 * h + 2 >= n:
+        # a slab half-width g >= 1 keeps both FTCS ghosts in the slab
+        g = None if h is None else max(h, 1)
+        if g is None or 4 * g + 2 >= n:
             spans = [(0, n)]
             self.lifted_rows = n
             self.lift_ghosts, self.pde_ghosts = (p, 0), (n - 1, p + 1)
         else:
-            spans = [(p - h, p + h + 1), (n - h, n + h + 1)]
-            self.lifted_rows = 4 * h + 2
-            self.lift_ghosts, self.pde_ghosts = (h, 3 * h + 1), (3 * h, h + 1)
-            if h == 0:
-                # the slab holds neither FTCS ghost: gather both after it
-                spans += [(n - 1, n), (p + 1, p + 2)]
-                self.pde_ghosts = (2, 3)
+            spans = [(p - g, p + g + 1), (n - g, n + g + 1)]
+            self.lifted_rows = 4 * g + 2
+            self.lift_ghosts, self.pde_ghosts = (g, 3 * g + 1), (3 * g, g + 1)
         self.reads = _side_runs(spans, n, p)
 
 
@@ -209,7 +208,6 @@ class HybridComparison:
     l2_error: np.ndarray
     error_fields: Optional[np.ndarray]
     final_state: HybridState
-    final_reference: np.ndarray
 
 
 def compare_to_reference(spec: HybridSpec, steps: int,
@@ -250,5 +248,4 @@ def compare_to_reference(spec: HybridSpec, steps: int,
         l2_error=l2_err,
         error_fields=np.array(fields) if keep_fields else None,
         final_state=state,
-        final_reference=f_ref,
     )

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constrained_runs import CrConfig, cr_density, cr_kernel, cr_lift
+from .constrained_runs import CR_TOL, CrConfig, cr_lift
 from .lattice import LbmParams, equilibrium, finite_density
 from .lifting import LiftCoefficients, LiftKernel, apply_lift, lift_kernel
 
@@ -87,9 +87,10 @@ class CrLifter:
     plus a one-off probe the first time a grid shape and model come up,
     for the transfer kernel of the solve (cr_kernel): one run of m+1 when
     the grid holds q windows of 2(m+1)+1 cells, up to q such runs on a
-    smaller one.  The kernels live on the instance, so a fresh lifter pays
-    its probe again.
-    A lift whose closing residual misses tol raises a RuntimeError.
+    smaller one.  Each lift is one cr_lift call, handed the kernel kept
+    for its key, and keeps the kernel that call returns.  The kernels live
+    on the instance, so a fresh lifter pays its probe again.
+    A lift whose closing residual misses CR_TOL raises a RuntimeError.
     """
 
     config: CrConfig
@@ -98,15 +99,14 @@ class CrLifter:
                            compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        rho = cr_density(rho, params)
-        key = (rho.shape, params, self.config)
-        if key not in self._kernels:
-            self._kernels[key] = cr_kernel(rho.shape, self.config, params)
-        result = cr_lift(rho, self.config, params, kernel=self._kernels[key])
+        key = (np.shape(rho), params, self.config)
+        result = cr_lift(rho, self.config, params,
+                         kernel=self._kernels.get(key))
+        self._kernels[key] = result.kernel
         if not result.converged:
             raise RuntimeError(
                 f"constrained-runs lift missed its tolerance: closing residual "
-                f"{result.residual:.3e} > tol {self.config.tol:.3e}")
+                f"{result.residual:.3e} > tol {CR_TOL:.3e}")
         return result.f
 
     def reach(self, params: LbmParams) -> None:

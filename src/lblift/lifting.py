@@ -63,10 +63,6 @@ class LiftCoefficients:
     terms: Dict[DerivSpec, np.ndarray] = field(default_factory=dict)
     time_term: Optional[np.ndarray] = None
 
-    @property
-    def max_order(self) -> int:
-        return max((s.total for s in self.terms), default=0)
-
     def sorted_specs(self) -> List[DerivSpec]:
         return sorted(self.terms, key=lambda s: (s.total, s.orders))
 
@@ -380,7 +376,9 @@ def coefficients_to_text(coeffs: LiftCoefficients) -> str:
 def coefficients_from_text(text: str) -> LiftCoefficients:
     """Read back the coefficients_to_text format.
 
-    A malformed, unknown or repeated line is refused with its number.
+    A malformed, unknown or repeated line is refused with its number: so
+    is a dx or dt that is not finite and positive, an omega outside
+    [0, 2], or an advection whose length is not the set's dimension.
     """
     entries: Dict[object, tuple] = {}  # header field, DerivSpec or "time"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -397,8 +395,13 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
     for needed in _HEADER_FIELDS:
         if needed not in entries:
             raise ValueError(f"missing header field {needed!r}")
-    fingerprint = tuple(entries.pop(key)[1] for key in _HEADER_FIELDS)
-    vset = VELOCITY_SETS[fingerprint[0]]
+    header = {key: entries.pop(key) for key in _HEADER_FIELDS}
+    vset = VELOCITY_SETS[header["set"][1]]
+    lineno, advection = header["advection"]
+    if len(advection) != vset.dimension:
+        raise ValueError(f"line {lineno}: advection has {len(advection)} "
+                         f"components, {vset.name} has {vset.dimension}")
+    fingerprint = tuple(value for _, value in header.values())
     for key, (lineno, vec) in entries.items():
         if key != "time" and len(key.orders) != vset.dimension:
             raise ValueError(f"line {lineno}: {_entry_name(key)} has "
@@ -418,9 +421,23 @@ def _velocity_set_name(value: str) -> str:
     return value
 
 
+def _finite_positive(value: str) -> float:
+    number = float(value)
+    if not (np.isfinite(number) and number > 0.0):
+        raise ValueError(f"{number!r} is not finite and positive")
+    return number
+
+
+def _omega(value: str) -> float:
+    omega = float(value)
+    if not 0.0 <= omega <= 2.0:
+        raise ValueError(f"omega {omega!r} outside the stable range [0, 2]")
+    return omega
+
+
 # header fields in fingerprint order, each with its value parser
-_HEADER_FIELDS = {"set": _velocity_set_name, "dx": float, "dt": float,
-                  "omega": float,
+_HEADER_FIELDS = {"set": _velocity_set_name, "dx": _finite_positive,
+                  "dt": _finite_positive, "omega": _omega,
                   "advection": lambda text: tuple(map(float, text.split()))}
 
 

@@ -71,17 +71,16 @@ class NceTrainConfig:
 
     spatial_order is the highest derivative kept in the expansion.  The
     test domain is a small 1D interval (or square) with the production
-    dx; probe_indices are positions within it, at least m+3 cells from
-    its edges (in 2D the positions are used per axis and combined into a
-    grid).  m is the smoothness order of the constrained run that closes
-    the coefficient map.
+    dx; the probes sit within it at default_probe_positions, at least m+3
+    cells from its edges (in 2D the positions are used per axis and
+    combined into a grid).  m is the smoothness order of the constrained
+    run that closes the coefficient map.
     """
 
     spatial_order: int = 2
     m: int = 1
     test_length: float = 3.0
     test_cells: int = 60
-    probe_indices: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
@@ -183,29 +182,15 @@ def default_probe_positions(cfg: NceTrainConfig, count: int) -> Tuple[int, ...]:
     return positions
 
 
-def _resolve_probes(cfg: NceTrainConfig, dimension: int, n_terms: int):
-    """Probe index tuple(s) for numpy indexing, validated against margins."""
-    margin = cfg.m + 3
-    if cfg.probe_indices is not None:
-        axis_positions = tuple(int(p) for p in cfg.probe_indices)
-    elif dimension == 1:
-        axis_positions = default_probe_positions(cfg, n_terms)
-    else:
-        axis_positions = default_probe_positions(cfg, ceil(sqrt(n_terms)))
-    if len(set(axis_positions)) != len(axis_positions):
-        raise ValueError(f"duplicate probe positions in {axis_positions}")
-    for p in axis_positions:
-        if p < margin or p > cfg.test_cells - 1 - margin:
-            raise ValueError(
-                f"probe {p} is closer than m+3={margin} cells to a test-domain edge")
+def _probe_points(cfg: NceTrainConfig, dimension: int, n_terms: int):
+    """n_terms default positions in 1D, in 2D the grid of ceil(sqrt(n_terms))
+    per axis: distinct, at least m+3 cells from the edges and no fewer than
+    the unknowns, as at most 6 per axis are spread over the >= 5 cells that
+    test_cells >= 4(m+3) leaves between the margins."""
     if dimension == 1:
-        points = [(p,) for p in axis_positions]
-    else:
-        points = list(product(axis_positions, axis_positions))
-    if len(points) < n_terms:
-        raise ValueError(
-            f"{len(points)} probe points cannot determine {n_terms} coefficient vectors")
-    return axis_positions, points
+        return [(p,) for p in default_probe_positions(cfg, n_terms)]
+    axis_positions = default_probe_positions(cfg, ceil(sqrt(n_terms)))
+    return list(product(axis_positions, axis_positions))
 
 
 def _probe_index(points, width: int):
@@ -237,7 +222,7 @@ class _Workspace:
         self.cfg = cfg
         self.params = params
         self.specs = tuple(expansion_terms(dimension, cfg.spatial_order))
-        axis_positions, points = _resolve_probes(cfg, dimension, len(self.specs))
+        points = _probe_points(cfg, dimension, len(self.specs))
         if extra_probes:
             points = _widen_probes(points, cfg)
         self.probe_points = points

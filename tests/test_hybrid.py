@@ -275,7 +275,7 @@ class Forwarding:
 @pytest.mark.parametrize("name, lifter, lifted", [
     ("D1Q3", order2_lifter, (6,)),
     ("D1Q3", lambda p: trained_lifter(p, 6, 2), (14,)),
-    ("D2Q9", lambda p: EquilibriumLifter(), (2, 40)),
+    ("D2Q9", lambda p: EquilibriumLifter(), (6, 40)),
     ("D2Q9", lambda p: trained_lifter(p, 4, 1), (10, 40)),
     ("D1Q3", lambda p: CrLifter(CrConfig(m=1)), (40,)),
     ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), False), (40, 40)),
@@ -283,10 +283,10 @@ class Forwarding:
 ], ids=["D1Q3-order2", "D1Q3-R6", "D2Q9-equilibrium", "D2Q9-R4",
         "D1Q3-cr", "D2Q9-no-reach", "D2Q9-inner"])
 def test_hybrid_step_lifts_the_ghost_slab(name, lifter, lifted):
-    """Each step hands the lifter the 4h+2 density rows around the two
-    interfaces when the lifter states a finite reach h, itself or through
-    `inner`, and the whole field otherwise; init_hybrid always lifts the
-    whole field."""
+    """Each step hands the lifter the 4g+2 density rows around the two
+    interfaces, g = max(h, 1), when the lifter states a finite reach h,
+    itself or through `inner`, and the whole field otherwise; init_hybrid
+    always lifts the whole field."""
     p = benchmark_params(name, advection=(1.0, 0.5) if name == "D2Q9" else ())
     outer = lifter(p)
     shapes = []

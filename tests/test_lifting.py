@@ -421,6 +421,22 @@ def test_coefficient_text_header_values_name_their_line():
         coefficients_from_text(text.replace("dx = 0.05", "dx = 0.05 0.1"))
     with pytest.raises(ValueError, match=r"^line 2: unknown velocity set"):
         coefficients_from_text(text.replace("set = D1Q3", "set = D1Q4"))
+    # values that load as floats but that no model has
+    omega = "omega = 0.9090909090909091"
+    for old, new, message in (
+            ("advection = 0.0", "advection = 0.0 0.5",
+             r"^line 6: advection has 2 components, D1Q3 has 1$"),
+            ("advection = 0.0", "advection =",
+             r"^line 6: advection has 0 components, D1Q3 has 1$"),
+            ("dx = 0.05", "dx = nan", r"^line 3: nan is not finite and "),
+            ("dx = 0.05", "dx = -1", r"^line 3: -1.0 is not finite and "),
+            ("dt = 0.001", "dt = 0", r"^line 4: 0.0 is not finite and "),
+            ("dt = 0.001", "dt = inf", r"^line 4: inf is not finite and "),
+            (omega, "omega = 2.5", r"^line 5: omega 2.5 outside"),
+            (omega, "omega = nan", r"^line 5: omega nan outside")):
+        assert old in text
+        with pytest.raises(ValueError, match=message):
+            coefficients_from_text(text.replace(old, new))
 
 
 def test_coefficient_text_rejects_wrong_time_length():

@@ -71,5 +71,8 @@ def test_layer_metrics_of_a_traced_cr_hybrid(monkeypatch):
     # input plus output of a (3, cells) float64 field per call
     assert metrics["lattice.stream_collide.bytes_computed"] \
         == 2 * 3 * 8 * (3 * 101 + cr_calls * 200)
-    assert metrics["constrained_runs.cr_lift.lbm_steps_per_lift"] > 0
+    # each CrLifter.lift is one cr_lift span, the first one's 2-step kernel
+    # probe included: (4 + 2 + 2 + 2) / 4 at m = 1
+    assert metrics["constrained_runs.cr_lift.lbm_steps_per_lift"] \
+        == cr_calls / 4 == 2.5
     assert 0 < metrics["hybrid.hybrid_step.self_pct"] < 100

@@ -91,19 +91,6 @@ def test_training_on_probe_fallback_grid():
                         atol=1e-10)
 
 
-def test_explicit_probes_validated():
-    p = benchmark_params("D1Q3")
-    with pytest.raises(ValueError):
-        train_coefficients(
-            NceTrainConfig(spatial_order=2, m=1, probe_indices=(1, 20)), p)
-    with pytest.raises(ValueError):
-        train_coefficients(
-            NceTrainConfig(spatial_order=2, m=1, probe_indices=(20, 20)), p)
-    with pytest.raises(ValueError):  # fewer probes than unknowns
-        train_coefficients(
-            NceTrainConfig(spatial_order=2, m=1, probe_indices=(20,)), p)
-
-
 def test_test_grid_spacing_must_match_production():
     p = benchmark_params("D1Q3")  # dx = 0.05
     cfg = NceTrainConfig(spatial_order=2, m=1, test_length=3.0, test_cells=30)
