@@ -6,6 +6,7 @@ from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
                     compare_to_reference, constrained_smooth, cr_kernel,
                     cr_lift, cr_map, equilibrium, from_moments,
                     lbm_step_count, moments, restrict, run_lbm)
+from lblift import constrained_runs
 from lblift.constrained_runs import (CR_TOL, extrapolation_weights,
                                     impulse_responses, probe_runs)
 
@@ -182,6 +183,19 @@ def test_two_d_cr_lift_improves_with_m():
             assert res.converged, (name, m, res.residual)
             errs.append(np.abs(res.f - f_ref).max())
         assert errs[0] > errs[1] > errs[2] > errs[3], (name, errs)
+
+
+def test_nonconvergence_reported_not_raised(monkeypatch):
+    """A closing residual above CR_TOL comes back as converged False with
+    a finite residual, not as an exception."""
+    monkeypatch.setattr(constrained_runs, "CR_TOL", 1e-30)
+    p = benchmark_params("D1Q3")
+    rho = gaussian_density(p, cells=30)
+    res = cr_lift(rho, CrConfig(m=1), p)
+    assert not res.converged
+    assert res.iterations == 1
+    assert np.isfinite(res.residual)
+    assert 0 < res.residual <= CR_TOL
 
 
 def test_cr_lift_rejects_non_finite_density():

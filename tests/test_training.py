@@ -9,12 +9,12 @@ from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
                     augment_time_derivative, extract_pde, lbm_step_count,
                     restrict, train_coefficients)
 from lblift.constrained_runs import constrained_smooth
-from lblift.lifting import zero_coefficients
-from lblift.stencil import spatial_derivative
+from lblift.lifting import expansion_terms, zero_coefficients
+from lblift.stencil import MAX_TOTAL_ORDER, spatial_derivative
 from lblift import training
 from lblift.training import (RESIDUAL_LIMIT, _linear_part, _offset,
-                             _window_responses, _Workspace, buffer_width,
-                             default_probe_positions)
+                             _probe_points, _window_responses, _Workspace,
+                             buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import benchmark_params, gaussian_density
@@ -89,6 +89,24 @@ def test_training_on_probe_fallback_grid():
     for spec in exact.terms:
         assert_allclose(result.coefficients.terms[spec], exact.terms[spec],
                         atol=1e-10)
+
+
+def test_default_probes_are_distinct_inside_the_margins_and_enough():
+    """The probes have no refusals of their own: on every test grid
+    NceTrainConfig accepts, from the smallest, the default positions are
+    distinct, at least m+3 cells from both edges and no fewer than the
+    coefficient vectors they determine, in 1D and 2D and at every order."""
+    for m, dimension, order in product(range(4), (1, 2),
+                                       range(1, MAX_TOTAL_ORDER + 1)):
+        n_terms = len(expansion_terms(dimension, order))
+        for cells in (*range(4 * (m + 3), 4 * (m + 3) + 48), 60):
+            cfg = NceTrainConfig(spatial_order=order, m=m, test_cells=cells)
+            points = _probe_points(cfg, dimension, n_terms)
+            case = (m, dimension, order, cells)
+            assert len(set(points)) == len(points) >= n_terms, case
+            assert all(len(pt) == dimension for pt in points), case
+            assert all(m + 3 <= p <= cells - 1 - (m + 3)
+                       for pt in points for p in pt), case
 
 
 def test_test_grid_spacing_must_match_production():
