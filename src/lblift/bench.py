@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .constrained_runs import CrConfig
 from .hybrid import (HybridSpec, compare_to_reference, default_split,
                      hybrid_step, init_hybrid)
-from .lattice import (VELOCITY_SETS, LbmParams, equilibrium, lbm_step_count,
-                      restrict, run_lbm)
+from .lattice import (VELOCITY_SETS, LbmParams, equilibrium, finite_positive,
+                      lbm_step_count, restrict, run_lbm, stable_omega)
 from .lifters import CoefficientLifter, CrLifter, EquilibriumLifter
-from .lifting import analytic_coefficients, coefficients_to_text
+from .lifting import (analytic_coefficients, coefficients_to_text,
+                      read_key_values)
 from .macro_pde import analytic_pde
 from .training import (NceTrainConfig, augment_time_derivative, extract_pde,
                        train_coefficients)
@@ -72,7 +73,6 @@ class ExperimentConfig:
     pde_source: str = "analytic"
     extract_mode: str = "summation"
     test_length: float = 3.0
-    test_cells: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -147,10 +147,7 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    dx = config.length / config.cells
-    cells = config.test_cells
-    if cells is None:
-        cells = int(round(config.test_length / dx))
+    cells = int(round(config.test_length / (config.length / config.cells)))
     return NceTrainConfig(spatial_order=config.order, m=config.m,
                           test_length=config.test_length, test_cells=cells)
 
@@ -292,8 +289,8 @@ _CONFIG_KEYS = {
     "velocity_set": _parse_str,
     "length": _parse_float,
     "cells": _parse_int,
-    "dt": _parse_float,
-    "omega": _parse_float,
+    "dt": lambda text: finite_positive(_parse_float(text)),
+    "omega": lambda text: stable_omega(_parse_float(text)),
     "advection": _parse_tuple,
     "lifter": _parse_str,
     "order": _parse_int,
@@ -304,35 +301,22 @@ _CONFIG_KEYS = {
     "pde_source": _parse_str,
     "extract_mode": _parse_str,
     "test_length": _parse_float,
-    "test_cells": _parse_int,
 }
+
+
+def _config_entry(key: str, value: str) -> tuple:
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}")
+    try:
+        return key, _CONFIG_KEYS[key](value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {key} = {value!r} ({exc})") from None
 
 
 def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
     """Parse a flat key = value config; kind from the file or the caller."""
-    values: Dict[str, object] = {}
-    lines: Dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key = value, "
-                             f"got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _CONFIG_KEYS[key](value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(
-                f"config line {lineno}: cannot parse {key} = {value!r} "
-                f"({exc})") from None
-        lines[key] = lineno
+    entries = read_key_values(text, _config_entry, where="config line")
+    values = {key: value for key, (_, value) in entries.items()}
     if kind is not None:
         stated = values.get("kind")
         if stated is not None and stated != kind:
@@ -344,9 +328,9 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:
-        if exc.key not in lines:
+        if exc.key not in entries:
             raise
-        raise ValueError(f"config line {lines[exc.key]}: {exc}") from None
+        raise ValueError(f"config line {entries[exc.key][0]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

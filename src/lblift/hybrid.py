@@ -17,13 +17,13 @@ A step reads lifted distributions only at its two ghost columns, x_p
 and x_0.  When the lifter states a finite reach h along the split axis
 (lifters.lift_reach), the step lifts only the ghost slab of half-width
 g = max(h, 1): the 2g+1 density rows around each interface, p-g..p+g
-then n-g..n-1, 0..g, through the unchanged lifter.lift, provided the
-grid holds more than 4g+2 cells.  g >= 1 keeps the two FTCS ghosts,
-x_{p+1} and x_{n-1}, in the slab.  The slab is periodic to the lift, but
-the two output rows kept, g and 3g+1, read no wrapped row, so they are
-exactly the rows a full-field lift gives.  Otherwise (a
-constrained-runs lift, a lifter that states no reach, or a grid too
-small) the step lifts the whole field.
+then n-g..n-1, 0..g (mod n), through the unchanged lifter.lift.  g >= 1
+keeps the two FTCS ghosts, x_{p+1} and x_{n-1}, in the slab.  The slab
+is periodic to the lift, but the two output rows kept, g and 3g+1, read
+no wrapped row, so they are exactly the rows a full-field lift gives,
+on a grid of any size, even one smaller than the slab.  A lifter that
+states no reach (a constrained-runs lift) is lifted over the whole
+field.
 
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
@@ -90,13 +90,13 @@ class HybridSpec:
         self.initial_density = rho
 
         h = lift_reach(self.lifter, self.params)
-        # a slab half-width g >= 1 keeps both FTCS ghosts in the slab
-        g = None if h is None else max(h, 1)
-        if g is None or 4 * g + 2 >= n:
+        if h is None:
             spans = [(0, n)]
             self.lifted_rows = n
             self.lift_ghosts, self.pde_ghosts = (p, 0), (n - 1, p + 1)
         else:
+            # a slab half-width g >= 1 keeps both FTCS ghosts in the slab
+            g = max(h, 1)
             spans = [(p - g, p + g + 1), (n - g, n + g + 1)]
             self.lifted_rows = 4 * g + 2
             self.lift_ghosts, self.pde_ghosts = (g, 3 * g + 1), (3 * g, g + 1)

@@ -97,6 +97,24 @@ D2Q9 = VelocitySet(
 VELOCITY_SETS = {vs.name: vs for vs in (D1Q3, D2Q5, D2Q9)}
 
 
+def finite_positive(value) -> float:
+    """value as a float, refused unless finite and positive: the rule for
+    dx and dt wherever a model is stated."""
+    number = float(value)
+    if not (np.isfinite(number) and number > 0.0):
+        raise ValueError(f"{number!r} is not finite and positive")
+    return number
+
+
+def stable_omega(value) -> float:
+    """value as a float, refused outside the stable range [0, 2] of the
+    relaxation rate omega (nan included)."""
+    omega = float(value)
+    if not 0.0 <= omega <= 2.0:
+        raise ValueError(f"omega {omega!r} outside the stable range [0, 2]")
+    return omega
+
+
 @dataclass(frozen=True)
 class LbmParams:
     """Parameters of one BGK model instance.
@@ -112,10 +130,9 @@ class LbmParams:
     advection: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValueError("dx and dt must be positive")
-        if not 0.0 <= self.omega <= 2.0:
-            raise ValueError(f"omega={self.omega} outside the stable range [0, 2]")
+        finite_positive(self.dx)
+        finite_positive(self.dt)
+        stable_omega(self.omega)
         a = self.advection
         if not a:
             a = (0.0,) * self.vset.dimension

@@ -32,13 +32,13 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .lattice import (D1Q3, VELOCITY_SETS, LbmParams, equilibrium,
-                      finite_density)
+                      finite_density, finite_positive, stable_omega)
 from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
@@ -380,18 +380,7 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
     is a dx or dt that is not finite and positive, an omega outside
     [0, 2], or an advection whose length is not the set's dimension.
     """
-    entries: Dict[object, tuple] = {}  # header field, DerivSpec or "time"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        try:
-            if line:
-                key, value = _coefficient_entry(line)
-                if key in entries:
-                    raise ValueError(f"{_entry_name(key)} repeats line "
-                                     f"{entries[key][0]}")
-                entries[key] = (lineno, value)
-        except ValueError as error:
-            raise ValueError(f"line {lineno}: {error}") from None
+    entries = read_key_values(text, _coefficient_entry, name=_entry_name)
     for needed in _HEADER_FIELDS:
         if needed not in entries:
             raise ValueError(f"missing header field {needed!r}")
@@ -415,37 +404,51 @@ def coefficients_from_text(text: str) -> LiftCoefficients:
                             terms={k: v for k, (_, v) in entries.items()})
 
 
+def read_key_values(text: str, entry: Callable[[str, str], tuple],
+                    where: str = "line",
+                    name: Callable[[object], str] = lambda key: f"key {key!r}"
+                    ) -> Dict[object, tuple]:
+    """{key: (line number, value)} of the `key = value` lines of text.
+
+    Text after # is a comment, and blank lines are skipped.  entry(key,
+    value) gives the key and parsed value of one line, and refuses an
+    unknown key or a bad value with a ValueError.  A line without '=',
+    one that entry refuses, or one whose key repeats an earlier line
+    (named by name(key)) is refused as `where` and its number.
+    """
+    entries: Dict[object, tuple] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, equals, value = (part.strip() for part in line.partition("="))
+        try:
+            if not equals:
+                raise ValueError(f"expected key = value, got {raw.strip()!r}")
+            key, value = entry(key, value)
+            if key in entries:
+                raise ValueError(f"{name(key)} repeats line "
+                                 f"{entries[key][0]}")
+        except ValueError as error:
+            raise ValueError(f"{where} {lineno}: {error}") from None
+        entries[key] = (lineno, value)
+    return entries
+
+
 def _velocity_set_name(value: str) -> str:
     if value not in VELOCITY_SETS:
         raise ValueError(f"unknown velocity set {value!r}")
     return value
 
 
-def _finite_positive(value: str) -> float:
-    number = float(value)
-    if not (np.isfinite(number) and number > 0.0):
-        raise ValueError(f"{number!r} is not finite and positive")
-    return number
-
-
-def _omega(value: str) -> float:
-    omega = float(value)
-    if not 0.0 <= omega <= 2.0:
-        raise ValueError(f"omega {omega!r} outside the stable range [0, 2]")
-    return omega
-
-
 # header fields in fingerprint order, each with its value parser
-_HEADER_FIELDS = {"set": _velocity_set_name, "dx": _finite_positive,
-                  "dt": _finite_positive, "omega": _omega,
+_HEADER_FIELDS = {"set": _velocity_set_name, "dx": finite_positive,
+                  "dt": finite_positive, "omega": stable_omega,
                   "advection": lambda text: tuple(map(float, text.split()))}
 
 
-def _coefficient_entry(line: str) -> tuple:
+def _coefficient_entry(key: str, value: str) -> tuple:
     """The key and parsed value of one 'key = value' line."""
-    key, equals, value = (part.strip() for part in line.partition("="))
-    if not equals:
-        raise ValueError("expected 'key = value'")
     if key.startswith("term "):
         label = key[5:].strip()
         if not re.fullmatch(r"d[0-9]+(d[0-9]+)*", label):

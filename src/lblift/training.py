@@ -287,19 +287,6 @@ class _Workspace:
             return np.linalg.solve(self.block, rhs)
         return np.linalg.lstsq(self.block, rhs, rcond=None)[0]
 
-    def make_system(self, block=None,
-                    has_time_column: bool = False) -> LinearLiftSystem:
-        if block is None:
-            block, condition = self.block, self.condition
-        else:
-            condition = float(np.linalg.cond(block))
-        return LinearLiftSystem(
-            block=block,
-            specs=self.specs,
-            condition=condition,
-            has_time_column=has_time_column,
-        )
-
 
 def _widen_probes(points, cfg: NceTrainConfig):
     """Interleave shifted copies so the probe count exceeds the columns.
@@ -362,7 +349,7 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
             f"{residual:.3e} > {RESIDUAL_LIMIT:g} max|a| = "
             f"{RESIDUAL_LIMIT * scale:.3e}")
     return TrainResult(coeffs, 1, lbm_step_count() - start_steps, residual,
-                       ws.make_system())
+                       LinearLiftSystem(ws.block, ws.specs, ws.condition))
 
 
 def _massless(rows: np.ndarray, q: int) -> np.ndarray:
@@ -470,7 +457,9 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
     augmented = LiftCoefficients(fingerprint=params.fingerprint(),
                                  terms=terms, time_term=gamma)
-    system = ws.make_system(block=enlarged, has_time_column=True)
+    system = LinearLiftSystem(enlarged, ws.specs,
+                              float(np.linalg.cond(enlarged)),
+                              has_time_column=True)
     return AugmentResult(
         coefficients=augmented,
         system=system,
@@ -491,7 +480,6 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     nullspace: the PDE is the null relation between the derivative
     columns and the time column of the enlarged probe system.
     """
-    dimension = len(next(iter(coeffs.terms)).orders)
     if mode == "summation":
         if coeffs.time_term is None:
             raise ValueError("summation mode needs time coefficients; "
@@ -501,13 +489,8 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
         if abs(gamma_sum) <= 1e-12 * max(scale, 1e-300):
             raise ValueError("time coefficients sum to zero; "
                              "the summation ratios are undefined")
-        advection = []
-        for axis in range(dimension):
-            first = DerivSpec(_unit(axis, dimension, 1))
-            advection.append(float(np.sum(coeffs.terms[first])) / gamma_sum)
-        second = DerivSpec(_unit(0, dimension, 2))
-        diffusion = -float(np.sum(coeffs.terms[second])) / gamma_sum
-        return MacroPde(advection=tuple(advection), diffusion=diffusion)
+        sums = {spec: np.sum(vec) for spec, vec in coeffs.terms.items()}
+        return _read_off(sums, gamma_sum)
 
     if mode != "nullspace":
         raise ValueError(f"unknown extraction mode {mode!r}")
@@ -527,16 +510,20 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     if abs(v_time) < 1e-12 * np.abs(null_vec).max():
         raise ValueError("null vector has no time component; "
                          "cannot normalize to a PDE")
-    advection = []
-    for axis in range(dimension):
-        first = DerivSpec(_unit(axis, dimension, 1))
-        advection.append(float(null_vec[system.specs.index(first)] / v_time))
-    second = DerivSpec(_unit(0, dimension, 2))
-    diffusion = -float(null_vec[system.specs.index(second)] / v_time)
-    return MacroPde(advection=tuple(advection), diffusion=diffusion)
+    return _read_off(dict(zip(system.specs, null_vec)), float(v_time))
 
 
-def _unit(axis: int, dimension: int, order: int) -> Tuple[int, ...]:
-    orders = [0] * dimension
-    orders[axis] = order
-    return tuple(orders)
+def _read_off(weights: dict, time_weight: float) -> MacroPde:
+    """The PDE of the relation time_weight rho_t + sum_T weights[T] D_T rho
+    = 0: the first derivatives give the advection and the second
+    derivative along axis 0 the diffusion, both over time_weight."""
+    dimension = len(next(iter(weights)).orders)
+    second = DerivSpec((2,) + (0,) * (dimension - 1))
+    if second not in weights:
+        raise ValueError("the PDE is read off the second-derivative terms; "
+                         "train with spatial_order >= 2")
+    firsts = [DerivSpec(tuple(int(ax == axis) for ax in range(dimension)))
+              for axis in range(dimension)]
+    return MacroPde(
+        advection=tuple(float(weights[s]) / time_weight for s in firsts),
+        diffusion=-float(weights[second]) / time_weight)

@@ -47,6 +47,13 @@ def test_parse_config_names_the_line_of_a_refused_value():
         parse_config("# a comment\nkind = hybrid\n\nsteps = 0\n")
     with pytest.raises(ValueError, match=r"^config line 1: unknown lifter"):
         parse_config("lifter = magic\n", kind="hybrid")
+    # dt and omega follow the rules of LbmParams, refused as they are read
+    with pytest.raises(ValueError, match=r"^config line 2: cannot parse "
+                                         r"dt = '0' \(0.0 is not finite"):
+        parse_config("kind = hybrid\ndt = 0\n")
+    with pytest.raises(ValueError, match=r"^config line 3: cannot parse "
+                                         r"omega = '3' \(omega 3.0 outside"):
+        parse_config("kind = hybrid\n\nomega = 3  # unstable\n")
 
 
 def test_parse_config_kind_from_command():

@@ -9,6 +9,7 @@ from lblift import (CoefficientLifter, CrConfig, CrLifter, EquilibriumLifter,
                     analytic_coefficients, analytic_pde, compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
                     lbm_step_count, train_coefficients)
+from lblift.lifters import lift_reach
 
 from conftest import benchmark_params, gaussian_density, roll_stream_collide
 from test_lifting import reference_lift
@@ -210,12 +211,14 @@ def trained_lifter(params, order, m):
     ("D2Q5", (), lambda p: trained_lifter(p, 4, 1), 60, None),
     ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 6, 3), 60, None),
     ("D2Q9", (), lambda p: trained_lifter(p, 2, 1), 60, None),
-    # reach 3: a 14-cell slab just fits 15 cells, and its two segments
-    # overlap at splits 1 and 13; 14 cells take the full-field lift
+    # reach 3: a 14-row slab just fits 15 cells, and its two segments
+    # overlap at splits 1 and 13; on 14 and 9 cells the slab holds some
+    # rows twice or three times
     ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 1),
     ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 7),
     ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 15, 13),
     ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 14, 7),
+    ("D1Q3", (), lambda p: trained_lifter(p, 6, 2), 9, 4),
     # reach 2: a 10-row slab on 11 rows
     ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 11, 1),
     ("D2Q9", (1.0, 0.5), lambda p: trained_lifter(p, 4, 1), 11, 9),
@@ -224,16 +227,19 @@ def trained_lifter(params, order, m):
         "D1Q3-R6-m2", "D1Q3-advective-R4-m1", "D2Q5-R4-m1",
         "D2Q9-advective-R6-m3", "D2Q9-R2-m1",
         "D1Q3-15-split-1", "D1Q3-15-split-7", "D1Q3-15-split-13",
-        "D1Q3-14-full-field", "D2Q9-11-split-1", "D2Q9-11-split-9",
+        "D1Q3-14-full-field", "D1Q3-9-below-slab", "D2Q9-11-split-1", "D2Q9-11-split-9",
         "D2Q9-11-equilibrium"])
 def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells,
                                              split):
     """Periodic kernels on the rimmed subdomains, cropped afterwards, give
     bit for bit what kernels updating only the interior give; and the
     ghost slab lift gives bit for bit what the reference's full-field
-    lift gives, overlapping slab segments included."""
+    lift gives, overlapping slab segments and slabs longer than the grid
+    included."""
     p = benchmark_params(name, advection=advection)
     spec = make_spec(p, lifter(p), cells=cells, split=split)
+    h = lift_reach(spec.lifter, p)
+    assert spec.lifted_rows == (cells if h is None else 4 * max(h, 1) + 2)
     state = ref = init_hybrid(spec)
     for step in range(20):
         state = hybrid_step(state, spec)

@@ -42,6 +42,11 @@ def test_params_validation():
         LbmParams(vset=D1Q3, dx=0.05, dt=1e-3, omega=2.5)
     with pytest.raises(ValueError):
         LbmParams(vset=D1Q3, dx=-1.0, dt=1e-3, omega=1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            LbmParams(vset=D1Q3, dx=bad, dt=1e-3, omega=1.0)
+        with pytest.raises(ValueError, match="not finite and positive"):
+            LbmParams(vset=D1Q3, dx=0.05, dt=bad, omega=1.0)
     with pytest.raises(ValueError):
         LbmParams(vset=D2Q5, dx=0.05, dt=1e-4, omega=1.0, advection=(1.0,))
 

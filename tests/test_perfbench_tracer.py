@@ -12,7 +12,8 @@ from pathlib import Path
 from time import perf_counter
 
 import lblift.hybrid
-from lblift import CrConfig, CrLifter, lbm_step_count
+import lblift.training
+from lblift import CrConfig, CrLifter, NceTrainConfig, lbm_step_count
 
 from conftest import benchmark_params, gaussian_density
 
@@ -76,3 +77,20 @@ def test_layer_metrics_of_a_traced_cr_hybrid(monkeypatch):
     assert metrics["constrained_runs.cr_lift.lbm_steps_per_lift"] \
         == cr_calls / 4 == 2.5
     assert 0 < metrics["hybrid.hybrid_step.self_pct"] < 100
+
+
+def test_layer_metrics_of_a_traced_training(monkeypatch):
+    """A D1Q3 order-2, m = 1 training runs the tracer's training hook,
+    which reads TrainResult.iterations: one call, one linear solve and
+    (n_densities + 1)(m + 1) = 4 LBM steps."""
+    tracer = load_tracer(monkeypatch)
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    p = benchmark_params("D1Q3")
+    start = perf_counter()
+    with tracer.Tracer() as traced:
+        lblift.training.train_coefficients(cfg, p)
+    metrics = tracer.layer_metrics(traced.spans, perf_counter() - start)
+
+    assert metrics["training.train_coefficients.calls"] == 1
+    assert metrics["training.train_coefficients.iterations"] == 1
+    assert metrics["training.train_coefficients.lbm_steps"] == 4

@@ -165,6 +165,16 @@ def test_extract_requires_time_term():
         extract_pde(trained.coefficients)
 
 
+def test_extract_refuses_coefficients_without_a_second_derivative():
+    """Order-1 coefficients carry no diffusion term to read off."""
+    p = benchmark_params("D1Q3")
+    cfg = NceTrainConfig(spatial_order=1, m=1)
+    aug = augment_time_derivative(train_coefficients(cfg, p).coefficients,
+                                  cfg, p)
+    with pytest.raises(ValueError, match="spatial_order >= 2"):
+        extract_pde(aug.coefficients, mode="summation")
+
+
 def test_two_d_training_matches_one_d_structure():
     """D2Q5 axis coefficients: the pure x-derivative columns mirror the
     1D pattern on the moving directions, and training reproduces its own
@@ -302,10 +312,10 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
     """windows[d, t, p, u] = D_T rho_d(p - u) bit for bit against
     spatial_derivative over the whole test grid, for |u| <= m+1 per axis
     (u = 0 alone for the augmentation's extra probes); the block is the
-    u = 0 slice, and make_system reports the workspace's condition."""
+    u = 0 slice, and training reports the condition of its workspace."""
     p = benchmark_params(name)
-    ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p,
-                    extra_probes=extra)
+    cfg = NceTrainConfig(spatial_order=r, m=m)
+    ws = _Workspace(cfg, p, extra_probes=extra)
     reach = 0 if extra else m + 1
     offsets = list(product(range(-reach, reach + 1), repeat=p.vset.dimension))
     assert ws.windows.shape == (len(ws.densities), len(ws.specs),
@@ -321,8 +331,9 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
         [spatial_derivative(rho, spec, p.dx)[ws.probe_ix]
          for spec in ws.specs]) for rho in ws.densities])
     assert ws.block.tobytes() == block.tobytes()
-    assert ws.make_system().condition == ws.condition \
-        == float(np.linalg.cond(block))
+    assert ws.condition == float(np.linalg.cond(block))
+    if not extra:
+        assert train_coefficients(cfg, p).system.condition == ws.condition
 
 
 def test_training_refuses_a_missed_fixed_point(monkeypatch):
