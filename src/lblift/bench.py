@@ -41,6 +41,10 @@ EXAMPLE_OMEGA = {
     "D2Q9": Fraction(125, 64),
 }
 
+# length of the training test domain, rounded to whole cells of the
+# production dx
+TEST_LENGTH = 3.0
+
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
 
@@ -72,7 +76,6 @@ class ExperimentConfig:
     split_index: Optional[int] = None
     pde_source: str = "analytic"
     extract_mode: str = "summation"
-    test_length: float = 3.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -147,9 +150,9 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    cells = int(round(config.test_length / (config.length / config.cells)))
+    cells = int(round(TEST_LENGTH / (config.length / config.cells)))
     return NceTrainConfig(spatial_order=config.order, m=config.m,
-                          test_length=config.test_length, test_cells=cells)
+                          test_length=TEST_LENGTH, test_cells=cells)
 
 
 def make_lifter(config: ExperimentConfig, params: LbmParams):
@@ -300,7 +303,6 @@ _CONFIG_KEYS = {
     "split_index": _parse_int,
     "pde_source": _parse_str,
     "extract_mode": _parse_str,
-    "test_length": _parse_float,
 }
 
 
@@ -386,7 +388,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> List[Path]:
                         "condition"]
         row = mr + [config.order, config.m, result.iterations,
                     result.lbm_steps, result.residual,
-                    result.system.condition]
+                    result.condition]
         paths.append(_write(out_dir, "train_summary.csv", _csv(headers, [row])))
         return paths
 

@@ -6,34 +6,35 @@ evolved state backward in time.  The m-th order scheme damps the
 (m+1)-th time difference of the distributions, so m = 0 keeps them
 constant, m = 1 linear, and so on.
 
-The unknowns are the q-1 non-rest components of f; the rest component
-is the density minus their sum, the direction that reset_density
-corrects.  The map is linear in the density and those components
-together, so its fixed point is the solution of one linear system.  On
-a periodic grid the map commutes with shifts and does not depend on the
-density: the q impulse responses of the smoothing (impulse_responses,
-which training probes as well) hold all of it, and an FFT over every
-grid axis turns the fixed point into one transfer per wavenumber, the
-components being that transfer times the density's spectrum.  Each
-response reaches only m+1 cells, so the q impulses share one
-constrained run wherever the grid holds q windows of 2(m+1)+1 cells.
-cr_kernel probes it, for m+1 LBM steps on such a grid and at most
-q(m+1) on a smaller one; a lift handed the kernel of an earlier one
+The unknowns are the q-1 non-rest components of f; the rest component,
+VelocitySet.rest, is the density minus their sum, the direction that
+reset_density corrects.  The map is linear in the density and those
+components together, so its fixed point is the solution of one linear
+system.  On a periodic grid the map commutes with shifts and does not
+depend on the density: the q impulse responses of the smoothing
+(impulse_responses, which training probes as well) hold all of it, and
+an FFT over every grid axis turns the fixed point into one transfer per
+wavenumber, the components being that transfer times the density's
+spectrum.  Each response reaches only m+1 cells, so the q impulses share
+one constrained run wherever the grid holds q windows of 2(m+1)+1 cells.
+cr_kernel probes it, for m+1 LBM steps on such a grid and at most q(m+1)
+on a smaller one; a lift handed the kernel of an earlier one
 (CrResult.kernel) pays only its closing constrained run, m+1 LBM steps,
-which checks the fixed point.  The solver works on full periodic
-density fields of every velocity set.
+which checks the fixed point; CrResult.lbm_steps is the step counter's
+difference over the lift.  The solver works on full periodic density
+fields of every velocity set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, product
-from math import ceil, comb
+from math import comb
 
 import numpy as np
 
-from .lattice import (LbmParams, _rest_index, finite_density, reset_density,
-                      stream_collide)
+from .lattice import (LbmParams, finite_density, lbm_step_count,
+                      reset_density, stream_collide)
 
 
 # the largest max-norm of a closing residual that counts as converged
@@ -96,7 +97,7 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     for w in weights:
         f = stream_collide(f, params)
         out += w * f
-    return reset_density(out, rho0)
+    return reset_density(out, rho0, params.vset)
 
 
 def _impulse_slots(shape: tuple, m: int, q: int) -> list:
@@ -109,11 +110,6 @@ def _impulse_slots(shape: tuple, m: int, q: int) -> list:
                                  for n in shape)), q))
 
 
-def probe_runs(shape: tuple, m: int, q: int) -> int:
-    """Constrained runs that impulse_responses makes for q impulses."""
-    return ceil(q / len(_impulse_slots(shape, m, q)))
-
-
 def impulse_responses(shape: tuple, m: int, params: LbmParams):
     """Yield R_i = constrained_smooth(e_i delta_0, 0) on a periodic grid of
     the given shape, as (velocity, grid), for i < q.  That smoothing is
@@ -124,8 +120,9 @@ def impulse_responses(shape: tuple, m: int, params: LbmParams):
     probes as many impulses as _impulse_slots places on the grid: each
     response is read back from its own window, shifted to cell 0, and is
     zero outside it.  A grid that holds q windows pays one run of m+1 LBM
-    steps; probe_runs counts them.  On an axis shorter than 2(m+1)+1
-    cells the window wraps onto itself and is kept whole.
+    steps, a smaller one a run per len(slots) impulses.  On an axis
+    shorter than 2(m+1)+1 cells the window wraps onto itself and is kept
+    whole.
     """
     q = params.vset.q
     slots = _impulse_slots(shape, m, q)
@@ -165,7 +162,7 @@ def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
     map builds f from (rho0, v), applies constrained_smooth and returns
     the non-rest components of the smoothed field.
     """
-    rest = _rest_index(params.vset.q)
+    rest = params.vset.rest
     g = constrained_smooth(_distributions(rho0, v, rest), rho0, config.m,
                            params)
     return _non_rest(g, rest)
@@ -187,11 +184,11 @@ def cr_kernel(shape: tuple, config: CrConfig,
     conjugate blocks, and only the half spectrum of rfftn is kept: the
     last axis has shape[-1] // 2 + 1 wavenumbers.  G is returned
     read-only and complex, stacked like the unknowns: shape
-    (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  The probe costs
-    probe_runs(shape, m, q) runs of m+1 LBM steps: one when the grid holds
-    q windows of 2(m+1)+1 cells, at most q.
+    (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  A singular block, as
+    omega near 0 (or 2 for D2Q9) gives, is refused with a ValueError that
+    names the grid, m and omega.
     """
-    rest = _rest_index(params.vset.q)
+    rest = params.vset.rest
     axes = tuple(range(1, len(shape) + 1))
     # spectra[i][k, r]: row r of R_i at wavenumber k
     spectra = [np.moveaxis(np.fft.rfftn(_non_rest(g, rest), axes=axes), 0, -1)
@@ -199,7 +196,13 @@ def cr_kernel(shape: tuple, config: CrConfig,
     density = spectra.pop(rest)
     blocks = np.eye(len(spectra)) - (np.stack(spectra, axis=-1)
                                      - density[..., None])
-    transfer = np.linalg.solve(blocks, density[..., None])[..., 0]
+    try:
+        transfer = np.linalg.solve(blocks, density[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        cells = " x ".join(str(n) for n in shape)
+        raise ValueError(
+            f"constrained-runs fixed point is singular on {cells} cells at "
+            f"m = {config.m}, omega = {params.omega!r}") from None
     transfer = np.ascontiguousarray(np.moveaxis(transfer, -1, 0))
     transfer.flags.writeable = False
     return transfer
@@ -217,24 +220,19 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     gives the residual max|v - cr_map(rho0, v)|, and converged = residual
     <= CR_TOL, so a kernel of another model is caught; a lift that misses
     CR_TOL is returned rather than raised, so callers can inspect it.
-    iterations is 1, the one FFT filter; lbm_steps is m+1 with a kernel
-    and (1 + probe_runs)(m+1) without, the closing run plus the probe
-    runs of cr_kernel.  A non-finite density (the ValueError names its
-    first bad cell) or one whose rank is not the velocity set's is refused
-    before any LBM step, and so is a kernel whose shape does not fit the
-    grid.  A kernel of a grid whose last axis differs by one cell can
-    have the same shape; its closing run fails.
+    iterations is 1, the one FFT filter; lbm_steps counts the LBM steps
+    of the lift, the closing run and any probe of cr_kernel.  A density
+    that lattice.finite_density refuses is refused before any LBM step,
+    and so is a kernel whose shape does not fit the grid.  A kernel of a
+    grid whose last axis differs by one cell can have the same shape; its
+    closing run fails.
     """
-    rho0 = finite_density(rho0)
-    if rho0.ndim != params.vset.dimension:
-        raise ValueError(
-            f"density rank {rho0.ndim} does not match {params.vset.name}")
+    rho0 = finite_density(rho0, params.vset)
     q = params.vset.q
-    runs = 1
+    before = lbm_step_count()
     half_spectrum = rho0.shape[:-1] + (rho0.shape[-1] // 2 + 1,)
     if kernel is None:
         kernel = cr_kernel(rho0.shape, config, params)
-        runs += probe_runs(rho0.shape, config.m, q)
     elif kernel.shape != (q - 1,) + half_spectrum:
         cells = " x ".join(str(n) for n in rho0.shape)
         raise ValueError(
@@ -242,9 +240,9 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     # an explicit s skips numpy's shape inference, as slow as a 1D FFT
     v = np.fft.irfftn(kernel * np.fft.rfftn(rho0), s=rho0.shape,
                       axes=tuple(range(1, rho0.ndim + 1)))
-    rest = _rest_index(q)
+    rest = params.vset.rest
     f = _distributions(rho0, v, rest)
     smooth = _non_rest(constrained_smooth(f, rho0, config.m, params), rest)
     residual = float(np.max(np.abs(smooth - v)))
-    return CrResult(f, 1, runs * (config.m + 1), residual,
+    return CrResult(f, 1, lbm_step_count() - before, residual,
                     residual <= CR_TOL, kernel)

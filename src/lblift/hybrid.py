@@ -77,16 +77,15 @@ class HybridSpec:
         if not 1 <= p <= n - 2:
             raise ValueError(
                 f"split index {p} leaves an empty subdomain on a {n}-cell grid")
-        rho = np.asarray(self.initial_density, dtype=float)
-        dim = self.params.vset.dimension
-        if rho.ndim != dim or rho.shape[0] != n:
-            raise ValueError(
-                f"initial density shape {rho.shape} does not cover {n} cells "
-                f"of a {dim}D domain along the split axis")
-        if len(self.pde.advection) != dim:
+        try:
+            rho = finite_density(self.initial_density, self.params.vset)
+        except ValueError as error:
+            raise ValueError(f"initial density: {error}") from None
+        if rho.shape[0] != n:
+            raise ValueError(f"initial density shape {rho.shape} does not "
+                             f"cover {n} cells along the split axis")
+        if len(self.pde.advection) != self.params.vset.dimension:
             raise ValueError("PDE advection dimension does not match the model")
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("initial density contains non-finite values")
         self.initial_density = rho
 
         h = lift_reach(self.lifter, self.params)
@@ -234,7 +233,7 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     for k in range(steps):
         state = hybrid_step(state, spec)
         try:
-            rho = finite_density(full_density(state, spec))
+            rho = finite_density(full_density(state, spec), spec.params.vset)
         except ValueError as error:
             raise ValueError(f"hybrid step {k + 1}: {error}") from error
         f_ref = stream_collide(f_ref, spec.params)

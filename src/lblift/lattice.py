@@ -57,6 +57,11 @@ class VelocitySet:
     def q(self) -> int:
         return len(self.directions)
 
+    @cached_property
+    def rest(self) -> int:
+        """Index of the zero direction, the one reset_density corrects."""
+        return self.directions.index((0,) * self.dimension)
+
     def direction_array(self) -> np.ndarray:
         """Directions as an integer array of shape (q, dimension)."""
         return np.array(self.directions, dtype=int)
@@ -193,10 +198,13 @@ def lbm_step_count() -> int:
     return _step_count
 
 
-def finite_density(rho: np.ndarray) -> np.ndarray:
-    """rho as a float array; a ValueError names the shape of an empty grid
-    or the first non-finite cell."""
+def finite_density(rho: np.ndarray, vset: VelocitySet) -> np.ndarray:
+    """rho as a float array; a ValueError names a rank that is not the
+    dimension of vset, the shape of an empty grid or the first non-finite
+    cell."""
     rho = np.asarray(rho, dtype=float)
+    if rho.ndim != vset.dimension:
+        raise ValueError(f"density rank {rho.ndim} does not match {vset.name}")
     if rho.size == 0:
         raise ValueError(f"empty density grid of shape {rho.shape}")
     bad = ~np.isfinite(rho)
@@ -309,20 +317,16 @@ def from_moments(m: Moments) -> np.ndarray:
     return np.stack([f1, f0, fm1])
 
 
-def reset_density(f: np.ndarray, rho0: np.ndarray) -> np.ndarray:
+def reset_density(f: np.ndarray, rho0: np.ndarray,
+                  vset: VelocitySet) -> np.ndarray:
     """Pin the density of f to rho0 keeping all non-density moments.
 
-    The correction lands entirely on the rest direction: for D1Q3 this is
-    exactly the moment-space reset of (rho, phi, xi) -> (rho0, phi, xi),
-    and it generalises unchanged to D2Q5/D2Q9 (whose rest component enters
-    no non-density moment of the invertible transform).
+    The correction lands entirely on the rest direction vset.rest: for
+    D1Q3 this is exactly the moment-space reset of (rho, phi, xi) ->
+    (rho0, phi, xi), and it generalises unchanged to D2Q5/D2Q9 (whose
+    rest component enters no non-density moment of the invertible
+    transform).
     """
     f = np.array(f, dtype=float, copy=True)
-    rest = _rest_index(f.shape[0])
-    f[rest] += rho0 - restrict(f)
+    f[vset.rest] += rho0 - restrict(f)
     return f
-
-
-def _rest_index(q: int) -> int:
-    # D1Q3 orders (+1, 0, -1); the 2D sets put the rest direction first.
-    return 1 if q == 3 else 0

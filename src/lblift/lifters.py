@@ -4,16 +4,18 @@ Every lifter maps a density field to a distribution field for a given
 model, via .lift(rho, params).  The hybrid solver and the benchmark
 harness only ever talk to this interface, so equilibrium, closed-form
 coefficients, trained coefficients, and constrained-runs lifting are
-drop-in replacements for one another.  Each refuses an empty grid or a
-non-finite density with the same ValueError (lattice.finite_density).
+drop-in replacements for one another.  Each refuses a density of the
+wrong rank, an empty grid or a non-finite density with the same
+ValueError (lattice.finite_density).
 
 Each lifter also states its reach(params): how many cells along the
 first grid axis (the hybrid's split axis) on either side of a cell its
 lifted distributions read, or None when a lifted cell may read the
-whole grid.  The hybrid uses it to lift only the rows around its ghost
-cells.  A wrapper that meters or counts lifts keeps the wrapped lifter
-as `inner` and must lift exactly as `inner` does: lift_reach looks
-through it.
+whole grid.  A coefficient lifter reads it off the taps of its
+difference stencils, without building its stencil matrix.  The hybrid
+uses it to lift only the rows around its ghost cells.  A wrapper that
+meters or counts lifts keeps the wrapped lifter as `inner` and must lift
+exactly as `inner` does: lift_reach looks through it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .constrained_runs import CR_TOL, CrConfig, cr_lift
 from .lattice import LbmParams, equilibrium, finite_density
 from .lifting import LiftCoefficients, LiftKernel, apply_lift, lift_kernel
+from .stencil import difference_stencils
 
 
 class EquilibriumLifter:
@@ -34,7 +37,7 @@ class EquilibriumLifter:
     name = "equilibrium"
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        return equilibrium(finite_density(rho), params)
+        return equilibrium(finite_density(rho, params.vset), params)
 
     def reach(self, params: LbmParams) -> int:
         """0: f_eq at a cell reads only the density there."""
@@ -48,8 +51,8 @@ class CoefficientLifter:
     Works for closed-form and trained coefficient sets alike; the
     fingerprint check inside apply_lift refuses mismatched models.  The
     lifter holds the stencil matrix of its model (lift_kernel), built at
-    its first lift or reach and reused by every later one, so the
-    coefficient vectors must not be changed after that.
+    its first lift and reused by every later one, so the coefficient
+    vectors must not be changed after that.
     """
 
     coefficients: LiftCoefficients
@@ -58,23 +61,16 @@ class CoefficientLifter:
                                           repr=False, compare=False)
 
     def lift(self, rho: np.ndarray, params: LbmParams) -> np.ndarray:
-        kernel = self._stencil(params) if self.coefficients.terms else None
-        return apply_lift(rho, self.coefficients, params, kernel=kernel)
+        if self._kernel is None and self.coefficients.terms:
+            self._kernel = lift_kernel(self.coefficients, params)
+        return apply_lift(rho, self.coefficients, params, kernel=self._kernel)
 
     def reach(self, params: LbmParams) -> int:
-        """The largest offset |u[0]| of the stencil taps: h0 of the kernel
-        in 2D, its reach along the grid in 1D, and 0 for an empty set."""
-        if not self.coefficients.terms:
-            return 0
-        kernel = self._stencil(params)
-        if params.vset.dimension > 1:
-            return kernel.h0
-        return max(map(abs, kernel.shifts))
-
-    def _stencil(self, params: LbmParams) -> LiftKernel:
-        if self._kernel is None:
-            self._kernel = lift_kernel(self.coefficients, params)
-        return self._kernel
+        """The largest offset |u[0]| of the stencil taps, 0 for an empty
+        set."""
+        taps, _ = difference_stencils(tuple(self.coefficients.sorted_specs()),
+                                      params.dx)
+        return max((abs(u[0]) for u in taps), default=0)
 
 
 @dataclass

@@ -136,12 +136,12 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
     without it the lift builds K itself.
     """
     _check_fingerprint(coeffs, params)
-    rho = finite_density(rho)
+    rho = finite_density(rho, params.vset)
     if not coeffs.terms:
         return equilibrium(rho, params)
     if kernel is None:
         kernel = lift_kernel(coeffs, params)
-    return _stencil_lift(rho, kernel, params)
+    return _stencil_lift(rho, kernel)
 
 
 def _check_fingerprint(coeffs: LiftCoefficients, params: LbmParams) -> None:
@@ -217,8 +217,7 @@ def _slot_map(taps: Tuple[Tuple[int, ...], ...]
     return h0, shifts, slots, first, to_slots
 
 
-def _stencil_lift(rho: np.ndarray, kernel: LiftKernel,
-                  params: LbmParams) -> np.ndarray:
+def _stencil_lift(rho: np.ndarray, kernel: LiftKernel) -> np.ndarray:
     """f = K Z: one batched matrix product per block of rows along axis 0.
 
     The density is taken as a stack of rows along its last axis; a 1D
@@ -239,9 +238,6 @@ def _stencil_lift(rho: np.ndarray, kernel: LiftKernel,
     temporaries are the wrapped density, z and that difference buffer:
     333, 422 and 72 kB on a 200 x 200 D2Q9 order-4 lift.
     """
-    if rho.ndim != params.vset.dimension:
-        raise ValueError(
-            f"density rank {rho.ndim} does not match {params.vset.name}")
     matrix, first, slots, h0, shifts = kernel
     n1 = rho.shape[-1]
     n0 = rho.size // n1

@@ -88,40 +88,31 @@ class NceTrainConfig:
                 f"spatial_order {self.spatial_order} outside 1..{MAX_TOTAL_ORDER}")
         if self.m not in (0, 1, 2, 3):
             raise ValueError(f"smoothness order m={self.m}, expected 0..3")
-        if self.test_cells < 4 * (self.m + 3):
+        if self.test_cells < 4 * buffer_width(self):
             raise ValueError("test domain too small for the edge margins")
 
 
 @dataclass
-class LinearLiftSystem:
-    """The probe linear system, one identical block per velocity slot.
-
-    block holds the derivative columns at the probe rows (time column
-    last when has_time_column).
-    """
-
-    block: np.ndarray
-    specs: Tuple[DerivSpec, ...]
-    condition: float
-    has_time_column: bool = False
-
-
-@dataclass
 class TrainResult:
+    """Trained coefficients; condition is that of the probe system."""
+
     coefficients: LiftCoefficients
     iterations: int
     lbm_steps: int
     residual: float
-    system: LinearLiftSystem
+    condition: float
 
 
 @dataclass
 class AugmentResult:
+    """Augmented coefficients; system is the enlarged probe matrix, the
+    derivative columns of coefficients.sorted_specs() and the time column
+    last."""
+
     coefficients: LiftCoefficients
-    system: LinearLiftSystem
+    system: np.ndarray
     sigma_min: float
     sigma_max: float
-    lbm_steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +164,7 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int) -> List[np.ndarra
 
 def default_probe_positions(cfg: NceTrainConfig, count: int) -> Tuple[int, ...]:
     """Axis positions 10, 20, 30, ... or an evenly spaced fallback."""
-    margin = cfg.m + 3
+    margin = buffer_width(cfg)
     last_ok = cfg.test_cells - 1 - margin
     positions = tuple(10 * (k + 1) for k in range(count))
     if positions and (positions[-1] > last_ok or positions[0] < margin):
@@ -295,8 +286,7 @@ def _widen_probes(points, cfg: NceTrainConfig):
     column always has a null vector, which would make the singularity
     diagnostic vacuous; rank statements need more rows than columns.
     """
-    margin = cfg.m + 3
-    hi = cfg.test_cells - 1 - margin
+    hi = cfg.test_cells - 1 - buffer_width(cfg)
     seen = set(points)
     extra = []
     for pt in points:
@@ -349,7 +339,7 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
             f"{residual:.3e} > {RESIDUAL_LIMIT:g} max|a| = "
             f"{RESIDUAL_LIMIT * scale:.3e}")
     return TrainResult(coeffs, 1, lbm_step_count() - start_steps, residual,
-                       LinearLiftSystem(ws.block, ws.specs, ws.condition))
+                       ws.condition)
 
 
 def _massless(rows: np.ndarray, q: int) -> np.ndarray:
@@ -431,7 +421,6 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "time coefficients -(dt/omega) w_i are undefined")
     ws = _Workspace(cfg, params, extra_probes=True)
-    start_steps = lbm_step_count()
     rhs_rows = []
     time_rows = []
     for rho, feq_p in zip(ws.densities, ws.feq_probes):
@@ -457,20 +446,11 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
     augmented = LiftCoefficients(fingerprint=params.fingerprint(),
                                  terms=terms, time_term=gamma)
-    system = LinearLiftSystem(enlarged, ws.specs,
-                              float(np.linalg.cond(enlarged)),
-                              has_time_column=True)
-    return AugmentResult(
-        coefficients=augmented,
-        system=system,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        lbm_steps=lbm_step_count() - start_steps,
-    )
+    return AugmentResult(augmented, enlarged, sigma_min, sigma_max)
 
 
 def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
-                system: Optional[LinearLiftSystem] = None) -> MacroPde:
+                system: Optional[np.ndarray] = None) -> MacroPde:
     """Read the macroscopic PDE off the augmented coefficients.
 
     summation: sum each coefficient vector over the velocities; the
@@ -478,7 +458,9 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     (sum gamma) rho_t = -(sum alpha) rho_x - (sum beta) rho_xx, so
     a_hat = sum(alpha)/sum(gamma) and D_hat = -sum(beta)/sum(gamma).
     nullspace: the PDE is the null relation between the derivative
-    columns and the time column of the enlarged probe system.
+    columns and the time column of the enlarged probe system
+    (AugmentResult.system), one column per term of coeffs and the time
+    column last.
     """
     if mode == "summation":
         if coeffs.time_term is None:
@@ -494,9 +476,11 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
 
     if mode != "nullspace":
         raise ValueError(f"unknown extraction mode {mode!r}")
-    if system is None or not system.has_time_column:
-        raise ValueError("nullspace mode needs the enlarged probe system")
-    _, singular_values, v_rows = np.linalg.svd(system.block)
+    specs = coeffs.sorted_specs()
+    if system is None or system.shape[1] != len(specs) + 1:
+        raise ValueError("nullspace mode needs the enlarged probe system, "
+                         f"{len(specs)} derivative columns and a time column")
+    _, singular_values, v_rows = np.linalg.svd(system)
     ratios = singular_values / singular_values[0]
     if ratios[-1] > NULLSPACE_TOL:
         raise ValueError(
@@ -510,7 +494,7 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     if abs(v_time) < 1e-12 * np.abs(null_vec).max():
         raise ValueError("null vector has no time component; "
                          "cannot normalize to a PDE")
-    return _read_off(dict(zip(system.specs, null_vec)), float(v_time))
+    return _read_off(dict(zip(specs, null_vec)), float(v_time))
 
 
 def _read_off(weights: dict, time_weight: float) -> MacroPde:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 import lblift.bench as bench
 from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
     lift_restrict_error, parse_config, run_experiment
-from lblift.cli import main
+from lblift.cli import _COMMAND_KIND, main
 
 
 def test_parse_config_happy_path():
@@ -264,3 +266,23 @@ def test_cli_has_all_subcommands():
     parser = build_parser()
     subs = parser._subparsers._group_actions[0].choices
     assert set(subs) == {"train", "lift-bench", "hybrid", "cost"}
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "demos"
+                  / "configs").glob("*.cfg"))
+ARTIFACTS = {"lift_bench": ["lift_bench.csv"],
+             "train_only": ["coefficients.txt", "train_summary.csv"],
+             "hybrid": ["hybrid_error_field.csv", "hybrid_summary.csv"],
+             "cost_table": ["cost.csv"]}
+
+
+@pytest.mark.parametrize("cfg_file", CONFIGS, ids=lambda path: path.stem)
+def test_shipped_configs_run_through_the_cli(cfg_file, tmp_path, capsys):
+    """Every config in demos/configs runs with the subcommand of its kind
+    and writes the artifacts of that kind, and nothing else."""
+    kind = parse_config(cfg_file.read_text()).kind
+    command = {k: c for c, k in _COMMAND_KIND.items()}[kind]
+    assert main([command, "--config", str(cfg_file),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ARTIFACTS[kind]

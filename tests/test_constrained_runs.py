@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +10,7 @@ from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
                     lbm_step_count, moments, restrict, run_lbm)
 from lblift import constrained_runs
 from lblift.constrained_runs import (CR_TOL, extrapolation_weights,
-                                    impulse_responses, probe_runs)
+                                    impulse_responses)
 
 from conftest import benchmark_params, gaussian_density
 
@@ -390,11 +392,37 @@ def test_packed_impulse_responses_match_one_run_per_impulse(name, advection,
         packed = list(impulse_responses(shape, m, p))
         steps = lbm_step_count() - before
         assert steps == -(-q // slots) * (m + 1), (m, slots, steps)
-        assert probe_runs(shape, m, q) == -(-q // slots)
         assert len(packed) == q
         for i, (got, want) in enumerate(zip(packed, one_impulse_responses(
                 shape, m, p))):
             assert np.array_equal(got, want), (m, i)
+
+
+def test_cr_lift_reports_the_steps_it_makes():
+    """lbm_steps is the step counter's difference, probe included or not:
+    on 13 cells the probe takes 1, 2, 3 and 3 runs of m+1 steps."""
+    p = benchmark_params("D1Q3")
+    rho = gaussian_density(p, cells=13)
+    for m, probes in enumerate((1, 2, 3, 3)):
+        kernel = None
+        for runs in (1 + probes, 1):
+            before = lbm_step_count()
+            result = cr_lift(rho, CrConfig(m=m), p, kernel=kernel)
+            assert result.lbm_steps == lbm_step_count() - before \
+                == runs * (m + 1), (m, kernel is None)
+            kernel = result.kernel
+
+
+@pytest.mark.parametrize("name,omega", [("D2Q9", 2.0), ("D2Q5", 1e-9),
+                                        ("D2Q9", 1e-9)])
+def test_a_singular_fixed_point_is_refused(name, omega):
+    """At these omega values, which LbmParams accepts, some wavenumber
+    block of I - B has no inverse; the lift names the grid, m and omega."""
+    p = replace(benchmark_params(name), omega=omega)
+    with pytest.raises(ValueError, match=(
+            r"fixed point is singular on 24 x 24 cells at m = 1, "
+            rf"omega = {omega!r}$")):
+        cr_lift(np.ones((24, 24)), CrConfig(m=1), p)
 
 
 def test_a_kernel_of_another_model_is_caught():

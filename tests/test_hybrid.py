@@ -48,6 +48,17 @@ def test_spec_validation():
         make_spec(p, EquilibriumLifter(), rho0=np.full(200, np.nan))
 
 
+def test_spec_names_the_cell_of_a_non_finite_initial_density():
+    p = benchmark_params("D1Q3")
+    rho = gaussian_density(p)
+    rho[17] = np.nan
+    with pytest.raises(ValueError, match=r"^initial density: non-finite "
+                                         r"density nan at cell \(17,\)$"):
+        make_spec(p, EquilibriumLifter(), rho0=rho)
+    with pytest.raises(ValueError, match="density rank 2 does not match D1Q3"):
+        make_spec(p, EquilibriumLifter(), rho0=np.ones((200, 3)))
+
+
 def test_init_shapes_and_density_roundtrip():
     p = benchmark_params("D1Q3")
     spec = make_spec(p, order2_lifter(p))

@@ -102,11 +102,17 @@ def test_moment_definitions():
         moments(np.zeros((5, 4)))
 
 
+def test_rest_is_the_zero_direction():
+    assert (D1Q3.rest, D2Q5.rest, D2Q9.rest) == (1, 0, 0)
+    for vs in (D1Q3, D2Q5, D2Q9):
+        assert vs.directions[vs.rest] == (0,) * vs.dimension
+
+
 def test_reset_density_keeps_fast_moments():
     rng = np.random.default_rng(3)
     f = rng.normal(size=(3, 20))
     target = rng.normal(size=20)
-    g = reset_density(f, target)
+    g = reset_density(f, target, D1Q3)
     assert_allclose(restrict(g), target, rtol=1e-14, atol=1e-14)
     assert_allclose(moments(g).phi, moments(f).phi, rtol=1e-14)
     assert_allclose(moments(g).xi, moments(f).xi, rtol=1e-14)

@@ -158,6 +158,20 @@ def test_extract_pde_modes_agree():
     assert_allclose(summed.advection, (0.0,), atol=1e-8)
 
 
+def test_nullspace_extraction_refuses_a_system_without_time_column():
+    """The trained probe block has one column per term and no time
+    column, so it holds no PDE relation to read off."""
+    p = benchmark_params("D1Q3")
+    cfg = NceTrainConfig(spatial_order=2, m=1)
+    aug = augment_time_derivative(train_coefficients(cfg, p).coefficients,
+                                  cfg, p)
+    with pytest.raises(ValueError, match="2 derivative columns and a time"):
+        extract_pde(aug.coefficients, mode="nullspace",
+                    system=_Workspace(cfg, p).block)
+    with pytest.raises(ValueError, match="enlarged probe system"):
+        extract_pde(aug.coefficients, mode="nullspace")
+
+
 def test_extract_requires_time_term():
     p = benchmark_params("D1Q3")
     trained = train_coefficients(NceTrainConfig(spatial_order=2, m=1), p)
@@ -333,7 +347,7 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
     assert ws.block.tobytes() == block.tobytes()
     assert ws.condition == float(np.linalg.cond(block))
     if not extra:
-        assert train_coefficients(cfg, p).system.condition == ws.condition
+        assert train_coefficients(cfg, p).condition == ws.condition
 
 
 def test_training_refuses_a_missed_fixed_point(monkeypatch):
