@@ -22,7 +22,10 @@ on a smaller one; a lift handed the kernel of an earlier one
 (CrResult.kernel) pays only its closing constrained run, m+1 LBM steps,
 which checks the fixed point; CrResult.lbm_steps is the step counter's
 difference over the lift.  The solver works on full periodic density
-fields of every velocity set.
+fields of every velocity set.  In 1D the transfer is local and well
+conditioned; in 2D it is global, with no decay across the grid, and
+its blocks can be ill-conditioned at grid-scale wavenumbers, near
+(small, pi).
 """
 
 from __future__ import annotations
@@ -186,7 +189,8 @@ def cr_kernel(shape: tuple, config: CrConfig,
     read-only and complex, stacked like the unknowns: shape
     (q-1,) + shape[:-1] + (shape[-1] // 2 + 1,).  A singular block, as
     omega near 0 (or 2 for D2Q9) gives, is refused with a ValueError that
-    names the grid, m and omega.
+    names the grid, m, omega and the first singular wavenumber per axis,
+    in rad in [0, 2 pi), looked up only once the solve has failed.
     """
     rest = params.vset.rest
     axes = tuple(range(1, len(shape) + 1))
@@ -200,9 +204,14 @@ def cr_kernel(shape: tuple, config: CrConfig,
         transfer = np.linalg.solve(blocks, density[..., None])[..., 0]
     except np.linalg.LinAlgError:
         cells = " x ".join(str(n) for n in shape)
+        # the first block with a zero pivot, as the solve met it
+        first = np.unravel_index(np.argmin(np.abs(np.linalg.det(blocks))),
+                                 blocks.shape[:-2])
+        k = ", ".join(f"{2 * np.pi * i / n:.3f}" for i, n in zip(first, shape))
         raise ValueError(
             f"constrained-runs fixed point is singular on {cells} cells at "
-            f"m = {config.m}, omega = {params.omega!r}") from None
+            f"m = {config.m}, omega = {params.omega!r}, first at wavenumber "
+            f"({k}) rad") from None
     transfer = np.ascontiguousarray(np.moveaxis(transfer, -1, 0))
     transfer.flags.writeable = False
     return transfer

@@ -6,8 +6,8 @@ plus a one-sided formula for the first time derivative from a short
 sequence of snapshots.  Trained lifting coefficients absorb the
 truncation terms of the stencils they were trained with, so training
 and application share these.  Application is periodic: it wraps with
-np.roll.  derivative_at evaluates the same stencils at given points
-only, bit for bit, for callers that read a field at a few points.
+np.roll.  interior_derivative evaluates the same stencils bit for bit on
+a patch cut from a field, where no tap wraps.
 difference_stencils writes the stencils of several derivatives as one
 matrix over grid offsets, for evaluating a fixed linear combination of
 them in one pass.
@@ -119,36 +119,26 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
     return out
 
 
-def derivative_at(rho: np.ndarray, spec: DerivSpec, dx: float,
-                  index: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """spatial_derivative(rho, spec, dx)[index], evaluated only at index.
-
-    index holds one integer array per axis, as in numpy fancy indexing,
-    and wraps periodically.  One gather reads every stencil tap of every
-    point; the 1D weights then reduce it axis by axis, first axis first,
-    each sum running offset by offset from zero, exactly as
-    spatial_derivative sums them, so the values are bit-identical.
+def interior_derivative(patch: np.ndarray, spec: DerivSpec,
+                        dx: float) -> np.ndarray:
+    """spatial_derivative(patch, spec, dx) on the cells whose stencil lies
+    inside patch: each derived axis loses the stencil's half width at both
+    ends.  Slices are summed axis by axis, first axis first, offset by
+    offset from zero, as spatial_derivative sums them, so bit for bit.
     """
-    rho = np.asarray(rho, dtype=float)
-    if len(spec.orders) != rho.ndim:
+    out = np.asarray(patch, dtype=float)
+    if len(spec.orders) != out.ndim:
         raise ValueError("spec arity does not match field rank")
-    index = np.broadcast_arrays(*map(np.asarray, index))
-    derived = [axis for axis, order in enumerate(spec.orders) if order]
-    # taps[j_1, ..., j_k, *points]: rho at the points shifted by offset j_i
-    # along the i-th derived axis
-    gather = list(index)
-    for i, axis in enumerate(derived):
-        offsets = np.array(central_offsets(spec.orders[axis]))
-        trailing = len(derived) - 1 - i + index[0].ndim
-        gather[axis] = gather[axis] + offsets.reshape((-1,) + (1,) * trailing)
-    taps = rho[tuple(ix % n for ix, n in zip(gather, rho.shape))]
-    for axis in derived:
-        _, w = _axis_stencil(spec.orders[axis], dx)
-        out = np.zeros(taps.shape[1:])
-        for wk, values in zip(w, taps):
-            out += wk * values
-        taps = out
-    return taps
+    for axis, order in enumerate(spec.orders):
+        if order:
+            offsets, w = _axis_stencil(order, dx)
+            inner = out.shape[axis] - 2 * offsets[-1]
+            summed = np.zeros(out.shape[:axis] + (inner,) + out.shape[axis + 1:])
+            for start, wk in enumerate(w):
+                summed += wk * out[(slice(None),) * axis
+                                   + (slice(start, start + inner),)]
+            out = summed
+    return out
 
 
 @lru_cache(maxsize=64)

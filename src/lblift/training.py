@@ -14,8 +14,11 @@ smoothing, which is linear and shift-invariant with density 0; one
 constrained run probes all q on the test grid.  The probe system reads
 the test densities and their derivatives only in the probe windows, the
 m+1 cells around each probe that those responses reach, so they are
-gathered there and nowhere else.  One evaluation of the map by direct
-constrained runs closes the solve as an independent check.
+cut by slices from one patch around each probe and evaluated nowhere
+else.  One evaluation of the map by direct constrained runs closes the
+solve as an independent check.  A 2D test grid is evaluated only on the
+rows a probe reads: a row crop leaves every lifted value as it was, a
+column crop would move the lift's BLAS tiling and its rounding.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -37,6 +40,7 @@ from math import ceil, factorial, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constrained_runs import constrained_smooth, impulse_responses
 from .lattice import LbmParams, equilibrium, lbm_step_count, restrict, stream_collide
@@ -44,10 +48,11 @@ from .lifting import (
     LiftCoefficients,
     apply_lift,
     expansion_terms,
+    lift_kernel,
     zero_coefficients,
 )
 from .macro_pde import MacroPde
-from .stencil import (MAX_TOTAL_ORDER, DerivSpec, derivative_at,
+from .stencil import (MAX_TOTAL_ORDER, DerivSpec, interior_derivative,
                       time_derivative_forward)
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
@@ -74,7 +79,8 @@ class NceTrainConfig:
     dx; the probes sit within it at default_probe_positions, at least m+3
     cells from its edges (in 2D the positions are used per axis and
     combined into a grid).  m is the smoothness order of the constrained
-    run that closes the coefficient map.
+    run that closes the coefficient map.  A 2D test square is evaluated
+    only on the rows the probes read, as a row crop rounds nothing anew.
     """
 
     spatial_order: int = 2
@@ -124,8 +130,10 @@ def buffer_width(cfg: NceTrainConfig) -> int:
     return cfg.m + 3
 
 
-def test_density_profiles(cfg: NceTrainConfig, dimension: int) -> List[np.ndarray]:
-    """Polynomial test densities on the buffered test grid.
+def test_density_profiles(cfg: NceTrainConfig, dimension: int,
+                          rows: slice = slice(None)) -> List[np.ndarray]:
+    """Polynomial test densities on the buffered test grid, in 2D on its
+    given rows only.
 
     1D uses rho(x) = sum_{k=1..R} x^k / k!: every derivative up to order
     R is present and the degree-R term keeps the top probe column
@@ -147,12 +155,12 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int) -> List[np.ndarra
         return [rho]
     if dimension != 2:
         raise ValueError(f"unsupported dimension {dimension}")
-    grid_x = x[:, None]
+    grid_x = x[rows, None]
     grid_y = x[None, :]
     profiles = []
     for d in range(r + 1):
         scale = 1.0 + 0.5 * d
-        rho = np.zeros((x.size, x.size))
+        rho = np.zeros((grid_x.size, x.size))
         for j in range(r + 1):
             for k in range(r + 1 - j):
                 if j + k >= 1:
@@ -196,7 +204,7 @@ def _probe_index(points, width: int):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Probes, test densities and the derivative windows around the probes.
+    """Probes, test densities (in 2D the probe rows) and their windows.
 
     extra_probes builds the workspace of the time-augmented system: more
     probe rows than columns, and no linear part, so its windows hold the
@@ -217,26 +225,40 @@ class _Workspace:
         if extra_probes:
             points = _widen_probes(points, cfg)
         self.probe_points = points
+        self.grid_shape = (cfg.test_cells + 2 * buffer_width(cfg),) * dimension
         self.probe_ix = _probe_index(points, buffer_width(cfg))
-        self.densities = test_density_profiles(cfg, dimension)
         # offsets u, one row per axis: |u| <= m+1 per axis, beyond which
         # the impulse responses of _window_responses vanish, or u = 0 alone
         # for the augmented system, which takes no linear part
         reach = 0 if extra_probes else cfg.m + 1
         self.offsets = np.array(list(product(range(-reach, reach + 1),
                                              repeat=dimension))).T
-        window = tuple(ix[:, None] - off
-                       for ix, off in zip(self.probe_ix, self.offsets))
+        stencil = (cfg.spatial_order + 1) // 2
+        rows = slice(None)
+        if dimension == 2:
+            # only the rows a probe reads, through the lift's stencil and
+            # the closing run's m+1 steps (the augmentation's 2); a crop of
+            # the last axis would move the lift's BLAS tiling and rounding
+            margin = max(cfg.m + 1, 2) + stencil
+            first = int(self.probe_ix[0].min()) - margin
+            rows = slice(first, int(self.probe_ix[0].max()) + margin + 1)
+            self.probe_ix = (self.probe_ix[0] - first, self.probe_ix[1])
+        self.densities = test_density_profiles(cfg, dimension, rows)
+        # patch[d, p, v] = rho_d(p + v), |v| <= reach + stencil per axis:
+        # in one gather, every value the stencils of the windows read
+        size = 2 * (reach + stencil) + 1
+        patch = sliding_window_view(
+            np.stack(self.densities), (size,) * dimension,
+            axis=tuple(range(1, dimension + 1)))[
+                (slice(None),) + tuple(ix - reach - stencil
+                                       for ix in self.probe_ix)]
+        # density_windows[d, p, u] = rho_d(p - u), which H(0) reads, and
         # windows[d, t, p, u] = D_T rho_d(p - u): the only derivative
-        # values the probe system reads, evaluated nowhere else.  The
-        # densities are stacked along a leading axis that no term derives.
-        stack = np.stack(self.densities)
-        d_ix = np.arange(len(stack)).reshape(-1, 1, 1)
-        # density_windows[d, p, u] = rho_d(p - u), which H(0) reads
-        self.density_windows = stack[(d_ix,) + window]
+        # values the probe system reads, evaluated nowhere else
+        self.density_windows = _window(patch, reach)
         self.windows = np.array([
-            derivative_at(stack, DerivSpec((0,) + spec.orders), params.dx,
-                          (d_ix,) + window)
+            _window(interior_derivative(patch, DerivSpec((0, 0) + spec.orders),
+                                        params.dx), reach)
             for spec in self.specs]).transpose(1, 0, 2, 3)
         # the block is the u = 0 slice, one row per (density, probe)
         centre = self.offsets.shape[1] // 2
@@ -266,9 +288,10 @@ class _Workspace:
         system for the coefficients describing f - f_eq of the smoothed
         state.  Coefficients on the slow manifold are invariant under H.
         """
+        kernel = lift_kernel(coeffs, self.params) if coeffs.terms else None
         rows = []
         for rho, feq_p in zip(self.densities, self.feq_probes):
-            lifted = apply_lift(rho, coeffs, self.params)
+            lifted = apply_lift(rho, coeffs, self.params, kernel)
             smooth = constrained_smooth(lifted, rho, self.cfg.m, self.params)
             rows.append(self.probe_rows(smooth) - feq_p)
         return self.solve(np.vstack(rows)).ravel()
@@ -277,6 +300,15 @@ class _Workspace:
         if self.block.shape[0] == self.block.shape[1]:
             return np.linalg.solve(self.block, rhs)
         return np.linalg.lstsq(self.block, rhs, rcond=None)[0]
+
+
+def _window(patch: np.ndarray, reach: int) -> np.ndarray:
+    """patch[d, p, -u] for |u| <= reach per axis around each axis's
+    centre, the offsets u flattened in product order."""
+    centre = tuple(slice((n - 1) // 2 - reach, (n - 1) // 2 + reach + 1)
+                   for n in patch.shape[2:])
+    return np.flip(patch[(Ellipsis,) + centre], axis=tuple(
+        range(2, patch.ndim))).reshape(patch.shape[:2] + (-1,))
 
 
 def _widen_probes(points, cfg: NceTrainConfig):
@@ -353,7 +385,7 @@ def _window_responses(ws: _Workspace) -> np.ndarray:
     0) at offset u, from impulse_responses on the test grid.  G_i vanishes
     beyond m+1 cells per axis, so the window offsets of ws hold all of it."""
     return np.array([g[(slice(None),) + tuple(ws.offsets)]
-                     for g in impulse_responses(ws.densities[0].shape,
+                     for g in impulse_responses(ws.grid_shape,
                                                 ws.cfg.m, ws.params)])
 
 
@@ -415,16 +447,24 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     cannot split a time column from the spatial columns it is a linear
     combination of) and re-solve the spatial vectors against the moved
     column, so that summing the vectors over the velocities reproduces
-    the PDE.
+    the PDE.  Coefficients whose terms are not the expansion of
+    cfg.spatial_order are refused.
     """
     if params.omega == 0.0:
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "time coefficients -(dt/omega) w_i are undefined")
+    if coeffs.sorted_specs() != expansion_terms(params.vset.dimension,
+                                                cfg.spatial_order):
+        order = max((spec.total for spec in coeffs.terms), default=0)
+        raise ValueError(
+            f"coefficients of spatial order {order} do not fit a config of "
+            f"spatial order {cfg.spatial_order}")
     ws = _Workspace(cfg, params, extra_probes=True)
+    kernel = lift_kernel(coeffs, params)
     rhs_rows = []
     time_rows = []
     for rho, feq_p in zip(ws.densities, ws.feq_probes):
-        lifted = apply_lift(rho, coeffs, params)
+        lifted = apply_lift(rho, coeffs, params, kernel)
         snapshots = [restrict(lifted)]
         f = lifted
         for _ in range(2):

@@ -1,4 +1,5 @@
-"""Shared model setups: the three benchmark parameter sets."""
+"""Shared model setups: the three benchmark parameter sets, and reference
+paths that the package's fast ones are checked against."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from lblift import LbmParams, VELOCITY_SETS, equilibrium, restrict, run_lbm
+from lblift.stencil import _axis_stencil, central_offsets
 
 # Relaxation rates that make the macroscopic diffusion coefficient
 # exactly 1 for each benchmark model (0.9091 etc. are their roundings).
@@ -67,3 +69,35 @@ def d1_reference(d1_params):
 def d1_adv_reference(d1_adv_params):
     return run_lbm(equilibrium(gaussian_density(d1_adv_params), d1_adv_params),
                    d1_adv_params, 1000)
+
+
+def derivative_at(rho, spec, dx, index):
+    """spatial_derivative(rho, spec, dx)[index], evaluated only at index.
+
+    index holds one integer array per axis, as in numpy fancy indexing,
+    and wraps periodically.  One gather reads every stencil tap of every
+    point; the 1D weights then reduce it axis by axis, first axis first,
+    each sum running offset by offset from zero, exactly as
+    spatial_derivative sums them, so the values are bit-identical.  This
+    is the point-wise path that training's patch windows replaced.
+    """
+    rho = np.asarray(rho, dtype=float)
+    if len(spec.orders) != rho.ndim:
+        raise ValueError("spec arity does not match field rank")
+    index = np.broadcast_arrays(*map(np.asarray, index))
+    derived = [axis for axis, order in enumerate(spec.orders) if order]
+    # taps[j_1, ..., j_k, *points]: rho at the points shifted by offset j_i
+    # along the i-th derived axis
+    gather = list(index)
+    for i, axis in enumerate(derived):
+        offsets = np.array(central_offsets(spec.orders[axis]))
+        trailing = len(derived) - 1 - i + index[0].ndim
+        gather[axis] = gather[axis] + offsets.reshape((-1,) + (1,) * trailing)
+    taps = rho[tuple(ix % n for ix, n in zip(gather, rho.shape))]
+    for axis in derived:
+        _, w = _axis_stencil(spec.orders[axis], dx)
+        out = np.zeros(taps.shape[1:])
+        for wk, values in zip(w, taps):
+            out += wk * values
+        taps = out
+    return taps

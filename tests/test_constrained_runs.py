@@ -417,11 +417,15 @@ def test_cr_lift_reports_the_steps_it_makes():
                                         ("D2Q9", 1e-9)])
 def test_a_singular_fixed_point_is_refused(name, omega):
     """At these omega values, which LbmParams accepts, some wavenumber
-    block of I - B has no inverse; the lift names the grid, m and omega."""
+    block of I - B has no inverse; the lift names the grid, m, omega and
+    the first singular wavenumber per axis: the grid-scale (0, pi) for
+    D2Q9 at omega = 2, and the uniform mode at omega near 0."""
     p = replace(benchmark_params(name), omega=omega)
+    wavenumber = "0.000, 3.142" if omega == 2.0 else "0.000, 0.000"
     with pytest.raises(ValueError, match=(
             r"fixed point is singular on 24 x 24 cells at m = 1, "
-            rf"omega = {omega!r}$")):
+            rf"omega = {omega!r}, first at wavenumber \({wavenumber}\) "
+            r"rad$")):
         cr_lift(np.ones((24, 24)), CrConfig(m=1), p)
 
 

@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from lblift import DerivSpec, spatial_derivative, time_derivative_forward
 from lblift.lifting import expansion_terms
-from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets, derivative_at,
-                            fd_weights)
+from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets, fd_weights,
+                            interior_derivative)
+
+from conftest import derivative_at
 
 
 def test_deriv_spec_basics():
@@ -143,6 +145,30 @@ def test_derivative_at_is_the_field_at_the_index(shape):
 def test_derivative_at_dimension_mismatch():
     with pytest.raises(ValueError):
         derivative_at(np.zeros(8), DerivSpec((1, 1)), 0.1, (np.arange(3),))
+
+
+@pytest.mark.parametrize("shape", [(15,), (15, 14), (3, 15, 14)],
+                         ids=["1D", "2D", "stacked 2D"])
+def test_interior_derivative_is_the_field_inside_the_patch(shape):
+    """Bit for bit spatial_derivative(...) on the cells whose stencil fits
+    in the patch, for every spec up to order 6: each derived axis loses
+    the stencil's half width at both ends, an underived one nothing."""
+    rho = np.random.default_rng(11).standard_normal(shape)
+    grid = shape[-2:] if len(shape) == 3 else shape
+    specs = expansion_terms(len(grid), MAX_TOTAL_ORDER)
+    if len(shape) == 3:
+        specs = [DerivSpec((0,) + s.orders) for s in specs]
+    for spec in specs:
+        halves = [central_offsets(o)[-1] if o else 0 for o in spec.orders]
+        inside = tuple(slice(h, n - h) for h, n in zip(halves, shape))
+        full = spatial_derivative(rho, spec, 0.05)[inside]
+        assert interior_derivative(rho, spec, 0.05).tobytes() \
+            == full.tobytes(), spec
+
+
+def test_interior_derivative_dimension_mismatch():
+    with pytest.raises(ValueError):
+        interior_derivative(np.zeros(8), DerivSpec((1, 1)), 0.1)
 
 
 def test_time_derivative_forward_exact_on_polynomials():

@@ -6,18 +6,20 @@ from numpy.testing import assert_allclose
 
 from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
                     analytic_coefficients, analytic_pde, apply_lift,
-                    augment_time_derivative, extract_pde, lbm_step_count,
-                    restrict, train_coefficients)
-from lblift.constrained_runs import constrained_smooth
+                    augment_time_derivative, equilibrium, extract_pde,
+                    lbm_step_count, restrict, stream_collide,
+                    train_coefficients)
+from lblift.constrained_runs import CrConfig, constrained_smooth, cr_lift
 from lblift.lifting import expansion_terms, zero_coefficients
-from lblift.stencil import MAX_TOTAL_ORDER, spatial_derivative
+from lblift.stencil import (MAX_TOTAL_ORDER, spatial_derivative,
+                            time_derivative_forward)
 from lblift import training
 from lblift.training import (RESIDUAL_LIMIT, _linear_part, _offset,
-                             _probe_points, _window_responses, _Workspace,
-                             buffer_width, default_probe_positions)
+                             _probe_index, _probe_points, _window_responses,
+                             _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
-from conftest import benchmark_params, gaussian_density
+from conftest import benchmark_params, derivative_at, gaussian_density
 
 
 def test_config_validation():
@@ -145,6 +147,22 @@ def test_augment_rejects_zero_omega():
                                 streaming)
 
 
+def test_augment_refuses_coefficients_of_another_order():
+    """Order-4 coefficients handed to an order-2 config, or order-2 ones
+    to an order-4 config, are refused naming both orders, rather than
+    coming back as an order-2 set."""
+    p = benchmark_params("D1Q3")
+    order4 = train_coefficients(NceTrainConfig(spatial_order=4, m=1), p)
+    with pytest.raises(ValueError, match="spatial order 4 do not fit a "
+                       "config of spatial order 2"):
+        augment_time_derivative(order4.coefficients,
+                                NceTrainConfig(spatial_order=2, m=1), p)
+    with pytest.raises(ValueError, match="spatial order 2 do not fit a "
+                       "config of spatial order 4"):
+        augment_time_derivative(zero_coefficients(p, 2),
+                                NceTrainConfig(spatial_order=4, m=1), p)
+
+
 def test_extract_pde_modes_agree():
     p = benchmark_params("D1Q3")
     cfg = NceTrainConfig(spatial_order=2, m=1)
@@ -268,6 +286,48 @@ def test_two_d_step_count():
             == (n_densities + 1) * (cfg.m + 1) == steps
 
 
+def full_grid(ws):
+    """The test densities over the whole test grid, and the probe index on
+    it: the workspace's own, shifted back by its 2D row crop."""
+    return (density_profiles(ws.cfg, ws.params.vset.dimension),
+            _probe_index(ws.probe_points, buffer_width(ws.cfg)))
+
+
+def at_probes(f, probes):
+    """A distribution field at the probes, one row per probe."""
+    return f[(slice(None),) + probes].T
+
+
+def full_grid_h_map(ws, coeffs):
+    """H(a) by direct constrained runs of the test densities over the
+    whole test grid, one lift per density without a shared kernel."""
+    densities, probes = full_grid(ws)
+    rows = [at_probes(constrained_smooth(apply_lift(rho, coeffs, ws.params),
+                                         rho, ws.cfg.m, ws.params)
+                      - equilibrium(rho, ws.params), probes)
+            for rho in densities]
+    return ws.solve(np.vstack(rows)).ravel()
+
+
+def full_grid_augment(coeffs, cfg, params):
+    """The enlarged system and the re-solved coefficient matrix of the
+    time augmentation, from two free LBM steps over the whole test grid."""
+    ws = _Workspace(cfg, params, extra_probes=True)
+    densities, probes = full_grid(ws)
+    rhs, time_col = [], []
+    for rho in densities:
+        f = [apply_lift(rho, coeffs, params)]
+        f += [stream_collide(f[0], params)]
+        f += [stream_collide(f[1], params)]
+        rho_t = time_derivative_forward([restrict(g) for g in f], params.dt)
+        rhs.append(at_probes(f[0] - equilibrium(rho, params), probes))
+        time_col.append(rho_t[probes])
+    time_col = np.concatenate(time_col)
+    gamma = -(params.dt / params.omega) * params.equilibrium_weights()
+    return (np.hstack([ws.block, time_col[:, None]]),
+            ws.solve(np.vstack(rhs) - np.outer(time_col, gamma)))
+
+
 def field_loop_linear_part(ws):
     """M column by column: smooth e_i D_T rho with density 0 over the
     whole test grid for every term, velocity and test density, the
@@ -275,17 +335,18 @@ def field_loop_linear_part(ws):
     q = ws.params.vset.q
     columns = list(product(ws.specs, range(q)))
     points = len(ws.probe_points)
-    response = np.empty((points * len(ws.densities), q, len(columns)))
-    delta = np.zeros((q,) + ws.densities[0].shape)
+    densities, probes = full_grid(ws)
+    response = np.empty((points * len(densities), q, len(columns)))
+    delta = np.zeros((q,) + densities[0].shape)
     zero_density = np.zeros(delta.shape[1:])
-    for d, rho in enumerate(ws.densities):
+    for d, rho in enumerate(densities):
         fields = {spec: spatial_derivative(rho, spec, ws.params.dx)
                   for spec in ws.specs}
         rows = response[d * points:(d + 1) * points]
         for k, (spec, i) in enumerate(columns):
             delta[i] = fields[spec]
-            rows[:, :, k] = ws.probe_rows(constrained_smooth(
-                delta, zero_density, ws.cfg.m, ws.params))
+            rows[:, :, k] = at_probes(constrained_smooth(
+                delta, zero_density, ws.cfg.m, ws.params), probes)
             delta[i] = 0.0
     return ws.solve(response.reshape(len(response), -1)).reshape(
         len(columns), -1)
@@ -309,12 +370,12 @@ def test_impulse_linear_part_matches_field_loop(name, advection, r, m):
 @pytest.mark.parametrize("name,advection,r,m", LINEAR_PART_CASES)
 def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
     """H(0) superposed from the impulse responses matches the direct
-    evaluation, constrained runs of the test densities lifted to
-    equilibrium, to 1e-9 max|H(0)|; the worst measured gap is 2.6e-10, at
-    D1Q3 (R, m) = (6, 3)."""
+    evaluation, constrained runs over the whole test grid of the test
+    densities lifted to equilibrium, to 1e-9 max|H(0)|; the worst
+    measured gap is 2.6e-10, at D1Q3 (R, m) = (6, 3)."""
     p = benchmark_params(name, advection=advection)
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
-    reference = ws.h_map(LiftCoefficients(p.fingerprint()))
+    reference = full_grid_h_map(ws, LiftCoefficients(p.fingerprint()))
     gap = np.abs(_offset(ws, _window_responses(ws)) - reference).max()
     assert gap <= 1e-9 * np.abs(reference).max(), gap
 
@@ -330,24 +391,115 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
     p = benchmark_params(name)
     cfg = NceTrainConfig(spatial_order=r, m=m)
     ws = _Workspace(cfg, p, extra_probes=extra)
+    densities, probes = full_grid(ws)
     reach = 0 if extra else m + 1
     offsets = list(product(range(-reach, reach + 1), repeat=p.vset.dimension))
-    assert ws.windows.shape == (len(ws.densities), len(ws.specs),
+    assert ws.windows.shape == (len(densities), len(ws.specs),
                                 len(ws.probe_points), len(offsets))
-    for d, rho in enumerate(ws.densities):
+    for d, rho in enumerate(densities):
         for t, spec in enumerate(ws.specs):
             field = spatial_derivative(rho, spec, p.dx)
             for k, u in enumerate(offsets):
-                shifted = tuple(ix - off for ix, off in zip(ws.probe_ix, u))
+                shifted = tuple(ix - off for ix, off in zip(probes, u))
                 assert ws.windows[d, t, :, k].tobytes() \
                     == field[shifted].tobytes(), (d, spec, u)
     block = np.vstack([np.column_stack(
-        [spatial_derivative(rho, spec, p.dx)[ws.probe_ix]
-         for spec in ws.specs]) for rho in ws.densities])
+        [spatial_derivative(rho, spec, p.dx)[probes]
+         for spec in ws.specs]) for rho in densities])
     assert ws.block.tobytes() == block.tobytes()
     assert ws.condition == float(np.linalg.cond(block))
     if not extra:
         assert train_coefficients(cfg, p).condition == ws.condition
+
+
+@pytest.mark.parametrize("name", ["D1Q3", "D2Q5", "D2Q9"])
+def test_patch_windows_are_the_pointwise_gathers(name):
+    """windows and density_windows, cut by slices from one patch around
+    each probe, equal derivative_at's gathers of every stencil tap of
+    every window point over the whole test grid, bit for bit, at every
+    order R and m, with and without the augmentation's extra probes."""
+    p = benchmark_params(name)
+    for r, m, extra in product(range(1, MAX_TOTAL_ORDER + 1), range(4),
+                               (False, True)):
+        ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p,
+                        extra_probes=extra)
+        densities, probes = full_grid(ws)
+        stack = np.stack(densities)
+        d_ix = np.arange(len(stack)).reshape(-1, 1, 1)
+        window = (d_ix,) + tuple(ix[:, None] - off
+                                 for ix, off in zip(probes, ws.offsets))
+        windows = np.array([
+            derivative_at(stack, DerivSpec((0,) + spec.orders), p.dx, window)
+            for spec in ws.specs]).transpose(1, 0, 2, 3)
+        assert ws.density_windows.tobytes() == stack[window].tobytes(), \
+            (r, m, extra)
+        assert ws.windows.tobytes() == windows.tobytes(), (r, m, extra)
+
+
+CROP_CASES = [(name, advection, r, m)
+              for name, advection in (("D1Q3", ()), ("D1Q3", (0.66,)),
+                                      ("D2Q5", ()), ("D2Q9", (1.0, 0.5)))
+              for r in (2, 4, 6) for m in range(4)]
+
+
+@pytest.mark.parametrize("name,advection,r,m", CROP_CASES)
+def test_cropped_evaluation_is_the_full_grid_one(name, advection, r, m):
+    """H(a) at the trained coefficients, and the time augmentation, by
+    the workspace, whose 2D test grid holds only the rows the probes
+    read, equal their direct evaluation over the whole test grid bit for
+    bit."""
+    p = benchmark_params(name, advection=advection)
+    cfg = NceTrainConfig(spatial_order=r, m=m)
+    coeffs = train_coefficients(cfg, p).coefficients
+    ws = _Workspace(cfg, p)
+    assert ws.h_map(coeffs).tobytes() == full_grid_h_map(ws, coeffs).tobytes()
+    aug = augment_time_derivative(coeffs, cfg, p)
+    system, coeff_matrix = full_grid_augment(coeffs, cfg, p)
+    assert aug.system.tobytes() == system.tobytes()
+    assert aug.coefficients.flatten().tobytes() == coeff_matrix.tobytes()
+    singular_values = np.linalg.svd(system, compute_uv=False)
+    assert (aug.sigma_min, aug.sigma_max) \
+        == (singular_values[-1], singular_values[0])
+
+
+# max|NCE(R, m) lift - CR-m lift| / max|f| on 200 x 200, R = 2, 4, 6: twice
+# the measured 3.77e-5, 1.98e-7, 3.92e-8 (D2Q5, m = 1), 3.77e-5, 1.97e-7,
+# 8.35e-9 (D2Q5, m = 2), 1.56e-5, 8.16e-8, 1.45e-8 (D2Q9, m = 1) and
+# 1.56e-5, 8.16e-8, 2.67e-9 (D2Q9, m = 2), rounded up
+CR_GAP_BOUNDS = {("D2Q5", 1): (7.6e-5, 4.0e-7, 7.9e-8),
+                 ("D2Q5", 2): (7.6e-5, 4.0e-7, 1.7e-8),
+                 ("D2Q9", 1): (3.2e-5, 1.7e-7, 2.9e-8),
+                 ("D2Q9", 2): (3.2e-5, 1.7e-7, 5.4e-9)}
+
+
+@pytest.mark.parametrize("name,advection", [("D2Q5", ()),
+                                            ("D2Q9", (1.0, 0.5))])
+def test_trained_2d_lift_approaches_constrained_runs(name, advection):
+    """The trained (R, m) lift is the Taylor truncation of the CR-m lift,
+    so on a density smooth across the periodic wrap (a width-1 Gaussian
+    on 200 x 200 cells, 1.4e-11 at the wrap) its gap to cr_lift falls as
+    R rises, within CR_GAP_BOUNDS.  The drop from R = 4 to R = 6 is
+    larger for m = 2 than for m = 1: beyond order 2m+1 the error falls
+    along m, not R (criterion 4c)."""
+    p = benchmark_params(name, advection=advection)
+    rho = gaussian_density(p)
+    assert max(rho[0].max(), rho[:, 0].max()) < 1e-10
+    drops = {}
+    for m in (1, 2):
+        reference = cr_lift(rho, CrConfig(m=m), p)
+        assert reference.converged
+        scale = np.abs(reference.f).max()
+        gaps = []
+        for r in (2, 4, 6):
+            coeffs = train_coefficients(NceTrainConfig(spatial_order=r, m=m),
+                                        p).coefficients
+            gaps.append(np.abs(apply_lift(rho, coeffs, p)
+                               - reference.f).max() / scale)
+        assert gaps[0] > gaps[1] > gaps[2], (m, gaps)
+        assert all(gap <= bound for gap, bound
+                   in zip(gaps, CR_GAP_BOUNDS[name, m])), (m, gaps)
+        drops[m] = gaps[1] / gaps[2]
+    assert drops[2] > drops[1], drops
 
 
 def test_training_refuses_a_missed_fixed_point(monkeypatch):
