@@ -36,7 +36,7 @@ from math import comb
 
 import numpy as np
 
-from .lattice import (LbmParams, finite_density, lbm_step_count,
+from .lattice import (LbmParams, finite_density, integer, lbm_step_count,
                       reset_density, stream_collide)
 
 
@@ -51,7 +51,7 @@ class CrConfig:
     m: int = 1
 
     def __post_init__(self):
-        if self.m not in (0, 1, 2, 3):
+        if integer(self.m, "m") not in (0, 1, 2, 3):
             raise ValueError(f"extrapolation order m={self.m}, expected 0..3")
 
 

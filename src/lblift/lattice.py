@@ -111,6 +111,21 @@ def finite_positive(value) -> float:
     return number
 
 
+def finite(value, name: str) -> float:
+    """value as a float, refused unless finite: advection and diffusion."""
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"{name} {number!r} is not finite")
+    return number
+
+
+def integer(value, name: str):
+    """value, refused unless a Python or numpy integer, bool excluded."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def stable_omega(value) -> float:
     """value as a float, refused outside the stable range [0, 2] of the
     relaxation rate omega (nan included)."""
@@ -143,7 +158,9 @@ class LbmParams:
             a = (0.0,) * self.vset.dimension
         if len(a) != self.vset.dimension:
             raise ValueError("advection vector must match the lattice dimension")
-        object.__setattr__(self, "advection", tuple(float(v) for v in a))
+        object.__setattr__(self, "advection", tuple(
+            finite(v, f"advection component {axis}")
+            for axis, v in enumerate(a)))
 
     @property
     def sound_speed_sq(self) -> float:

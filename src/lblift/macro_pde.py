@@ -19,7 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .lattice import LbmParams
+from .lattice import LbmParams, finite
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,10 @@ class MacroPde:
     diffusion: float
 
     def __post_init__(self):
-        object.__setattr__(self, "advection",
-                           tuple(float(a) for a in self.advection))
+        object.__setattr__(self, "advection", tuple(
+            finite(a, f"advection component {axis}")
+            for axis, a in enumerate(self.advection)))
+        finite(self.diffusion, "diffusion")
 
 
 def analytic_pde(params: LbmParams) -> MacroPde:
@@ -73,9 +75,11 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
     per axis, with nu = D dt / dx^2 (the grid spacing is shared by all
     axes).  Axis 0 reads its neighbours from a copy with one wrapped cell
     at each end, the other axes from np.roll; 2 rho is formed once and
-    every axis reuses the same two term buffers.  Stability bounds are
-    warnings, not errors: a subdomain fed by ghost values can behave
-    better than the periodic worst case.
+    every axis reuses the same two term buffers.  The stability bounds,
+    dim nu <= 1/2, each Courant number C = |a| dt / dx <= 1 and sum C^2 <=
+    2 nu (von Neumann, for central advection), are warnings, not errors: a
+    subdomain fed by ghost values can behave better than the periodic
+    worst case.
     """
     rho = np.asarray(rho, dtype=float)
     dim = rho.ndim
@@ -90,6 +94,11 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
         if abs(a) * dt / dx > 1.0:
             warnings.warn(f"advection Courant number {abs(a) * dt / dx:.3g} "
                           "exceeds 1", stacklevel=2)
+    courant_sq = sum((a * dt / dx) ** 2 for a in pde.advection)
+    if courant_sq > 2.0 * nu:
+        warnings.warn(f"squared Courant numbers sum to {courant_sq:.3g}, above "
+                      f"2 nu = {2.0 * nu:.3g}; forward Euler with central "
+                      "advection is unstable", stacklevel=2)
 
     padded = np.concatenate([rho[-1:], rho, rho[:1]], axis=0)
     two_rho = 2.0 * rho

@@ -6,8 +6,8 @@ plus a one-sided formula for the first time derivative from a short
 sequence of snapshots.  Trained lifting coefficients absorb the
 truncation terms of the stencils they were trained with, so training
 and application share these.  Application is periodic: it wraps with
-np.roll.  interior_derivative evaluates the same stencils bit for bit on
-a patch cut from a field, where no tap wraps.
+np.roll.  padded_weights lays the 1D stencils of several orders over one
+common offset range, for applying them to a batch in one pass per offset.
 difference_stencils writes the stencils of several derivatives as one
 matrix over grid offsets, for evaluating a fixed linear combination of
 them in one pass.
@@ -119,26 +119,18 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
     return out
 
 
-def interior_derivative(patch: np.ndarray, spec: DerivSpec,
-                        dx: float) -> np.ndarray:
-    """spatial_derivative(patch, spec, dx) on the cells whose stencil lies
-    inside patch: each derived axis loses the stencil's half width at both
-    ends.  Slices are summed axis by axis, first axis first, offset by
-    offset from zero, as spatial_derivative sums them, so bit for bit.
-    """
-    out = np.asarray(patch, dtype=float)
-    if len(spec.orders) != out.ndim:
-        raise ValueError("spec arity does not match field rank")
-    for axis, order in enumerate(spec.orders):
+def padded_weights(orders: Sequence[int], half: int, dx: float) -> np.ndarray:
+    """The 1D central stencils of orders as rows over offsets -half..half,
+    order 0 the identity.  Summed from +0.0 over a finite field, a padding
+    zero adds an exact +-0 and leaves each partial sum as it was."""
+    weights = np.zeros((len(orders), 2 * half + 1))
+    for row, order in zip(weights, orders):
         if order:
             offsets, w = _axis_stencil(order, dx)
-            inner = out.shape[axis] - 2 * offsets[-1]
-            summed = np.zeros(out.shape[:axis] + (inner,) + out.shape[axis + 1:])
-            for start, wk in enumerate(w):
-                summed += wk * out[(slice(None),) * axis
-                                   + (slice(start, start + inner),)]
-            out = summed
-    return out
+            row[half + offsets[0]:half + offsets[-1] + 1] = w
+        else:
+            row[half] = 1.0
+    return weights
 
 
 @lru_cache(maxsize=64)

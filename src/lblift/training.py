@@ -11,14 +11,15 @@ coefficients, so the map is affine and its fixed point is one exact
 linear solve.  Both its linear part and its offset, the map at zero
 coefficients, are superposed from the q impulse responses of the
 smoothing, which is linear and shift-invariant with density 0; one
-constrained run probes all q on the test grid.  The probe system reads
-the test densities and their derivatives only in the probe windows, the
-m+1 cells around each probe that those responses reach, so they are
-cut by slices from one patch around each probe and evaluated nowhere
-else.  One evaluation of the map by direct constrained runs closes the
-solve as an independent check.  A 2D test grid is evaluated only on the
-rows a probe reads: a row crop leaves every lifted value as it was, a
-column crop would move the lift's BLAS tiling and its rounding.
+constrained run probes all q on a grid of q response windows.  The probe
+system reads the test densities and their derivatives only in the probe
+windows, the m+1 cells around each probe that those responses reach,
+evaluated there alone, every term in one pass per axis and stencil
+offset over one patch around each probe.  One evaluation of the map by
+direct constrained runs closes the solve as an independent check.  A 2D
+test grid is evaluated only on the rows a probe reads: a row crop leaves
+every lifted value as it was, a column crop would move the lift's BLAS
+tiling and its rounding.
 
 Appending a measured time-derivative column to the probe system makes it
 (near) singular, because the density obeys a closed advection-diffusion
@@ -40,10 +41,10 @@ from math import ceil, factorial, sqrt
 from typing import List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constrained_runs import constrained_smooth, impulse_responses
-from .lattice import LbmParams, equilibrium, lbm_step_count, restrict, stream_collide
+from .lattice import (LbmParams, finite, integer, lbm_step_count, restrict,
+                      stream_collide)
 from .lifting import (
     LiftCoefficients,
     apply_lift,
@@ -52,7 +53,7 @@ from .lifting import (
     zero_coefficients,
 )
 from .macro_pde import MacroPde
-from .stencil import (MAX_TOTAL_ORDER, DerivSpec, interior_derivative,
+from .stencil import (MAX_TOTAL_ORDER, DerivSpec, padded_weights,
                       time_derivative_forward)
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
@@ -89,6 +90,10 @@ class NceTrainConfig:
     test_cells: int = 60
 
     def __post_init__(self):
+        for name in ("spatial_order", "m", "test_cells"):
+            integer(getattr(self, name), name)
+        if not finite(self.test_length, "test_length") > 0.0:
+            raise ValueError(f"test_length {self.test_length} is not positive")
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
             raise ValueError(
                 f"spatial_order {self.spatial_order} outside 1..{MAX_TOTAL_ORDER}")
@@ -142,7 +147,7 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int,
     columns are constants over the probes and hence proportional, so R+1
     scaled copies rho_d = sum s_d^j x^j y^k / (j! k!) are stacked; the
     constants then differ per density as s_d^j, a Vandermonde pattern in
-    the scales.
+    the scales: the rows of one array, each power of x and y formed once.
     """
     r = cfg.spatial_order
     dx = cfg.test_length / cfg.test_cells
@@ -155,19 +160,16 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int,
         return [rho]
     if dimension != 2:
         raise ValueError(f"unsupported dimension {dimension}")
-    grid_x = x[rows, None]
-    grid_y = x[None, :]
-    profiles = []
-    for d in range(r + 1):
-        scale = 1.0 + 0.5 * d
-        rho = np.zeros((grid_x.size, x.size))
-        for j in range(r + 1):
-            for k in range(r + 1 - j):
-                if j + k >= 1:
-                    rho += (scale ** j / (factorial(j) * factorial(k))) \
-                        * grid_x ** j * grid_y ** k
-        profiles.append(rho)
-    return profiles
+    powers_x = [x[rows, None] ** j for j in range(r + 1)]
+    powers_y = [x[None, :] ** k for k in range(r + 1)]
+    rho = np.zeros((r + 1, powers_x[0].size, x.size))
+    for j in range(r + 1):
+        for k in range(r + 1 - j):
+            if j + k >= 1:
+                coeffs = np.array([(1.0 + 0.5 * d) ** j / (
+                    factorial(j) * factorial(k)) for d in range(r + 1)])
+                rho += coeffs[:, None, None] * powers_x[j] * powers_y[k]
+    return list(rho)
 
 
 def default_probe_positions(cfg: NceTrainConfig, count: int) -> Tuple[int, ...]:
@@ -204,8 +206,10 @@ def _probe_index(points, width: int):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Probes, test densities (in 2D the probe rows) and their windows.
-
+    """Probes, test densities (in 2D the probe rows) and their windows,
+    all the probe system reads, evaluated nowhere else: windows[t, u, d, p]
+    = D_T rho_d(p - u) and density_windows[u, d, p] = rho_d(p - u), from one
+    patch around each probe in one pass per axis and stencil offset.
     extra_probes builds the workspace of the time-augmented system: more
     probe rows than columns, and no linear part, so its windows hold the
     probes alone (u = 0).
@@ -225,7 +229,6 @@ class _Workspace:
         if extra_probes:
             points = _widen_probes(points, cfg)
         self.probe_points = points
-        self.grid_shape = (cfg.test_cells + 2 * buffer_width(cfg),) * dimension
         self.probe_ix = _probe_index(points, buffer_width(cfg))
         # offsets u, one row per axis: |u| <= m+1 per axis, beyond which
         # the impulse responses of _window_responses vanish, or u = 0 alone
@@ -243,27 +246,23 @@ class _Workspace:
             first = int(self.probe_ix[0].min()) - margin
             rows = slice(first, int(self.probe_ix[0].max()) + margin + 1)
             self.probe_ix = (self.probe_ix[0] - first, self.probe_ix[1])
-        self.densities = test_density_profiles(cfg, dimension, rows)
-        # patch[d, p, v] = rho_d(p + v), |v| <= reach + stencil per axis:
-        # in one gather, every value the stencils of the windows read
-        size = 2 * (reach + stencil) + 1
-        patch = sliding_window_view(
-            np.stack(self.densities), (size,) * dimension,
-            axis=tuple(range(1, dimension + 1)))[
-                (slice(None),) + tuple(ix - reach - stencil
-                                       for ix in self.probe_ix)]
-        # density_windows[d, p, u] = rho_d(p - u), which H(0) reads, and
-        # windows[d, t, p, u] = D_T rho_d(p - u): the only derivative
-        # values the probe system reads, evaluated nowhere else
-        self.density_windows = _window(patch, reach)
-        self.windows = np.array([
-            _window(interior_derivative(patch, DerivSpec((0, 0) + spec.orders),
-                                        params.dx), reach)
-            for spec in self.specs]).transpose(1, 0, 2, 3)
+        self.densities = np.stack(test_density_profiles(cfg, dimension, rows))
+        # patch[v, d, p] = rho_d(p + v), |v| <= reach + stencil per axis:
+        # in one gather, every value the stencils of the windows read, the
+        # (density, probe) batch on the contiguous last axes
+        span = np.arange(-reach - stencil, reach + stencil + 1)
+        patch = self.densities[
+            (np.arange(len(self.densities))[:, None],)
+            + tuple(ix + span.reshape((-1,) + (1,) * (dimension - ax + 1))
+                    for ax, ix in enumerate(self.probe_ix))]
+        orders = [spec.orders for spec in self.specs] + [(0,) * dimension]
+        windows = np.flip(_derivative_patch(patch, orders, params.dx, stencil),
+                          tuple(range(1, dimension + 1)))
+        windows = windows.reshape((len(orders), -1) + patch.shape[-2:])
+        self.windows, self.density_windows = windows[:-1], windows[-1]
         # the block is the u = 0 slice, one row per (density, probe)
         centre = self.offsets.shape[1] // 2
-        self.block = self.windows[..., centre].transpose(0, 2, 1).reshape(
-            -1, len(self.specs))
+        self.block = self.windows[:, centre].reshape(len(self.specs), -1).T
         if not np.abs(self.block).max(axis=0).all():
             raise ValueError(
                 "a derivative column vanishes at every probe; "
@@ -273,8 +272,8 @@ class _Workspace:
             raise ValueError(
                 f"probe system condition number {self.condition:.3g} "
                 "signals bad probe placement or a degenerate test density")
-        self.feq_probes = [self.probe_rows(equilibrium(rho, params))
-                           for rho in self.densities]
+        self.feq_probes = (self.density_windows[centre][..., None]
+                           * params.equilibrium_weights())
 
     def probe_rows(self, f: np.ndarray) -> np.ndarray:
         """A distribution field at the probes, one row per probe."""
@@ -302,13 +301,25 @@ class _Workspace:
         return np.linalg.lstsq(self.block, rhs, rcond=None)[0]
 
 
-def _window(patch: np.ndarray, reach: int) -> np.ndarray:
-    """patch[d, p, -u] for |u| <= reach per axis around each axis's
-    centre, the offsets u flattened in product order."""
-    centre = tuple(slice((n - 1) // 2 - reach, (n - 1) // 2 + reach + 1)
-                   for n in patch.shape[2:])
-    return np.flip(patch[(Ellipsis,) + centre], axis=tuple(
-        range(2, patch.ndim))).reshape(patch.shape[:2] + (-1,))
+def _derivative_patch(patch: np.ndarray, orders, dx: float,
+                      stencil: int) -> np.ndarray:
+    """out[t, v] = the derivative of the given orders[t] of patch at v, v
+    inset by stencil per leading axis, bit for bit spatial_derivative's:
+    axis by axis, once per distinct head of orders, offset by offset."""
+    out = patch[None]
+    rows = {(): 0}
+    for axis in range(1, len(orders[0]) + 1):
+        prefixes = list(dict.fromkeys(o[:axis] for o in orders))
+        source = out[[rows[p[:-1]] for p in prefixes]] if axis > 1 else out
+        inner = source.shape[axis] - 2 * stencil
+        out = np.zeros((len(prefixes),) + source.shape[1:axis] + (inner,)
+                       + source.shape[axis + 1:])
+        weights = padded_weights([p[-1] for p in prefixes], stencil, dx)
+        for start, w in enumerate(weights.T):
+            out += w.reshape((-1,) + (1,) * (out.ndim - 1)) * source[
+                (slice(None),) * axis + (slice(start, start + inner),)]
+        rows = {p: row for row, p in enumerate(prefixes)}
+    return out
 
 
 def _widen_probes(points, cfg: NceTrainConfig):
@@ -382,11 +393,15 @@ def _massless(rows: np.ndarray, q: int) -> np.ndarray:
 
 def _window_responses(ws: _Workspace) -> np.ndarray:
     """kernels[i, j, u]: velocity j of G_i = constrained_smooth(e_i delta_0,
-    0) at offset u, from impulse_responses on the test grid.  G_i vanishes
-    beyond m+1 cells per axis, so the window offsets of ws hold all of it."""
+    0) at offset u.  G_i vanishes beyond m+1 cells per axis, so the window
+    offsets of ws hold it all, and impulse_responses probes all q, bit for
+    bit as on any larger grid, in one run on (p,) * (dim-1) + (q p,) cells,
+    p = 2(m+1)+1."""
+    pitch = 2 * (ws.cfg.m + 1) + 1
+    shape = ((pitch,) * (ws.params.vset.dimension - 1)
+             + (ws.params.vset.q * pitch,))
     return np.array([g[(slice(None),) + tuple(ws.offsets)]
-                     for g in impulse_responses(ws.grid_shape,
-                                                ws.cfg.m, ws.params)])
+                     for g in impulse_responses(shape, ws.cfg.m, ws.params)])
 
 
 def _offset(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
@@ -403,12 +418,14 @@ def _offset(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
     """
     # gw[j, u], then rows[d, p, j], each summed term by term, so the order
     # of the sums is fixed whatever the array layout or BLAS build; rows
-    # sum from the window's edge inward, where the responses are small
+    # sum in place from the window's edge inward, where responses are small
     gw = sum(w * k for w, k in zip(ws.params.equilibrium_weights(), kernels))
     centre = ws.offsets.shape[1] // 2
-    diffs = ws.density_windows - ws.density_windows[..., centre, None]
-    inward = np.argsort(-np.abs(ws.offsets).sum(axis=0), kind="stable")
-    rows = sum(diffs[..., u, None] * gw[:, u] for u in inward)
+    diffs = ws.density_windows - ws.density_windows[centre]
+    rows = np.zeros(diffs.shape[1:] + (ws.params.vset.q,))
+    term = np.empty_like(rows)
+    for u in np.argsort(-np.abs(ws.offsets).sum(axis=0), kind="stable"):
+        rows += np.multiply(diffs[u, ..., None], gw[:, u], out=term)
     return ws.solve(rows.reshape(-1, ws.params.vset.q)).ravel()
 
 
@@ -422,12 +439,17 @@ def _linear_part(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
     so the windows that _Workspace evaluates are all the derivative
     values M needs.
     """
-    # rows[d, p, j, t, i]; summed over u term by term, so the order of the
-    # sum is fixed whatever the array layout or BLAS build
-    rows = sum(w[:, :, None, :, None] * k[:, None, :]
-               for w, k in zip(ws.windows.transpose(3, 0, 2, 1), kernels.T))
-    columns = len(ws.specs) * ws.params.vset.q
-    return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(columns, -1)
+    # rows[t, d, p, j, i] += windows[t, u, d, p] kernels[i, j, u] in place,
+    # offset by offset, so the order of the sum is fixed whatever the BLAS
+    q = ws.params.vset.q
+    per_offset = kernels.transpose(2, 1, 0).reshape(-1, q * q)
+    rows = np.zeros(ws.windows.shape[:1] + ws.windows.shape[2:] + (q * q,))
+    term = np.empty_like(rows)
+    for u, k in enumerate(per_offset):
+        rows += np.multiply(ws.windows[:, u, ..., None], k, out=term)
+    rows = rows.reshape(rows.shape[:-1] + (q, q)).transpose(1, 2, 3, 0, 4)
+    return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(
+        len(ws.specs) * q, -1)
 
 
 # ---------------------------------------------------------------------------

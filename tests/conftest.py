@@ -101,3 +101,26 @@ def derivative_at(rho, spec, dx, index):
             out += wk * values
         taps = out
     return taps
+
+
+def interior_derivative(patch, spec, dx):
+    """spatial_derivative(patch, spec, dx) on the cells whose stencil lies
+    inside patch: each derived axis loses the stencil's half width at both
+    ends.  Slices are summed axis by axis, first axis first, offset by
+    offset from zero, as spatial_derivative sums them, so bit for bit.
+    This is the term-by-term path that training's batched passes over
+    padded stencils replaced.
+    """
+    out = np.asarray(patch, dtype=float)
+    if len(spec.orders) != out.ndim:
+        raise ValueError("spec arity does not match field rank")
+    for axis, order in enumerate(spec.orders):
+        if order:
+            offsets, w = _axis_stencil(order, dx)
+            inner = out.shape[axis] - 2 * offsets[-1]
+            summed = np.zeros(out.shape[:axis] + (inner,) + out.shape[axis + 1:])
+            for start, wk in enumerate(w):
+                summed += wk * out[(slice(None),) * axis
+                                   + (slice(start, start + inner),)]
+            out = summed
+    return out

@@ -27,6 +27,10 @@ def test_extrapolation_weights_binomial():
 def test_config_validation():
     with pytest.raises(ValueError):
         CrConfig(m=4)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="m .* is not an integer"):
+            CrConfig(m=bad)
+    assert CrConfig(m=np.int64(2)).m == 2
 
 
 def test_constrained_smooth_pins_density():

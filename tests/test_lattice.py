@@ -49,6 +49,12 @@ def test_params_validation():
             LbmParams(vset=D1Q3, dx=0.05, dt=bad, omega=1.0)
     with pytest.raises(ValueError):
         LbmParams(vset=D2Q5, dx=0.05, dt=1e-4, omega=1.0, advection=(1.0,))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="advection component 0 .* finite"):
+            LbmParams(vset=D1Q3, dx=0.05, dt=1e-3, omega=1.0, advection=(bad,))
+        with pytest.raises(ValueError, match="advection component 1 .* finite"):
+            LbmParams(vset=D2Q9, dx=0.05, dt=1e-5, omega=1.0,
+                      advection=(1.0, bad))
 
 
 def test_equilibrium_conserves_mass():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -167,6 +169,41 @@ def test_ftcs_step_keeps_its_summation_order():
             else:
                 expected += term - drift
         assert_array_equal(ftcs_step(rho, pde, 0.05, dt), expected)
+
+
+def test_non_finite_coefficients_refused():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^diffusion .* is not finite"):
+            MacroPde(advection=(0.0,), diffusion=bad)
+        with pytest.raises(ValueError, match="^advection component 1 .*finite"):
+            MacroPde(advection=(0.0, bad), diffusion=1.0)
+
+
+@pytest.mark.parametrize("courant", [0.9, 0.95])
+def test_advection_diffusion_bound_warns(courant):
+    """D1Q3 with dx 0.05, dt 3.75e-3 and omega 1: at Courant number 0.9
+    the analytic D is 0.0197 (nu = 0.030), far below sum C^2 / 2, and
+    FTCS grows a Gaussian by orders of magnitude; at 0.95 D is negative.
+    Both warn, though each Courant number is below 1 and nu below 1/2."""
+    dx, dt = 0.05, 3.75e-3
+    pde = analytic_pde(LbmParams(D1Q3, dx, dt, 1.0, (courant * dx / dt,)))
+    nu = pde.diffusion * dt / dx ** 2
+    assert nu < 0.5 and (nu < 0) == (courant == 0.95)
+    rho = np.exp(-((np.arange(100) - 50.0) * dx) ** 2)
+    with pytest.warns(UserWarning, match="squared Courant numbers sum to"):
+        grown = ftcs_step(rho, pde, dx, dt)
+    with pytest.warns(UserWarning):
+        for _ in range(400):
+            grown = ftcs_step(grown, pde, dx, dt)
+    assert np.abs(grown).max() > 1e6
+
+
+def test_advection_diffusion_bound_is_quiet_inside():
+    """The benchmark D1Q3 model with advection 0.66 sits inside every bound."""
+    pde = analytic_pde(benchmark_params("D1Q3", advection=(0.66,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ftcs_step(np.ones(16), pde, 0.05, 1e-3)
 
 
 def test_stability_warnings():

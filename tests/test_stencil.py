@@ -6,10 +6,10 @@ from numpy.testing import assert_allclose
 
 from lblift import DerivSpec, spatial_derivative, time_derivative_forward
 from lblift.lifting import expansion_terms
-from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets, fd_weights,
-                            interior_derivative)
+from lblift.stencil import (MAX_TOTAL_ORDER, _axis_stencil, central_offsets,
+                            fd_weights, padded_weights)
 
-from conftest import derivative_at
+from conftest import derivative_at, interior_derivative
 
 
 def test_deriv_spec_basics():
@@ -169,6 +169,20 @@ def test_interior_derivative_is_the_field_inside_the_patch(shape):
 def test_interior_derivative_dimension_mismatch():
     with pytest.raises(ValueError):
         interior_derivative(np.zeros(8), DerivSpec((1, 1)), 0.1)
+
+
+def test_padded_weights_are_the_stencils_padded():
+    """Each row is its order's central stencil centred in 2 half + 1 slots
+    and zero elsewhere; order 0 is a unit at the centre."""
+    half = (MAX_TOTAL_ORDER + 1) // 2
+    orders = list(range(MAX_TOTAL_ORDER + 1))
+    weights = padded_weights(orders, half, 0.05)
+    assert weights.shape == (len(orders), 2 * half + 1)
+    for row, order in zip(weights, orders):
+        offsets, w = _axis_stencil(order, 0.05) if order else ((0,), [1.0])
+        taps = [half + off for off in offsets]
+        assert row[taps].tobytes() == np.asarray(w).tobytes(), order
+        assert not np.delete(row, taps).any(), order
 
 
 def test_time_derivative_forward_exact_on_polynomials():

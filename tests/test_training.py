@@ -1,7 +1,9 @@
 from itertools import product
+from math import factorial
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
 from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
@@ -9,7 +11,8 @@ from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
                     augment_time_derivative, equilibrium, extract_pde,
                     lbm_step_count, restrict, stream_collide,
                     train_coefficients)
-from lblift.constrained_runs import CrConfig, constrained_smooth, cr_lift
+from lblift.constrained_runs import (CrConfig, constrained_smooth, cr_lift,
+                                     impulse_responses)
 from lblift.lifting import expansion_terms, zero_coefficients
 from lblift.stencil import (MAX_TOTAL_ORDER, spatial_derivative,
                             time_derivative_forward)
@@ -19,7 +22,8 @@ from lblift.training import (RESIDUAL_LIMIT, _linear_part, _offset,
                              _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
-from conftest import benchmark_params, derivative_at, gaussian_density
+from conftest import (benchmark_params, derivative_at, gaussian_density,
+                      interior_derivative)
 
 
 def test_config_validation():
@@ -31,6 +35,21 @@ def test_config_validation():
         NceTrainConfig(m=5)
     with pytest.raises(ValueError):
         NceTrainConfig(test_cells=10)  # smaller than the edge margins allow
+    for field, bad in (("m", 1.0), ("spatial_order", 2.0), ("test_cells", 60.0),
+                       ("m", True), ("spatial_order", "2")):
+        with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
+            NceTrainConfig(**{field: bad})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^test_length .* is not finite"):
+            NceTrainConfig(test_length=bad)
+    for bad in (0.0, -3.0):
+        with pytest.raises(ValueError, match="^test_length .* is not positive"):
+            NceTrainConfig(test_length=bad)
+    numpy_ints = NceTrainConfig(spatial_order=np.int64(2), m=np.int32(1),
+                                test_cells=np.int64(60))
+    p = benchmark_params("D1Q3")
+    assert train_coefficients(numpy_ints, p).residual \
+        == train_coefficients(NceTrainConfig(), p).residual
 
 
 def test_test_density_profiles():
@@ -46,6 +65,40 @@ def test_test_density_profiles():
     profiles2 = density_profiles(cfg, 2)
     assert len(profiles2) == cfg.spatial_order + 1
     assert all(p.shape == (n, n) for p in profiles2)
+
+
+def per_density_profiles(cfg, rows):
+    """The 2D test densities built one scale at a time, every power
+    formed anew: the loop that the stacked build replaced."""
+    r = cfg.spatial_order
+    width = buffer_width(cfg)
+    x = (np.arange(cfg.test_cells + 2 * width) - width) * (
+        cfg.test_length / cfg.test_cells)
+    grid_x = x[rows, None]
+    grid_y = x[None, :]
+    profiles = []
+    for d in range(r + 1):
+        scale = 1.0 + 0.5 * d
+        rho = np.zeros((grid_x.size, x.size))
+        for j in range(r + 1):
+            for k in range(r + 1 - j):
+                if j + k >= 1:
+                    rho += (scale ** j / (factorial(j) * factorial(k))) \
+                        * grid_x ** j * grid_y ** k
+        profiles.append(rho)
+    return profiles
+
+
+@pytest.mark.parametrize("r", range(1, MAX_TOTAL_ORDER + 1))
+def test_stacked_density_profiles_are_the_per_density_loop(r):
+    """Bit for bit, on the whole grid and on a row crop."""
+    cfg = NceTrainConfig(spatial_order=r, m=1)
+    for rows in (slice(None), slice(9, 50)):
+        stacked = density_profiles(cfg, 2, rows)
+        reference = per_density_profiles(cfg, rows)
+        assert len(stacked) == len(reference) == r + 1
+        for got, want in zip(stacked, reference):
+            assert got.tobytes() == want.tobytes(), rows
 
 
 def test_default_probes_fit_margins():
@@ -384,7 +437,7 @@ def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
     ("D1Q3", 6, 3, False), ("D1Q3", 6, 3, True), ("D2Q9", 4, 1, False),
     ("D2Q9", 4, 1, True)])
 def test_workspace_windows_are_the_full_fields(name, r, m, extra):
-    """windows[d, t, p, u] = D_T rho_d(p - u) bit for bit against
+    """windows[t, u, d, p] = D_T rho_d(p - u) bit for bit against
     spatial_derivative over the whole test grid, for |u| <= m+1 per axis
     (u = 0 alone for the augmentation's extra probes); the block is the
     u = 0 slice, and training reports the condition of its workspace."""
@@ -394,14 +447,14 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
     densities, probes = full_grid(ws)
     reach = 0 if extra else m + 1
     offsets = list(product(range(-reach, reach + 1), repeat=p.vset.dimension))
-    assert ws.windows.shape == (len(densities), len(ws.specs),
-                                len(ws.probe_points), len(offsets))
+    assert ws.windows.shape == (len(ws.specs), len(offsets), len(densities),
+                                len(ws.probe_points))
     for d, rho in enumerate(densities):
         for t, spec in enumerate(ws.specs):
             field = spatial_derivative(rho, spec, p.dx)
             for k, u in enumerate(offsets):
                 shifted = tuple(ix - off for ix, off in zip(probes, u))
-                assert ws.windows[d, t, :, k].tobytes() \
+                assert ws.windows[t, k, d].tobytes() \
                     == field[shifted].tobytes(), (d, spec, u)
     block = np.vstack([np.column_stack(
         [spatial_derivative(rho, spec, p.dx)[probes]
@@ -414,8 +467,8 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
 
 @pytest.mark.parametrize("name", ["D1Q3", "D2Q5", "D2Q9"])
 def test_patch_windows_are_the_pointwise_gathers(name):
-    """windows and density_windows, cut by slices from one patch around
-    each probe, equal derivative_at's gathers of every stencil tap of
+    """windows and density_windows, from one patch around each probe,
+    equal derivative_at's gathers of every stencil tap of
     every window point over the whole test grid, bit for bit, at every
     order R and m, with and without the augmentation's extra probes."""
     p = benchmark_params(name)
@@ -430,10 +483,94 @@ def test_patch_windows_are_the_pointwise_gathers(name):
                                  for ix, off in zip(probes, ws.offsets))
         windows = np.array([
             derivative_at(stack, DerivSpec((0,) + spec.orders), p.dx, window)
-            for spec in ws.specs]).transpose(1, 0, 2, 3)
-        assert ws.density_windows.tobytes() == stack[window].tobytes(), \
-            (r, m, extra)
+            for spec in ws.specs]).transpose(0, 3, 1, 2)
+        assert ws.density_windows.tobytes() \
+            == stack[window].transpose(2, 0, 1).tobytes(), (r, m, extra)
         assert ws.windows.tobytes() == windows.tobytes(), (r, m, extra)
+
+
+def per_term_windows(ws):
+    """density_windows and windows as cut term by term: a sliding-window
+    patch[d, p, v] per probe, interior_derivative of it per term, each
+    window flipped; in the workspace's layouts."""
+    dimension = ws.params.vset.dimension
+    reach = int(ws.offsets.max())
+    stencil = (ws.cfg.spatial_order + 1) // 2
+    patch = sliding_window_view(
+        ws.densities, (2 * (reach + stencil) + 1,) * dimension,
+        axis=tuple(range(1, dimension + 1)))[
+            (slice(None),) + tuple(ix - reach - stencil for ix in ws.probe_ix)]
+
+    def window(values):
+        centre = tuple(slice((n - 1) // 2 - reach, (n - 1) // 2 + reach + 1)
+                       for n in values.shape[2:])
+        return np.flip(values[(Ellipsis,) + centre], axis=tuple(
+            range(2, values.ndim))).reshape(values.shape[:2] + (-1,))
+
+    windows = np.array([
+        window(interior_derivative(patch, DerivSpec((0, 0) + spec.orders),
+                                   ws.params.dx))
+        for spec in ws.specs])
+    return window(patch).transpose(2, 0, 1), windows.transpose(0, 3, 1, 2)
+
+
+def offset_by_offset_linear_part(ws, kernels):
+    """_linear_part as a sum of one broadcast product per offset."""
+    rows = sum(w[:, :, None, :, None] * k[:, None, :]
+               for w, k in zip(ws.windows.transpose(1, 2, 3, 0), kernels.T))
+    columns = len(ws.specs) * ws.params.vset.q
+    return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(columns, -1)
+
+
+def offset_by_offset_offset(ws, kernels):
+    """_offset as a sum of one broadcast product per offset, inward."""
+    gw = sum(w * k for w, k in zip(ws.params.equilibrium_weights(), kernels))
+    density_windows = ws.density_windows.transpose(1, 2, 0)
+    centre = ws.offsets.shape[1] // 2
+    diffs = density_windows - density_windows[..., centre, None]
+    inward = np.argsort(-np.abs(ws.offsets).sum(axis=0), kind="stable")
+    rows = sum(diffs[..., u, None] * gw[:, u] for u in inward)
+    return ws.solve(rows.reshape(-1, ws.params.vset.q)).ravel()
+
+
+def full_grid_responses(ws):
+    """_window_responses from impulse_responses on the whole test grid."""
+    shape = (ws.cfg.test_cells + 2 * buffer_width(ws.cfg),) \
+        * ws.params.vset.dimension
+    return np.array([g[(slice(None),) + tuple(ws.offsets)]
+                     for g in impulse_responses(shape, ws.cfg.m, ws.params)])
+
+
+ACCEPTANCE_CASES = (
+    [("D1Q3", advection, r, m) for advection in ((), (0.66,))
+     for r in range(1, MAX_TOTAL_ORDER + 1) for m in range(4)]
+    + [(name, advection, r, m)
+       for name, advection in (("D2Q5", ()), ("D2Q9", (1.0, 0.5)))
+       for r in (2, 4, 6) for m in range(4)])
+
+
+@pytest.mark.parametrize("name,advection,r,m", ACCEPTANCE_CASES)
+def test_batched_probe_system_is_the_reference(name, advection, r, m):
+    """The batched windows (of training and of the augmentation), the
+    in-place sums of _linear_part and _offset, and the impulse probe on a
+    grid of q windows equal the term-by-term windows, the offset-by-offset
+    sums and the probe on the whole test grid, bit for bit; the probe is
+    still one run of m+1 LBM steps."""
+    p = benchmark_params(name, advection=advection)
+    cfg = NceTrainConfig(spatial_order=r, m=m)
+    for ws in (_Workspace(cfg, p, extra_probes=True), _Workspace(cfg, p)):
+        density_windows, windows = per_term_windows(ws)
+        assert ws.density_windows.tobytes() == density_windows.tobytes()
+        assert ws.windows.tobytes() == windows.tobytes()
+    assert ws.offsets.shape[1] == (2 * m + 3) ** p.vset.dimension
+    before = lbm_step_count()
+    kernels = _window_responses(ws)
+    assert lbm_step_count() - before == m + 1
+    assert kernels.tobytes() == full_grid_responses(ws).tobytes()
+    assert _linear_part(ws, kernels).tobytes() \
+        == offset_by_offset_linear_part(ws, kernels).tobytes()
+    assert _offset(ws, kernels).tobytes() \
+        == offset_by_offset_offset(ws, kernels).tobytes()
 
 
 CROP_CASES = [(name, advection, r, m)
