@@ -37,7 +37,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .lattice import LbmParams, finite_density, restrict, stream_collide
+from .lattice import (LbmParams, finite_density, integer, restrict,
+                      stream_collide)
 from .lifters import lift_reach
 from .macro_pde import MacroPde, ftcs_step
 
@@ -73,7 +74,8 @@ class HybridSpec:
     pde_ghosts: Tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, p = self.total_cells, self.split_index
+        n = integer(self.total_cells, "total_cells")
+        p = integer(self.split_index, "split_index")
         if not 1 <= p <= n - 2:
             raise ValueError(
                 f"split index {p} leaves an empty subdomain on a {n}-cell grid")
@@ -223,7 +225,7 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     ValueError naming the step and the cell: this check, not the lift,
     sees the densities outside the ghost slab.
     """
-    if steps < 1:
+    if integer(steps, "steps") < 1:
         raise ValueError("need at least one step to compare")
     f_ref = spec.lifter.lift(spec.initial_density, spec.params)
     state = _split_state(f_ref, spec)

@@ -16,15 +16,18 @@ system reads the test densities and their derivatives only in the probe
 windows, the m+1 cells around each probe that those responses reach,
 evaluated there alone, every term in one pass per axis and stencil
 offset over one patch around each probe.  One evaluation of the map by
-direct constrained runs closes the solve as an independent check.  A 2D
-test grid is evaluated only on the rows a probe reads: a row crop leaves
-every lifted value as it was, a column crop would move the lift's BLAS
-tiling and its rounding.
+direct constrained runs closes the solve as an independent check, run
+once on the windows of 2(m+1)+1 cells per axis around every probe of
+every density, all a probe reads in m+1 LBM steps.  A 2D test grid is
+lifted only on the rows a probe reads: a row crop leaves every lifted
+value as it was, a column crop would move the lift's BLAS tiling and
+its rounding.
 
-Appending a measured time-derivative column to the probe system makes it
-(near) singular, because the density obeys a closed advection-diffusion
-PDE.  That is exploited twice: the PDE coefficients are read off either
-from the nullspace of the enlarged system or by summing the augmented
+Appending a measured time-derivative column, two free LBM steps on
+windows of 5 cells, to the probe system makes it (near) singular,
+because the density obeys a closed advection-diffusion PDE.  That is
+exploited twice: the PDE coefficients are read off either from the
+nullspace of the enlarged system or by summing the augmented
 coefficient vectors over the velocities.
 
 Test densities are lifted by apply_lift, the production lift, and the
@@ -45,13 +48,8 @@ import numpy as np
 from .constrained_runs import constrained_smooth, impulse_responses
 from .lattice import (LbmParams, finite, integer, lbm_step_count, restrict,
                       stream_collide)
-from .lifting import (
-    LiftCoefficients,
-    apply_lift,
-    expansion_terms,
-    lift_kernel,
-    zero_coefficients,
-)
+from .lifting import (LiftCoefficients, apply_lift, expansion_terms,
+                      lift_kernel)
 from .macro_pde import MacroPde
 from .stencil import (MAX_TOTAL_ORDER, DerivSpec, padded_weights,
                       time_derivative_forward)
@@ -250,11 +248,8 @@ class _Workspace:
         # patch[v, d, p] = rho_d(p + v), |v| <= reach + stencil per axis:
         # in one gather, every value the stencils of the windows read, the
         # (density, probe) batch on the contiguous last axes
-        span = np.arange(-reach - stencil, reach + stencil + 1)
-        patch = self.densities[
-            (np.arange(len(self.densities))[:, None],)
-            + tuple(ix + span.reshape((-1,) + (1,) * (dimension - ax + 1))
-                    for ax, ix in enumerate(self.probe_ix))]
+        patch = self.densities[(np.arange(len(self.densities))[:, None],)
+                               + self._windows(reach + stencil)]
         orders = [spec.orders for spec in self.specs] + [(0,) * dimension]
         windows = np.flip(_derivative_patch(patch, orders, params.dx, stencil),
                           tuple(range(1, dimension + 1)))
@@ -272,12 +267,43 @@ class _Workspace:
             raise ValueError(
                 f"probe system condition number {self.condition:.3g} "
                 "signals bad probe placement or a degenerate test density")
-        self.feq_probes = (self.density_windows[centre][..., None]
-                           * params.equilibrium_weights())
+        self.feq_rows = (self.density_windows[centre].reshape(-1, 1)
+                         * params.equilibrium_weights())
+        # the closing run's m+1 LBM steps (the augmentation's 2) run on
+        # the windows of the probes, laid side by side along the last axis
+        # in (density, probe) order: flat indices into one density's grid
+        r = 2 if extra_probes else cfg.m + 1
+        run = np.ravel_multi_index(self._windows(r), self.densities.shape[1:])
+        run = run.reshape(run.shape[:dimension] + (-1,)).swapaxes(-1, -2)
+        self.run_index = run.reshape(run.shape[:-2] + (-1,))
+        self.run_probes = ((Ellipsis,) + (r,) * (dimension - 1)
+                           + (slice(r, None, 2 * r + 1),))
 
-    def probe_rows(self, f: np.ndarray) -> np.ndarray:
-        """A distribution field at the probes, one row per probe."""
-        return f[(slice(None),) + self.probe_ix].T
+    def _windows(self, radius: int) -> tuple:
+        """Fancy index of a density grid's cells within radius per axis of
+        every probe, one array per axis, broadcasting to (2 radius + 1,) *
+        dim + (1, probe).  After at most radius LBM steps on these windows
+        alone, a probe holds the value a run of the whole periodic test
+        grid gives it."""
+        span = np.arange(-radius, radius + 1)
+        return tuple(
+            ix + span.reshape((-1,) + (1,) * (len(self.probe_ix) - ax + 1))
+            for ax, ix in enumerate(self.probe_ix))
+
+    def cut(self, fields) -> np.ndarray:
+        """One field per test density, densities or distributions, cut to
+        the run windows.  np.take keeps a velocity axis outermost in
+        memory, so restrict sums it in the order a full field does; fancy
+        indexing would not."""
+        return np.concatenate([np.take(
+            f.reshape(f.shape[:f.ndim - self.densities.ndim + 1] + (-1,)),
+            self.run_index, axis=-1) for f in fields], axis=-1)
+
+    def lifted_windows(self, coeffs: LiftCoefficients) -> np.ndarray:
+        """The test densities lifted with coeffs, cut to the run windows."""
+        kernel = lift_kernel(coeffs, self.params) if coeffs.terms else None
+        return self.cut(apply_lift(rho, coeffs, self.params, kernel)
+                        for rho in self.densities)
 
     def h_map(self, coeffs: LiftCoefficients) -> np.ndarray:
         """One application H(a) of the coefficient map, as a flat array.
@@ -287,13 +313,10 @@ class _Workspace:
         system for the coefficients describing f - f_eq of the smoothed
         state.  Coefficients on the slow manifold are invariant under H.
         """
-        kernel = lift_kernel(coeffs, self.params) if coeffs.terms else None
-        rows = []
-        for rho, feq_p in zip(self.densities, self.feq_probes):
-            lifted = apply_lift(rho, coeffs, self.params, kernel)
-            smooth = constrained_smooth(lifted, rho, self.cfg.m, self.params)
-            rows.append(self.probe_rows(smooth) - feq_p)
-        return self.solve(np.vstack(rows)).ravel()
+        smooth = constrained_smooth(self.lifted_windows(coeffs),
+                                    self.cut(self.densities),
+                                    self.cfg.m, self.params)
+        return self.solve(smooth[self.run_probes].T - self.feq_rows).ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.block.shape[0] == self.block.shape[1]:
@@ -352,11 +375,11 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     impulse responses of one probe; a closing evaluation of H by direct
     constrained runs gives `residual` = max |a - H(a)|, refused with a
     RuntimeError above RESIDUAL_LIMIT max|a|, and iterations is 1.  This
-    costs (n_densities + 1)(m + 1) LBM steps: one probe run for the
-    responses (the test grid holds all q windows) and one evaluation of
-    H over the test densities, whatever the spatial order, production
-    grid or run length.  The coefficients are reusable on any grid
-    sharing (velocity set, dx, dt, omega, advection).
+    costs 2(m + 1) LBM steps: one probe run for the responses (the test
+    grid holds all q windows) and one evaluation of H on the probe
+    windows of every test density at once, whatever the spatial order,
+    dimension, production grid or run length.  The coefficients are
+    reusable on any grid sharing (velocity set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
@@ -373,7 +396,9 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
         raise RuntimeError("singular I - M while training coefficients") from exc
     if not np.all(np.isfinite(flat)):
         raise RuntimeError("coefficient training gave non-finite coefficients")
-    coeffs = zero_coefficients(params, cfg.spatial_order).with_flat(flat)
+    rows = flat.reshape(len(ws.specs), q)
+    coeffs = LiftCoefficients(params.fingerprint(), {
+        spec: row.copy() for spec, row in zip(ws.specs, rows)})
     residual = float(np.max(np.abs(flat - ws.h_map(coeffs))))
     scale = float(np.max(np.abs(flat)))
     if residual > RESIDUAL_LIMIT * scale:
@@ -460,43 +485,35 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
                             params: LbmParams) -> AugmentResult:
     """Append a measured time-derivative column to the probe system.
 
-    The test density is lifted with the trained coefficients and run two
-    free LBM steps; rho_t follows from a forward difference.  Because
-    rho obeys a closed PDE, the enlarged system is near singular, which
-    is recorded via its extreme singular values.  The returned
-    coefficients pin the time vector to the classical first-order value
-    gamma = -(dt/omega) * equilibrium weights (the enlarged system alone
-    cannot split a time column from the spatial columns it is a linear
-    combination of) and re-solve the spatial vectors against the moved
-    column, so that summing the vectors over the velocities reproduces
-    the PDE.  Coefficients whose terms are not the expansion of
-    cfg.spatial_order are refused.
+    The test densities are lifted with the trained coefficients and run
+    two free LBM steps together, on the windows of their probes; rho_t
+    follows from a forward difference.  Because rho obeys a closed PDE,
+    the enlarged system is near singular, which is recorded via its
+    extreme singular values.  The returned coefficients pin the time
+    vector to the classical first-order value gamma = -(dt/omega) *
+    equilibrium weights (the enlarged system alone cannot split a time
+    column from the spatial columns it is a linear combination of) and
+    re-solve the spatial vectors against the moved column, so that
+    summing the vectors over the velocities reproduces the PDE.
+    Coefficients whose terms are not the expansion of cfg.spatial_order
+    are refused.
     """
     if params.omega == 0.0:
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "time coefficients -(dt/omega) w_i are undefined")
-    if coeffs.sorted_specs() != expansion_terms(params.vset.dimension,
-                                                cfg.spatial_order):
+    ws = _Workspace(cfg, params, extra_probes=True)
+    if tuple(coeffs.sorted_specs()) != ws.specs:
         order = max((spec.total for spec in coeffs.terms), default=0)
         raise ValueError(
             f"coefficients of spatial order {order} do not fit a config of "
             f"spatial order {cfg.spatial_order}")
-    ws = _Workspace(cfg, params, extra_probes=True)
-    kernel = lift_kernel(coeffs, params)
-    rhs_rows = []
-    time_rows = []
-    for rho, feq_p in zip(ws.densities, ws.feq_probes):
-        lifted = apply_lift(rho, coeffs, params, kernel)
-        snapshots = [restrict(lifted)]
-        f = lifted
-        for _ in range(2):
-            f = stream_collide(f, params)
-            snapshots.append(restrict(f))
-        rho_t = time_derivative_forward(snapshots, params.dt)
-        rhs_rows.append(ws.probe_rows(lifted) - feq_p)
-        time_rows.append(rho_t[ws.probe_ix])
-    rhs = np.vstack(rhs_rows)
-    time_col = np.concatenate(time_rows)
+    f = lifted = ws.lifted_windows(coeffs)
+    snapshots = [restrict(lifted)]
+    for _ in range(2):
+        f = stream_collide(f, params)
+        snapshots.append(restrict(f))
+    time_col = time_derivative_forward(snapshots, params.dt)[ws.run_probes]
+    rhs = lifted[ws.run_probes].T - ws.feq_rows
 
     enlarged = np.hstack([ws.block, time_col[:, None]])
     singular_values = np.linalg.svd(enlarged, compute_uv=False)

@@ -200,7 +200,7 @@ def test_lift_bench_trains_once(tmp_path):
     cfg = ExperimentConfig(kind="lift_bench", lifter="nce", order=4, m=1)
     before = lbm_step_count()
     run_experiment(cfg, tmp_path)
-    # the settling run plus one training of (n_densities + 1)(m + 1) steps
+    # the settling run plus one training of 2(m + 1) steps
     assert lbm_step_count() - before == cfg.reference_steps + (1 + 1) * 2
 
 
@@ -209,7 +209,7 @@ def test_hybrid_spec_with_extracted_pde_trains_once():
                            pde_source="extracted")
     before = lbm_step_count()
     bench.hybrid_spec(cfg)
-    # one training of (n_densities + 1)(m + 1) steps plus the two-step
+    # one training of 2(m + 1) steps plus the two-step
     # augmentation
     assert lbm_step_count() - before == (1 + 1) * 3 + 2
 

@@ -48,6 +48,24 @@ def test_spec_validation():
         make_spec(p, EquilibriumLifter(), rho0=np.full(200, np.nan))
 
 
+def test_non_integral_sizes_are_refused():
+    """Cell counts, split indices and step counts are refused unless
+    Python or numpy integers, naming the field, before any lift."""
+    p = benchmark_params("D1Q3")
+    for cells, split, field in ((20.0, 10, "total_cells"),
+                                (20, 10.0, "split_index"),
+                                (20, True, "split_index")):
+        with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
+            make_spec(p, EquilibriumLifter(), cells=cells, split=split,
+                      rho0=gaussian_density(p, 20))
+    spec = make_spec(p, EquilibriumLifter(), cells=np.int64(20),
+                     split=np.int32(10), rho0=gaussian_density(p, 20))
+    for steps in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="^steps .* is not an integer"):
+            compare_to_reference(spec, steps)
+    assert compare_to_reference(spec, np.int64(3)).max_error.shape == (3,)
+
+
 def test_spec_names_the_cell_of_a_non_finite_initial_density():
     p = benchmark_params("D1Q3")
     rho = gaussian_density(p)

@@ -82,7 +82,7 @@ def test_layer_metrics_of_a_traced_cr_hybrid(monkeypatch):
 def test_layer_metrics_of_a_traced_training(monkeypatch):
     """A D1Q3 order-2, m = 1 training runs the tracer's training hook,
     which reads TrainResult.iterations: one call, one linear solve and
-    (n_densities + 1)(m + 1) = 4 LBM steps."""
+    2(m + 1) = 4 LBM steps."""
     tracer = load_tracer(monkeypatch)
     cfg = NceTrainConfig(spatial_order=2, m=1)
     p = benchmark_params("D1Q3")

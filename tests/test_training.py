@@ -325,18 +325,32 @@ def test_exact_solve_matches_newton_reference(m):
 
 
 def test_two_d_step_count():
-    """One probe run and one closing run per test density: 8 LBM steps
-    for D2Q5 at order 2 (3 densities) and 12 for advective D2Q9 at order
-    4 (5 densities), with m = 1."""
-    for name, advection, order, steps in (("D2Q5", (), 2, 8),
-                                          ("D2Q9", (1.0, 0.5), 4, 12)):
+    """One probe run and one closing run on the probe windows: 2(m + 1)
+    LBM steps whatever the number of test densities, 4 for D2Q5 at order 2
+    (3 densities) and for advective D2Q9 at order 4 (5 densities) with
+    m = 1, and 8 for advective D2Q9 at order 6 (7 densities) with m = 3."""
+    for name, advection, order, m, steps in (("D2Q5", (), 2, 1, 4),
+                                             ("D2Q9", (1.0, 0.5), 4, 1, 4),
+                                             ("D2Q9", (1.0, 0.5), 6, 3, 8)):
         p = benchmark_params(name, advection=advection)
-        cfg = NceTrainConfig(spatial_order=order, m=1)
+        cfg = NceTrainConfig(spatial_order=order, m=m)
         before = lbm_step_count()
         result = train_coefficients(cfg, p)
-        n_densities = len(density_profiles(cfg, 2))
         assert lbm_step_count() - before == result.lbm_steps \
-            == (n_densities + 1) * (cfg.m + 1) == steps
+            == 2 * (cfg.m + 1) == steps
+
+
+@pytest.mark.parametrize("name,advection,order", [
+    ("D1Q3", (), 4), ("D2Q5", (), 2), ("D2Q9", (1.0, 0.5), 4)])
+def test_augmentation_step_count(name, advection, order):
+    """The time augmentation runs its two free LBM steps once, on the
+    probe windows of every test density together."""
+    p = benchmark_params(name, advection=advection)
+    cfg = NceTrainConfig(spatial_order=order)
+    coeffs = train_coefficients(cfg, p).coefficients
+    before = lbm_step_count()
+    augment_time_derivative(coeffs, cfg, p)
+    assert lbm_step_count() - before == 2
 
 
 def full_grid(ws):
@@ -583,8 +597,8 @@ CROP_CASES = [(name, advection, r, m)
 def test_cropped_evaluation_is_the_full_grid_one(name, advection, r, m):
     """H(a) at the trained coefficients, and the time augmentation, by
     the workspace, whose 2D test grid holds only the rows the probes
-    read, equal their direct evaluation over the whole test grid bit for
-    bit."""
+    read and whose runs cover only the windows around the probes, equal
+    their direct evaluation over the whole test grid bit for bit."""
     p = benchmark_params(name, advection=advection)
     cfg = NceTrainConfig(spatial_order=r, m=m)
     coeffs = train_coefficients(cfg, p).coefficients
