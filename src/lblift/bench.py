@@ -151,8 +151,13 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
     cells = int(round(TEST_LENGTH / (config.length / config.cells)))
-    return NceTrainConfig(spatial_order=config.order, m=config.m,
-                          test_length=TEST_LENGTH, test_cells=cells)
+    try:
+        return NceTrainConfig(spatial_order=config.order, m=config.m,
+                              test_length=TEST_LENGTH, test_cells=cells)
+    except ValueError as exc:
+        if not str(exc).startswith("test_cells"):
+            raise
+        raise ValueError(f"cells = {config.cells}: {exc}") from None
 
 
 def make_lifter(config: ExperimentConfig, params: LbmParams):
@@ -311,7 +316,7 @@ def _config_entry(key: str, value: str) -> tuple:
         raise ValueError(f"unknown key {key!r}")
     try:
         return key, _CONFIG_KEYS[key](value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse {key} = {value!r} ({exc})") from None
 
 

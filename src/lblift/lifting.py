@@ -72,16 +72,6 @@ class LiftCoefficients:
             return np.zeros(0)
         return np.concatenate([self.terms[s] for s in self.sorted_specs()])
 
-    def with_flat(self, values: np.ndarray) -> "LiftCoefficients":
-        specs = self.sorted_specs()
-        q = len(values) // len(specs)
-        parts = values.reshape(len(specs), q)
-        return LiftCoefficients(
-            fingerprint=self.fingerprint,
-            terms={s: parts[k].copy() for k, s in enumerate(specs)},
-            time_term=None if self.time_term is None else self.time_term.copy(),
-        )
-
 
 def expansion_terms(dimension: int, max_order: int) -> List[DerivSpec]:
     """All spatial derivative specs with 1 <= total order <= max_order."""
@@ -93,12 +83,6 @@ def expansion_terms(dimension: int, max_order: int) -> List[DerivSpec]:
             specs.append(DerivSpec(orders))
     specs.sort(key=lambda s: (s.total, s.orders))
     return specs
-
-
-def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:
-    q = params.vset.q
-    terms = {s: np.zeros(q) for s in expansion_terms(params.vset.dimension, max_order)}
-    return LiftCoefficients(fingerprint=params.fingerprint(), terms=terms)
 
 
 class LiftKernel(NamedTuple):

@@ -15,7 +15,9 @@ constrained run probes all q on a grid of q response windows.  The probe
 system reads the test densities and their derivatives only in the probe
 windows, the m+1 cells around each probe that those responses reach,
 evaluated there alone, every term in one pass per axis and stencil
-offset over one patch around each probe.  One evaluation of the map by
+offset over one patch around each probe, and contracted with the
+responses in one BLAS-free einsum, solved by one SVD of the probe block
+per workspace.  One evaluation of the map by
 direct constrained runs closes the solve as an independent check, run
 once on the windows of 2(m+1)+1 cells per axis around every probe of
 every density, all a probe reads in m+1 LBM steps.  A 2D test grid is
@@ -98,7 +100,9 @@ class NceTrainConfig:
         if self.m not in (0, 1, 2, 3):
             raise ValueError(f"smoothness order m={self.m}, expected 0..3")
         if self.test_cells < 4 * buffer_width(self):
-            raise ValueError("test domain too small for the edge margins")
+            raise ValueError(
+                f"test_cells = {self.test_cells}: the edge margins need at "
+                f"least 4(m+3) = {4 * buffer_width(self)} training cells")
 
 
 @dataclass
@@ -262,11 +266,14 @@ class _Workspace:
             raise ValueError(
                 "a derivative column vanishes at every probe; "
                 "the test density cannot determine these coefficients")
-        self.condition = float(np.linalg.cond(self.block))
+        u, sigma, vt = np.linalg.svd(self.block, full_matrices=False)
+        self.condition = float(sigma[0] / sigma[-1])
         if self.condition > CONDITION_LIMIT:
             raise ValueError(
                 f"probe system condition number {self.condition:.3g} "
                 "signals bad probe placement or a degenerate test density")
+        # the pseudo-inverse, pinv[t, k] = sum_s vt[s, t] u[k, s] / sigma[s]
+        self.pinv = np.einsum("st,ks->tk", vt / sigma[:, None], u)
         self.feq_rows = (self.density_windows[centre].reshape(-1, 1)
                          * params.equilibrium_weights())
         # the closing run's m+1 LBM steps (the augmentation's 2) run on
@@ -319,9 +326,9 @@ class _Workspace:
         return self.solve(smooth[self.run_probes].T - self.feq_rows).ravel()
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.block.shape[0] == self.block.shape[1]:
-            return np.linalg.solve(self.block, rhs)
-        return np.linalg.lstsq(self.block, rhs, rcond=None)[0]
+        """The least-squares x of block x = rhs by the pseudo-inverse; an
+        einsum without optimize, unlike a matmul, makes no BLAS call."""
+        return np.einsum("tk,kc->tc", self.pinv, rhs)
 
 
 def _derivative_patch(patch: np.ndarray, orders, dx: float,
@@ -371,15 +378,15 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     """Solve a = H(a), H = _Workspace.h_map, with one exact linear solve.
 
     H is affine, H(a) = h0 + M a, so a = (I - M)^-1 h0, with h0 = H(0)
-    from _offset and M from _linear_part, both superposed from the q
-    impulse responses of one probe; a closing evaluation of H by direct
-    constrained runs gives `residual` = max |a - H(a)|, refused with a
-    RuntimeError above RESIDUAL_LIMIT max|a|, and iterations is 1.  This
-    costs 2(m + 1) LBM steps: one probe run for the responses (the test
-    grid holds all q windows) and one evaluation of H on the probe
-    windows of every test density at once, whatever the spatial order,
-    dimension, production grid or run length.  The coefficients are
-    reusable on any grid sharing (velocity set, dx, dt, omega, advection).
+    and M from _probe_system, superposed from the q impulse responses of
+    one probe; a closing evaluation of H by direct constrained runs gives
+    `residual` = max |a - H(a)|, refused with a RuntimeError above
+    RESIDUAL_LIMIT max|a|, and iterations is 1.  This costs 2(m + 1) LBM
+    steps: one probe run for the responses (the test grid holds all q
+    windows) and one evaluation of H on the probe windows of every test
+    density at once, whatever the spatial order, dimension, production
+    grid or run length.  The coefficients are reusable on any grid
+    sharing (velocity set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
@@ -388,8 +395,8 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     # smoothed state keeps the test density; dropping the round-off of
     # those sums keeps the trained lift free of mass on rough densities.
     q = params.vset.q
-    offset = _massless(_offset(ws, kernels), q)
-    system = np.eye(offset.size) - _massless(_linear_part(ws, kernels), q)
+    offset, linear = (_massless(x, q) for x in _probe_system(ws, kernels))
+    system = np.eye(offset.size) - linear
     try:
         flat = np.linalg.solve(system, offset)
     except np.linalg.LinAlgError as exc:
@@ -429,52 +436,32 @@ def _window_responses(ws: _Workspace) -> np.ndarray:
                      for g in impulse_responses(shape, ws.cfg.m, ws.params)])
 
 
-def _offset(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
-    """h0 = H(0), superposed from the impulse responses: row j at probe p
-    of test density d is sum_u Gw[j, u] (rho_d(p - u) - rho_d(p)), with
-    Gw = sum_i w_i G_i and w the equilibrium weights.
+def _probe_system(ws: _Workspace, kernels: np.ndarray):
+    """(h0, M): H(0) and the linear part of H, from the impulse responses
+    in one contraction over the window offsets u and one solve.
 
-    H(0) smooths the equilibrium w rho, which is sum_u Gw(u) rho(p - u)
-    on the non-rest rows; the density reset gives the rest row the same
-    form, as the responses have density 0.  The smoothing keeps a uniform
-    state at equilibrium, so sum_u Gw[j, u] = w_j, and subtracting f_eq =
-    w rho(p) leaves the differences alone: the O(rho) parts cancel
-    exactly and never enter the sum.
+    Column (T, i) of M, in flatten order, is the probes of
+    constrained_smooth(e_i D_T rho, 0), which is linear and commutes with
+    periodic shifts: sum_u G_i(u) D_T rho(p - u) at probe p.  H(0) smooths
+    w rho, sum_i w_i sum_u G_i(u) rho(p - u) (the density reset gives the
+    rest row the same form, as the responses have density 0).  A uniform
+    equilibrium stays, so sum_u sum_i w_i G_i(u) = w, and subtracting f_eq
+    = w rho(p) leaves the differences rho(p - u) - rho(p), in which the
+    O(rho) parts cancel exactly: one more term row, weighted by w last.
     """
-    # gw[j, u], then rows[d, p, j], each summed term by term, so the order
-    # of the sums is fixed whatever the array layout or BLAS build; rows
-    # sum in place from the window's edge inward, where responses are small
-    gw = sum(w * k for w, k in zip(ws.params.equilibrium_weights(), kernels))
     centre = ws.offsets.shape[1] // 2
-    diffs = ws.density_windows - ws.density_windows[centre]
-    rows = np.zeros(diffs.shape[1:] + (ws.params.vset.q,))
-    term = np.empty_like(rows)
-    for u in np.argsort(-np.abs(ws.offsets).sum(axis=0), kind="stable"):
-        rows += np.multiply(diffs[u, ..., None], gw[:, u], out=term)
-    return ws.solve(rows.reshape(-1, ws.params.vset.q)).ravel()
-
-
-def _linear_part(ws: _Workspace, kernels: np.ndarray) -> np.ndarray:
-    """M, the linear part of H: column (T, i), in flatten order, is the
-    response to a_T = e_i, the probes of constrained_smooth(e_i D_T rho, 0).
-
-    That map is linear and commutes with periodic shifts, so the column
-    at probe p is sum_u G_i(u) D_T rho(p - u), with kernels from
-    _window_responses.  The probes sit m+3 cells inside the test domain,
-    so the windows that _Workspace evaluates are all the derivative
-    values M needs.
-    """
-    # rows[t, d, p, j, i] += windows[t, u, d, p] kernels[i, j, u] in place,
-    # offset by offset, so the order of the sum is fixed whatever the BLAS
-    q = ws.params.vset.q
-    per_offset = kernels.transpose(2, 1, 0).reshape(-1, q * q)
-    rows = np.zeros(ws.windows.shape[:1] + ws.windows.shape[2:] + (q * q,))
-    term = np.empty_like(rows)
-    for u, k in enumerate(per_offset):
-        rows += np.multiply(ws.windows[:, u, ..., None], k, out=term)
-    rows = rows.reshape(rows.shape[:-1] + (q, q)).transpose(1, 2, 3, 0, 4)
-    return ws.solve(rows.reshape(-1, rows[0, 0].size)).reshape(
-        len(ws.specs) * q, -1)
+    terms = np.concatenate([ws.windows, (ws.density_windows
+                                         - ws.density_windows[centre])[None]])
+    # rows[d, p, j, t, i] = sum_u terms[t, u, d, p] kernels[i, j, u], the
+    # kernels offset-major so that each sum runs over u in order; einsum
+    # without optimize makes no BLAS call, whose sums move with its threads
+    rows = np.einsum("tudp,uji->dpjti", terms,
+                     np.ascontiguousarray(kernels.T))
+    solved = ws.solve(rows.reshape(len(ws.block), -1)).reshape(
+        (len(ws.specs),) + rows.shape[2:])
+    offset = np.einsum("tji,i->tj", solved[:, :, -1],
+                       ws.params.equilibrium_weights())
+    return offset.ravel(), solved[:, :, :-1].reshape(offset.size, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,16 +503,15 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     rhs = lifted[ws.run_probes].T - ws.feq_rows
 
     enlarged = np.hstack([ws.block, time_col[:, None]])
-    singular_values = np.linalg.svd(enlarged, compute_uv=False)
-    sigma_min = float(singular_values[-1])
-    sigma_max = float(singular_values[0])
+    sigma = np.linalg.svd(enlarged, compute_uv=False)
 
     gamma = -(params.dt / params.omega) * params.equilibrium_weights()
     coeff_matrix = ws.solve(rhs - np.outer(time_col, gamma))
     terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
     augmented = LiftCoefficients(fingerprint=params.fingerprint(),
                                  terms=terms, time_term=gamma)
-    return AugmentResult(augmented, enlarged, sigma_min, sigma_max)
+    return AugmentResult(augmented, enlarged, float(sigma[-1]),
+                         float(sigma[0]))
 
 
 def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",

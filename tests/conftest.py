@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lblift import LbmParams, VELOCITY_SETS, equilibrium, restrict, run_lbm
+from lblift import (LbmParams, LiftCoefficients, VELOCITY_SETS, equilibrium,
+                    expansion_terms, restrict, run_lbm)
 from lblift.stencil import _axis_stencil, central_offsets
 
 # Relaxation rates that make the macroscopic diffusion coefficient
@@ -46,6 +47,22 @@ def roll_stream_collide(f, params):
                 g = np.roll(g, shift, axis=axis)
         out[k] = g
     return out
+
+
+def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:
+    """Zero vectors for every expansion term up to max_order."""
+    terms = expansion_terms(params.vset.dimension, max_order)
+    return LiftCoefficients(params.fingerprint(),
+                            {s: np.zeros(params.vset.q) for s in terms})
+
+
+def with_flat(coeffs: LiftCoefficients, values) -> LiftCoefficients:
+    """coeffs with its spatial vectors read from values, in flatten order."""
+    specs = coeffs.sorted_specs()
+    parts = np.reshape(values, (len(specs), -1))
+    return LiftCoefficients(
+        coeffs.fingerprint, {s: part.copy() for s, part in zip(specs, parts)},
+        None if coeffs.time_term is None else coeffs.time_term.copy())
 
 
 @pytest.fixture(scope="session")

@@ -58,6 +58,35 @@ def test_parse_config_names_the_line_of_a_refused_value():
         parse_config("kind = hybrid\n\nomega = 3  # unstable\n")
 
 
+def test_parse_config_refuses_an_overflowing_length():
+    """length = 1e400 overflows float(Fraction(...)); it is refused with a
+    ValueError naming its config line, not a bare OverflowError."""
+    with pytest.raises(ValueError, match=r"^config line 2: cannot parse "
+                                         r"length = '1e400' \(integer "
+                                         r"division result too large"):
+        parse_config("kind = hybrid\nlength = 1e400\n")
+
+
+@pytest.mark.parametrize("velocity_set,cells,test_cells", [
+    ("D1Q3", 4, 1), ("D2Q9", 8, 2)])
+def test_a_too_coarse_training_grid_names_cells(tmp_path, velocity_set,
+                                                cells, test_cells):
+    """lifter = nce on a grid whose dx leaves too few cells on the 3-unit
+    training grid is refused naming the cells key, the training cells and
+    the 4(m+3) the edge margins need."""
+    cfg = parse_config(f"kind = hybrid\nvelocity_set = {velocity_set}\n"
+                       f"cells = {cells}\nlifter = nce\nsteps = 3\n"
+                       "reference_steps = 5\n")
+    with pytest.raises(ValueError, match=(
+            rf"^cells = {cells}: test_cells = "
+            rf"{test_cells}: the edge margins need at least 4\(m\+3\) = 16 "
+            "training cells$")):
+        run_experiment(cfg, tmp_path)
+    # a refusal of another field is not put on cells
+    with pytest.raises(ValueError, match=r"^spatial_order 9 outside"):
+        bench.train_config(ExperimentConfig(kind="hybrid", order=9))
+
+
 def test_parse_config_kind_from_command():
     cfg = parse_config("velocity_set = D1Q3\n", kind="train_only")
     assert cfg.kind == "train_only"

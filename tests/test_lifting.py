@@ -11,10 +11,11 @@ from lblift import (CoefficientLifter, DerivSpec, LbmParams,
                     coefficients_to_text, equilibrium, expansion_terms,
                     restrict, run_lbm)
 from lblift.lattice import D1Q3
-from lblift.lifting import _wrapped, zero_coefficients
+from lblift.lifting import _wrapped
 from lblift.stencil import central_offsets, fd_weights, spatial_derivative
 
-from conftest import benchmark_params, gaussian_density
+from conftest import (benchmark_params, gaussian_density, with_flat,
+                      zero_coefficients)
 
 
 def test_expansion_terms_counts():
@@ -70,9 +71,8 @@ def test_coefficient_text_roundtrip():
     rng = np.random.default_rng(11)
     for name, a, time_term in (("D1Q3", (0.66,), False), ("D2Q9", (), True)):
         p = benchmark_params(name, advection=a)
-        co = zero_coefficients(p, 2).with_flat(
-            rng.normal(size=len(expansion_terms(p.vset.dimension, 2))
-                       * p.vset.q))
+        co = with_flat(zero_coefficients(p, 2), rng.normal(
+            size=len(expansion_terms(p.vset.dimension, 2)) * p.vset.q))
         if time_term:
             co.time_term = -p.dt / p.omega * p.equilibrium_weights()
         text = coefficients_to_text(co)
@@ -94,7 +94,7 @@ def test_flatten_with_flat_roundtrip():
     co = analytic_coefficients(p, 2)
     flat = co.flatten()
     assert flat.shape == (len(co.terms) * p.vset.q,)
-    back = co.with_flat(flat)
+    back = with_flat(co, flat)
     for spec in co.terms:
         assert_allclose(back.terms[spec], co.terms[spec], atol=0)
 

@@ -21,9 +21,8 @@ from lblift import (VELOCITY_SETS, CoefficientLifter, CrConfig, CrLifter,
                     coefficients_to_text, lbm_step_count, restrict,
                     stream_collide, train_coefficients)
 from lblift.constrained_runs import constrained_smooth
-from lblift.lifting import zero_coefficients
 
-from conftest import benchmark_params
+from conftest import benchmark_params, with_flat, zero_coefficients
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
                     database=None)
@@ -217,7 +216,7 @@ def test_every_lifter_refuses_empty_and_non_finite_densities(label):
 
 def _valid_coefficients():
     params = benchmark_params("D2Q9", advection=(1.0, 0.5))
-    coeffs = zero_coefficients(params, 2).with_flat(np.linspace(-1, 1, 45))
+    coeffs = with_flat(zero_coefficients(params, 2), np.linspace(-1, 1, 45))
     coeffs.time_term = np.full(params.vset.q, 0.25)
     return coeffs
 
