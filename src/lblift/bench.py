@@ -45,6 +45,10 @@ EXAMPLE_OMEGA = {
 # production dx
 TEST_LENGTH = 3.0
 
+# training cells per axis at most: a 2D training peaks at 3 to 8 kB per cell
+# of width (D2Q9, R = 6 and 4), 0.8 GB here; the canonical box needs 60
+MAX_TEST_CELLS = 10 ** 5
+
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
 
@@ -150,10 +154,13 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    cells = int(round(TEST_LENGTH / (config.length / config.cells)))
+    cells = TEST_LENGTH / (config.length / config.cells)
+    if not cells <= MAX_TEST_CELLS:
+        raise ValueError(f"length = {config.length}, cells = {config.cells}: "
+                         f"{cells:.6g} training cells, over {MAX_TEST_CELLS}")
     try:
         return NceTrainConfig(spatial_order=config.order, m=config.m,
-                              test_length=TEST_LENGTH, test_cells=cells)
+                              test_length=TEST_LENGTH, test_cells=round(cells))
     except ValueError as exc:
         if not str(exc).startswith("test_cells"):
             raise

@@ -16,14 +16,13 @@ rim in place, so no field-sized copy is made to add them.
 A step reads lifted distributions only at its two ghost columns, x_p
 and x_0.  When the lifter states a finite reach h along the split axis
 (lifters.lift_reach), the step lifts only the ghost slab of half-width
-g = max(h, 1): the 2g+1 density rows around each interface, p-g..p+g
-then n-g..n-1, 0..g (mod n), through the unchanged lifter.lift.  g >= 1
-keeps the two FTCS ghosts, x_{p+1} and x_{n-1}, in the slab.  The slab
-is periodic to the lift, but the two output rows kept, g and 3g+1, read
-no wrapped row, so they are exactly the rows a full-field lift gives,
-on a grid of any size, even one smaller than the slab.  A lifter that
-states no reach (a constrained-runs lift) is lifted over the whole
-field.
+g = max(h, 1), which keeps the two FTCS ghosts x_{p+1} and x_{n-1}: the
+2g+1 density rows around each interface, p-g..p+g then n-g..n-1, 0..g
+(mod n), through the unchanged lifter.lift; init_hybrid lifts the LBM
+rows p-h..n+h.  Each such lift is periodic, but the rows kept read no
+wrapped row, so they are exactly the rows a full-field lift gives, on a
+grid of any size, even one smaller than the rows lifted.  A lifter that
+states no reach (a constrained-runs lift) is lifted over the whole field.
 
 In 2D the split runs along the first axis only: full-height columns,
 periodic in the second axis, so ghost columns carry every y value and
@@ -53,13 +52,14 @@ class HybridSpec:
     """Static description of one split-domain problem.
 
     PDE on cells 0..split_index, LBM on the rest; initial_density covers
-    the full domain (the lifting stencils want the whole field).
+    the full domain.
 
     Construction also fixes which density rows each step reads: `reads`
     are runs (start, stop) of domain rows, in the order the step gathers
     them, each on one side of the split; the first `lifted_rows` gathered
     rows are lifted, `lift_ghosts` are the lifted rows of x_p and x_0,
-    and `pde_ghosts` the gathered rows of x_{n-1} and x_{p+1}.
+    and `pde_ghosts` the gathered rows of x_{n-1} and x_{p+1}.  `start`
+    holds the rows init_hybrid lifts and those it keeps (_split_state).
     """
 
     total_cells: int
@@ -72,6 +72,7 @@ class HybridSpec:
     lifted_rows: int = field(init=False, repr=False)
     lift_ghosts: Tuple[int, int] = field(init=False, repr=False)
     pde_ghosts: Tuple[int, int] = field(init=False, repr=False)
+    start: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = integer(self.total_cells, "total_cells")
@@ -93,11 +94,14 @@ class HybridSpec:
         h = lift_reach(self.lifter, self.params)
         if h is None:
             spans = [(0, n)]
+            self.start = (slice(None), None)
             self.lifted_rows = n
             self.lift_ghosts, self.pde_ghosts = (p, 0), (n - 1, p + 1)
         else:
             # a slab half-width g >= 1 keeps both FTCS ghosts in the slab
             g = max(h, 1)
+            self.start = (np.arange(p - h, n + h + 1) % n,
+                          slice(h, n - p + 1 + h))
             spans = [(p - g, p + g + 1), (n - g, n + g + 1)]
             self.lifted_rows = 4 * g + 2
             self.lift_ghosts, self.pde_ghosts = (g, 3 * g + 1), (3 * g, g + 1)
@@ -143,23 +147,21 @@ def full_density(state: HybridState, spec: HybridSpec) -> np.ndarray:
 
 
 def init_hybrid(spec: HybridSpec) -> HybridState:
-    """Split the initial density; the LBM side is created by lifting.
-
-    The lift is evaluated on the full periodic field so that derivative
-    stencils near the interface see real data on both sides, then
-    cropped to the LBM subdomain.
-    """
-    return _split_state(spec.lifter.lift(spec.initial_density, spec.params),
-                        spec)
+    """Split the initial density; the LBM side is the lift of the rows
+    spec.start names, p-h..n+h (mod n) for a lifter of reach h, cropped to
+    the rimmed LBM cells p..n-1 and 0 (see the module docstring)."""
+    rows, kept = spec.start
+    return _split_state(
+        spec.lifter.lift(spec.initial_density[rows], spec.params), spec, kept)
 
 
-def _split_state(f_full: np.ndarray, spec: HybridSpec) -> HybridState:
-    """The initial state: PDE densities, then the lift cropped to the
-    rimmed LBM subdomain, cells p..n-1 and 0."""
+def _split_state(f: np.ndarray, spec: HybridSpec, kept=None) -> HybridState:
+    """The initial state: PDE densities, then the rows `kept` of the lift
+    f, by default the rimmed LBM cells p..n-1 and 0 of a full-field lift."""
     p = spec.split_index
-    return HybridState(rho_pde=spec.initial_density[: p + 1].copy(),
-                       f_rim=np.concatenate([f_full[:, p:], f_full[:, :1]],
-                                            axis=1))
+    rim = (np.concatenate([f[:, p:], f[:, :1]], axis=1) if kept is None
+           else f[:, kept])
+    return HybridState(rho_pde=spec.initial_density[: p + 1].copy(), f_rim=rim)
 
 
 def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:

@@ -15,9 +15,9 @@ constrained run probes all q on a grid of q response windows.  The probe
 system reads the test densities and their derivatives only in the probe
 windows, the m+1 cells around each probe that those responses reach,
 evaluated there alone, every term in one pass per axis and stencil
-offset over one patch around each probe, and contracted with the
-responses in one BLAS-free einsum, solved by one SVD of the probe block
-per workspace.  One evaluation of the map by
+offset over one patch around each probe, solved by the pseudo-inverse
+of one SVD of the probe block per workspace before they are contracted
+with the responses, in BLAS-free einsums.  One evaluation of the map by
 direct constrained runs closes the solve as an independent check, run
 once on the windows of 2(m+1)+1 cells per axis around every probe of
 every density, all a probe reads in m+1 LBM steps.  A 2D test grid is
@@ -437,8 +437,8 @@ def _window_responses(ws: _Workspace) -> np.ndarray:
 
 
 def _probe_system(ws: _Workspace, kernels: np.ndarray):
-    """(h0, M): H(0) and the linear part of H, from the impulse responses
-    in one contraction over the window offsets u and one solve.
+    """(h0, M): H(0) and the linear part of H, from the impulse responses:
+    the probe solve first, then one contraction over the window offsets u.
 
     Column (T, i) of M, in flatten order, is the probes of
     constrained_smooth(e_i D_T rho, 0), which is linear and commutes with
@@ -452,13 +452,13 @@ def _probe_system(ws: _Workspace, kernels: np.ndarray):
     centre = ws.offsets.shape[1] // 2
     terms = np.concatenate([ws.windows, (ws.density_windows
                                          - ws.density_windows[centre])[None]])
-    # rows[d, p, j, t, i] = sum_u terms[t, u, d, p] kernels[i, j, u], the
+    # solve first, W[s, t, u] = sum_k pinv[s, k] terms[t, u, k] over the
+    # (density, probe) rows k, then sum_u W[s, t, u] kernels[i, j, u], the
     # kernels offset-major so that each sum runs over u in order; einsum
     # without optimize makes no BLAS call, whose sums move with its threads
-    rows = np.einsum("tudp,uji->dpjti", terms,
-                     np.ascontiguousarray(kernels.T))
-    solved = ws.solve(rows.reshape(len(ws.block), -1)).reshape(
-        (len(ws.specs),) + rows.shape[2:])
+    solved = np.einsum("stu,uji->sjti", np.einsum(
+        "sk,tuk->stu", ws.pinv, terms.reshape(terms.shape[:2] + (-1,))),
+        np.ascontiguousarray(kernels.T))
     offset = np.einsum("tji,i->tj", solved[:, :, -1],
                        ws.params.equilibrium_weights())
     return offset.ravel(), solved[:, :, :-1].reshape(offset.size, -1)

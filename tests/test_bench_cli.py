@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,46 @@ def test_a_too_coarse_training_grid_names_cells(tmp_path, velocity_set,
     # a refusal of another field is not put on cells
     with pytest.raises(ValueError, match=r"^spatial_order 9 outside"):
         bench.train_config(ExperimentConfig(kind="hybrid", order=9))
+
+
+@pytest.mark.parametrize("text, named", [
+    ("kind = hybrid\nlifter = nce\nlength = 1e-300\n",
+     r"length = 1e-300, cells = 200: 6e\+302 training cells"),
+    ("kind = hybrid\nlifter = nce\nlength = 1e-300\ncells = 64\n",
+     r"length = 1e-300, cells = 64: 1.92e\+302 training cells"),
+    ("kind = train_only\ncells = 100000000000000000000\n",
+     r"length = 10.0, cells = 100000000000000000000: 3e\+19 training cells"),
+    # 3 / 5e-323 overflows to inf, which round() could not take
+    ("kind = hybrid\nlifter = nce\nlength = 1e-320\n",
+     r"length = 1e-320, cells = 200: inf training cells"),
+], ids=["hybrid-tiny-length", "hybrid-tiny-length-64", "train-huge-cells",
+        "hybrid-infinite"])
+def test_an_oversized_training_grid_is_refused_before_allocating(
+        tmp_path, text, named):
+    """A config whose dx would give the 3-unit training grid more than
+    MAX_TEST_CELLS cells a side is refused naming length, cells and the
+    training cells implied, before any array of the run is allocated
+    (numpy's own refusal, "Maximum allowed size exceeded", named no key)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^{named}, over 100000$"):
+            run_experiment(parse_config(text), tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_training_grid_limit_is_inclusive():
+    """MAX_TEST_CELLS training cells a side pass train_config, one more
+    does not."""
+    assert bench.MAX_TEST_CELLS == 100000
+    cfg = ExperimentConfig(kind="train_only", length=3.0, cells=100000)
+    assert bench.train_config(cfg).test_cells == 100000
+    with pytest.raises(ValueError, match="100001 training cells, over"):
+        bench.train_config(ExperimentConfig(kind="train_only", length=3.0,
+                                            cells=100001))
 
 
 def test_parse_config_kind_from_command():

@@ -9,6 +9,7 @@ from lblift import (CoefficientLifter, CrConfig, CrLifter, EquilibriumLifter,
                     analytic_coefficients, analytic_pde, compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
                     lbm_step_count, train_coefficients)
+from lblift.hybrid import _split_state
 from lblift.lifters import lift_reach
 
 from conftest import benchmark_params, gaussian_density, roll_stream_collide
@@ -307,21 +308,24 @@ class Forwarding:
         return self._lifter.lift(rho, params)
 
 
-@pytest.mark.parametrize("name, lifter, lifted", [
-    ("D1Q3", order2_lifter, (6,)),
-    ("D1Q3", lambda p: trained_lifter(p, 6, 2), (14,)),
-    ("D2Q9", lambda p: EquilibriumLifter(), (6, 40)),
-    ("D2Q9", lambda p: trained_lifter(p, 4, 1), (10, 40)),
-    ("D1Q3", lambda p: CrLifter(CrConfig(m=1)), (40,)),
-    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), False), (40, 40)),
-    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), True), (10, 40)),
+@pytest.mark.parametrize("name, lifter, started, lifted", [
+    ("D1Q3", order2_lifter, (23,), (6,)),
+    ("D1Q3", lambda p: trained_lifter(p, 6, 2), (27,), (14,)),
+    ("D2Q9", lambda p: EquilibriumLifter(), (21, 40), (6, 40)),
+    ("D2Q9", lambda p: trained_lifter(p, 4, 1), (25, 40), (10, 40)),
+    ("D1Q3", lambda p: CrLifter(CrConfig(m=1)), (40,), (40,)),
+    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), False), (40, 40),
+     (40, 40)),
+    ("D2Q9", lambda p: Forwarding(trained_lifter(p, 4, 1), True), (25, 40),
+     (10, 40)),
 ], ids=["D1Q3-order2", "D1Q3-R6", "D2Q9-equilibrium", "D2Q9-R4",
         "D1Q3-cr", "D2Q9-no-reach", "D2Q9-inner"])
-def test_hybrid_step_lifts_the_ghost_slab(name, lifter, lifted):
+def test_hybrid_step_lifts_the_ghost_slab(name, lifter, started, lifted):
     """Each step hands the lifter the 4g+2 density rows around the two
     interfaces, g = max(h, 1), when the lifter states a finite reach h,
     itself or through `inner`, and the whole field otherwise; init_hybrid
-    always lifts the whole field."""
+    hands it the n-p+1+2h rows p-h..n+h (21+2h at n = 40, p = 20), and a
+    lifter without a reach, a constrained-runs one too, the whole field."""
     p = benchmark_params(name, advection=(1.0, 0.5) if name == "D2Q9" else ())
     outer = lifter(p)
     shapes = []
@@ -330,12 +334,36 @@ def test_hybrid_step_lifts_the_ghost_slab(name, lifter, lifted):
     state = init_hybrid(spec)
     for _ in range(3):
         state = hybrid_step(state, spec)
-    assert shapes == [spec.initial_density.shape] + 3 * [lifted]
+    assert shapes == [started] + 3 * [lifted]
+
+
+@pytest.mark.parametrize("name, lifter, cells", [
+    ("D1Q3", lambda p: EquilibriumLifter(), 40),
+    ("D1Q3", order2_lifter, 40),
+    ("D1Q3", lambda p: trained_lifter(p, 6, 2), 40),
+    ("D2Q9", lambda p: trained_lifter(p, 4, 1), 40),
+    # reach 3: the 10-row start slab wraps a 6-cell grid
+    ("D1Q3", lambda p: trained_lifter(p, 6, 2), 6),
+], ids=["D1Q3-equilibrium", "D1Q3-analytic", "D1Q3-R6", "D2Q9-R4",
+        "D1Q3-R6-below-slab"])
+def test_init_hybrid_is_the_cropped_full_lift(name, lifter, cells):
+    """init_hybrid, which lifts only the LBM rows and their reach, starts
+    from exactly the state a lift of the whole field, cropped, gives; a
+    grid shorter than the start slab included."""
+    p = benchmark_params(name, advection=(1.0, 0.5) if name == "D2Q9" else ())
+    spec = make_spec(p, lifter(p), cells=cells)
+    h = lift_reach(spec.lifter, p)
+    assert spec.start[0].size == cells - spec.split_index + 1 + 2 * h
+    state = init_hybrid(spec)
+    full = _split_state(spec.lifter.lift(spec.initial_density, p), spec)
+    assert np.array_equal(state.f_rim, full.f_rim)
+    assert np.array_equal(state.rho_pde, full.rho_pde)
 
 
 def test_cr_hybrid_spec_probes_nothing():
     """Looking up the reach of a constrained-runs lifter runs no LBM step
-    and probes no transfer kernel: the spec reads the whole field."""
+    and probes no transfer kernel: the spec reads, and starts from, the
+    whole field."""
     p = benchmark_params("D1Q3")
     lifter = CrLifter(CrConfig(m=3))
     before = lbm_step_count()
@@ -344,6 +372,7 @@ def test_cr_hybrid_spec_probes_nothing():
     assert lifter._kernels == {}
     assert spec.reads == ((0, 101), (101, 200))
     assert spec.lifted_rows == 200
+    assert spec.start == (slice(None), None)
 
 
 def test_two_d_uniform_steady():
@@ -367,9 +396,10 @@ def test_two_d_shapes():
     state = init_hybrid(spec)
     assert state.rho_pde.shape == (15, 30)
     assert state.f_lbm.shape == (9, 15, 30)
-    # the LBM field keeps its two ghost columns; f_lbm is a view inside
+    # the LBM field keeps its two ghost columns; f_lbm is a view inside,
+    # at the start of the lift of the LBM rows that f_rim itself views
     assert state.f_rim.shape == (9, 17, 30)
-    assert state.f_lbm.base is state.f_rim
+    assert np.shares_memory(state.f_lbm, state.f_rim)
     state = hybrid_step(state, spec)
     assert state.f_rim.shape == (9, 17, 30)
     assert state.f_lbm.base is state.f_rim

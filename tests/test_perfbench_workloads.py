@@ -22,7 +22,8 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_metered_lifter_keeps_the_ghost_slab(monkeypatch):
     """A trained D2Q9 order-4 lifter (reach 2) under MeteredLifter is
     handed the 10-row slab at every step, and the meter still counts one
-    lift per step plus the initial full-field lift."""
+    lift per step plus the initial lift of the 25 LBM rows and their
+    reach."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     p = benchmark_params("D2Q9", advection=(1.0, 0.5))
@@ -34,5 +35,5 @@ def test_metered_lifter_keeps_the_ghost_slab(monkeypatch):
     state = lblift.hybrid.init_hybrid(spec)
     for _ in range(3):
         state = lblift.hybrid.hybrid_step(state, spec)
-    assert shapes == [(40, 40)] + 3 * [(10, 40)]
+    assert shapes == [(25, 40)] + 3 * [(10, 40)]
     assert metered.calls == 4

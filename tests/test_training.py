@@ -546,7 +546,8 @@ def per_term_windows(ws):
 
 
 def offset_by_offset_linear_part(ws, kernels):
-    """M of _probe_system as a sum of one broadcast product per offset."""
+    """M of _probe_system the other way round: a sum of one broadcast
+    product per offset, then the probe solve."""
     rows = sum(w[:, :, None, :, None] * k[:, None, :]
                for w, k in zip(ws.windows.transpose(1, 2, 3, 0), kernels.T))
     columns = len(ws.specs) * ws.params.vset.q
@@ -583,15 +584,16 @@ ACCEPTANCE_CASES = (
 
 @pytest.mark.parametrize("name,advection,r,m", ACCEPTANCE_CASES)
 def test_batched_probe_system_is_the_reference(name, advection, r, m):
-    """The batched windows (of training and of the augmentation), the
-    contraction of _probe_system for M, and the impulse probe on a grid of
-    q windows equal the term-by-term windows, the offset-by-offset sum
+    """The batched windows (of training and of the augmentation) and the
+    impulse probe on a grid of q windows equal the term-by-term windows
     and the probe on the whole test grid, bit for bit; the probe is still
-    one run of m+1 LBM steps.  h0, weighted by velocity after the solve
-    rather than before the sum, is within 20 kappa eps relative of its
-    offset-by-offset reference, kappa the probe-system condition: 4x the
-    worst measured 5.0 kappa eps (D1Q3, advective, R = 1, m = 3); the
-    largest measured gap is 1.3e-9, at D2Q9 R = 6 (kappa 3.8e7)."""
+    one run of m+1 LBM steps.  _probe_system solves before it contracts
+    over the offsets, so its M and h0 are within a relative gap of their
+    offset-by-offset references, which sum first, in units of kappa eps,
+    kappa the probe-system condition.  M: 4 kappa eps, 5x the worst
+    measured 0.78 (D1Q3, advective, R = 2, m = 3).  h0, weighted by
+    velocity after the solve rather than before the sum: 20 kappa eps,
+    4x the worst measured 4.96 (D1Q3, advective, R = 1, m = 3)."""
     p = benchmark_params(name, advection=advection)
     cfg = NceTrainConfig(spatial_order=r, m=m)
     for ws in (_Workspace(cfg, p, extra_probes=True), _Workspace(cfg, p)):
@@ -604,11 +606,11 @@ def test_batched_probe_system_is_the_reference(name, advection, r, m):
     assert lbm_step_count() - before == m + 1
     assert kernels.tobytes() == full_grid_responses(ws).tobytes()
     offset, linear = _probe_system(ws, kernels)
-    assert linear.tobytes() \
-        == offset_by_offset_linear_part(ws, kernels).tobytes()
-    reference = offset_by_offset_offset(ws, kernels)
-    gap = np.abs(offset - reference).max() / np.abs(reference).max()
-    assert gap <= 20 * ws.condition * np.finfo(float).eps, gap
+    for value, reference, bound in (
+            (linear, offset_by_offset_linear_part(ws, kernels), 4),
+            (offset, offset_by_offset_offset(ws, kernels), 20)):
+        gap = np.abs(value - reference).max() / np.abs(reference).max()
+        assert gap <= bound * ws.condition * np.finfo(float).eps, gap
 
 
 PROBE_SYSTEM_DIGESTS = """
