@@ -101,6 +101,17 @@ class ExperimentConfig:
         if self.length <= 0:
             raise ConfigError(f"length = {self.length}: must be positive",
                               "length")
+        # the stencil weights reach 1/dx^order, the PDE step 1/dx^2
+        power = max(self.order, 2)
+        dx = self.length / self.cells
+        try:
+            finite_weights = np.isfinite((1.0 / dx) ** power)
+        except (OverflowError, ZeroDivisionError):
+            finite_weights = False
+        if not finite_weights:
+            raise ConfigError(f"length = {self.length}, cells = {self.cells}: "
+                              f"1/dx^{power} is not finite, dx = {dx:.3g}",
+                              "length")
         if self.steps < 1:
             raise ConfigError(f"steps = {self.steps}: need at least 1 step",
                               "steps")

@@ -16,9 +16,9 @@ depend on the density: the q impulse responses of the smoothing
 an FFT over every grid axis turns the fixed point into one transfer per
 wavenumber, the components being that transfer times the density's
 spectrum.  Each response reaches only m+1 cells, so the q impulses share
-one constrained run wherever the grid holds q windows of 2(m+1)+1 cells.
-cr_kernel probes it, for m+1 LBM steps on such a grid and at most q(m+1)
-on a smaller one; a lift handed the kernel of an earlier one
+one constrained run of m+1 LBM steps on q windows of 2(m+1)+1 cells, and
+cr_kernel wraps the responses onto its grid: one probe run of m+1 steps
+on any grid.  A lift handed the kernel of an earlier one
 (CrResult.kernel) pays only its closing constrained run, m+1 LBM steps,
 which checks the fixed point; CrResult.lbm_steps is the step counter's
 difference over the lift.  The solver works on full periodic density
@@ -31,7 +31,6 @@ its blocks can be ill-conditioned at grid-scale wavenumbers, near
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product
 from math import comb
 
 import numpy as np
@@ -103,48 +102,27 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     return reset_density(out, rho0, params.vset)
 
 
-def _impulse_slots(shape: tuple, m: int, q: int) -> list:
-    """Up to q cells that can hold unit impulses of one constrained run, on
-    a lattice 2(m+1)+1 cells apart on every axis.  max(1, n // pitch)
-    slots per axis keep that spacing across the periodic wrap too, so the
-    m+1 windows of the responses never overlap."""
-    pitch = 2 * (m + 1) + 1
-    return list(islice(product(*(range(0, pitch * max(1, n // pitch), pitch)
-                                 for n in shape)), q))
+def impulse_responses(m: int, params: LbmParams) -> np.ndarray:
+    """kernels[i, j, u]: velocity j at offset u of R_i =
+    constrained_smooth(e_i delta_0, 0) on a periodic grid, for i < q, with
+    offset u at index u + m + 1 per axis, |u| <= m+1.  That smoothing is
+    linear and shift-invariant, so these q responses hold all of it.
 
-
-def impulse_responses(shape: tuple, m: int, params: LbmParams):
-    """Yield R_i = constrained_smooth(e_i delta_0, 0) on a periodic grid of
-    the given shape, as (velocity, grid), for i < q.  That smoothing is
-    linear and shift-invariant, so these q responses hold all of it.  The
-    impulse sits at cell 0, so offset u is at index u, wrapped.
-
-    R_i vanishes beyond m+1 cells of its impulse per axis, so one run
-    probes as many impulses as _impulse_slots places on the grid: each
-    response is read back from its own window, shifted to cell 0, and is
-    zero outside it.  A grid that holds q windows pays one run of m+1 LBM
-    steps, a smaller one a run per len(slots) impulses.  On an axis
-    shorter than 2(m+1)+1 cells the window wraps onto itself and is kept
-    whole.
+    R_i vanishes beyond m+1 cells of its impulse per axis, so one run of
+    m+1 LBM steps probes all q on the grid (p,) * (dim-1) + (q p,), p =
+    2(m+1)+1: impulse i sits at the centre of window i of the last axis,
+    which holds its whole response, bit for bit as on any larger grid.
     """
-    q = params.vset.q
-    slots = _impulse_slots(shape, m, q)
-    pitch = 2 * (m + 1) + 1
-    window = [np.arange(-(m + 1), m + 2) % n if n >= pitch else np.arange(n)
-              for n in shape]
-    for first in range(0, q, len(slots)):
-        impulse = np.zeros((q,) + shape)
-        run = list(zip(range(first, min(first + len(slots), q)), slots))
-        for i, slot in run:
-            impulse[(i,) + slot] = 1.0
-        smooth = constrained_smooth(impulse, np.zeros(shape), m, params)
-        for i, slot in run:
-            source = np.ix_(*((w + s) % n
-                              for w, s, n in zip(window, slot, shape)))
-            response = np.zeros((q,) + shape)
-            response[(slice(None),) + np.ix_(*window)] = \
-                smooth[(slice(None),) + source]
-            yield response
+    q, dimension = params.vset.q, params.vset.dimension
+    p = 2 * (m + 1) + 1
+    windows = (p,) * (dimension - 1) + (q, p)
+    impulse = np.zeros((q,) + windows)
+    each = np.arange(q)
+    impulse[(each,) + (m + 1,) * (dimension - 1) + (each, m + 1)] = 1.0
+    grid = windows[:-2] + (q * p,)
+    smooth = constrained_smooth(impulse.reshape((q,) + grid), np.zeros(grid),
+                                m, params)
+    return np.moveaxis(smooth.reshape((q,) + windows), -2, 0)
 
 
 def _distributions(rho0: np.ndarray, v: np.ndarray, rest: int) -> np.ndarray:
@@ -155,6 +133,17 @@ def _distributions(rho0: np.ndarray, v: np.ndarray, rest: int) -> np.ndarray:
 def _non_rest(f: np.ndarray, rest: int) -> np.ndarray:
     """The q-1 non-rest components of f."""
     return np.concatenate((f[:rest], f[rest + 1:]))
+
+
+def _wrap(window: np.ndarray, shape: tuple) -> np.ndarray:
+    """window[r, u], offsets |u| <= m+1 per axis, on a periodic grid of the
+    given shape: offset u on cell u mod n, summed with its images on an
+    axis shorter than the window."""
+    reach = window.shape[1] // 2
+    grid = np.zeros(window.shape[:1] + shape)
+    np.add.at(grid, (slice(None),) + np.ix_(
+        *(np.arange(-reach, reach + 1) % n for n in shape)), window)
+    return grid
 
 
 def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
@@ -180,7 +169,9 @@ def cr_kernel(shape: tuple, config: CrConfig,
     is v = (I - B)^-1 A rho0, a convolution of rho0.  The q responses R_i
     of impulse_responses hold all of it: on the non-rest rows, A is the
     response R_rest to the density, and column j of B is R_j - R_rest,
-    since raising component j lowers the rest one.  An FFT over every
+    since raising component j lowers the rest one.  Each R_i is wrapped
+    onto the grid, offset u on cell u mod n, its images summed on an axis
+    shorter than 2(m+1)+1 cells, one R_i at a time.  An FFT over every
     grid axis splits I - B into one (q-1)x(q-1) block per wavenumber and
     A into one (q-1)-vector; each block is solved against its vector
     here, once.  The responses are real, so wavenumbers k and -k carry
@@ -194,9 +185,10 @@ def cr_kernel(shape: tuple, config: CrConfig,
     """
     rest = params.vset.rest
     axes = tuple(range(1, len(shape) + 1))
-    # spectra[i][k, r]: row r of R_i at wavenumber k
-    spectra = [np.moveaxis(np.fft.rfftn(_non_rest(g, rest), axes=axes), 0, -1)
-               for g in impulse_responses(shape, config.m, params)]
+    # spectra[i][k, r]: row r of R_i at wavenumber k, one R_i at a time
+    spectra = [np.moveaxis(np.fft.rfftn(_wrap(_non_rest(g, rest), shape),
+                                        axes=axes), 0, -1)
+               for g in impulse_responses(config.m, params)]
     density = spectra.pop(rest)
     blocks = np.eye(len(spectra)) - (np.stack(spectra, axis=-1)
                                      - density[..., None])

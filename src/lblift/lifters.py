@@ -81,9 +81,8 @@ class CrLifter:
     application, which is what the cost accounting is designed to show:
     m+1 per lift, the closing constrained run that checks the fixed point,
     plus a one-off probe the first time a grid shape and model come up,
-    for the transfer kernel of the solve (cr_kernel): one run of m+1 when
-    the grid holds q windows of 2(m+1)+1 cells, up to q such runs on a
-    smaller one.  Each lift is one cr_lift call, handed the kernel kept
+    for the transfer kernel of the solve (cr_kernel): one run of m+1 LBM
+    steps on any grid.  Each lift is one cr_lift call, handed the kernel kept
     for its key, and keeps the kernel that call returns.  The kernels live
     on the instance, so a fresh lifter pays its probe again.
     A lift whose closing residual misses CR_TOL raises a RuntimeError.

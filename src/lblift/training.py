@@ -232,9 +232,10 @@ class _Workspace:
             points = _widen_probes(points, cfg)
         self.probe_points = points
         self.probe_ix = _probe_index(points, buffer_width(cfg))
-        # offsets u, one row per axis: |u| <= m+1 per axis, beyond which
-        # the impulse responses of _window_responses vanish, or u = 0 alone
-        # for the augmented system, which takes no linear part
+        # offsets u, one row per axis, in the C order of the windows of
+        # impulse_responses: |u| <= m+1 per axis, beyond which the impulse
+        # responses vanish, or u = 0 alone for the augmented system, which
+        # takes no linear part
         reach = 0 if extra_probes else cfg.m + 1
         self.offsets = np.array(list(product(range(-reach, reach + 1),
                                              repeat=dimension))).T
@@ -382,15 +383,16 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     one probe; a closing evaluation of H by direct constrained runs gives
     `residual` = max |a - H(a)|, refused with a RuntimeError above
     RESIDUAL_LIMIT max|a|, and iterations is 1.  This costs 2(m + 1) LBM
-    steps: one probe run for the responses (the test grid holds all q
-    windows) and one evaluation of H on the probe windows of every test
-    density at once, whatever the spatial order, dimension, production
-    grid or run length.  The coefficients are reusable on any grid
-    sharing (velocity set, dx, dt, omega, advection).
+    steps: one probe run of m+1 steps for the responses, as on any grid,
+    and one evaluation of H on the probe windows of every test density at
+    once, whatever the spatial order, dimension, production grid or run
+    length.  The coefficients are reusable on any grid sharing (velocity
+    set, dx, dt, omega, advection).
     """
     ws = _Workspace(cfg, params)
     start_steps = lbm_step_count()
-    kernels = _window_responses(ws)
+    kernels = impulse_responses(cfg.m, params).reshape(
+        (params.vset.q,) * 2 + (-1,))
     # Every vector of H(a) sums to zero over the velocities, since the
     # smoothed state keeps the test density; dropping the round-off of
     # those sums keeps the trained lift free of mass on rough densities.
@@ -421,19 +423,6 @@ def _massless(rows: np.ndarray, q: int) -> np.ndarray:
     """rows, indexed by flat coefficient first, less each term's velocity mean."""
     per_term = rows.reshape((-1, q) + rows.shape[1:])
     return (per_term - per_term.mean(axis=1, keepdims=True)).reshape(rows.shape)
-
-
-def _window_responses(ws: _Workspace) -> np.ndarray:
-    """kernels[i, j, u]: velocity j of G_i = constrained_smooth(e_i delta_0,
-    0) at offset u.  G_i vanishes beyond m+1 cells per axis, so the window
-    offsets of ws hold it all, and impulse_responses probes all q, bit for
-    bit as on any larger grid, in one run on (p,) * (dim-1) + (q p,) cells,
-    p = 2(m+1)+1."""
-    pitch = 2 * (ws.cfg.m + 1) + 1
-    shape = ((pitch,) * (ws.params.vset.dimension - 1)
-             + (ws.params.vset.q * pitch,))
-    return np.array([g[(slice(None),) + tuple(ws.offsets)]
-                     for g in impulse_responses(shape, ws.cfg.m, ws.params)])
 
 
 def _probe_system(ws: _Workspace, kernels: np.ndarray):

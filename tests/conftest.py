@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lblift import (LbmParams, LiftCoefficients, VELOCITY_SETS, equilibrium,
-                    expansion_terms, restrict, run_lbm)
+from lblift import (LbmParams, LiftCoefficients, VELOCITY_SETS,
+                    constrained_smooth, equilibrium, expansion_terms,
+                    restrict, run_lbm)
 from lblift.stencil import _axis_stencil, central_offsets
 
 # Relaxation rates that make the macroscopic diffusion coefficient
@@ -47,6 +48,17 @@ def roll_stream_collide(f, params):
                 g = np.roll(g, shift, axis=axis)
         out[k] = g
     return out
+
+
+def one_impulse_responses(shape, m, params):
+    """The q responses R_i = constrained_smooth(e_i delta_0, 0) on a
+    periodic grid of the given shape, one constrained run per unit impulse
+    at cell 0: the reference for the packed probe of impulse_responses."""
+    q = params.vset.q
+    for i in range(q):
+        impulse = np.zeros((q,) + shape)
+        impulse[(i,) + (0,) * len(shape)] = 1.0
+        yield constrained_smooth(impulse, np.zeros(shape), m, params)
 
 
 def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:

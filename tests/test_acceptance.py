@@ -355,7 +355,7 @@ def test_criterion_7_cost_accounting(d1_params):
             and res.lbm_steps >= (m + 1) * max(res.iterations, 1)
     # total extra steps over a 200-step hybrid run: NCE training of
     # 2(m + 1) steps, then 201 CR lifts of m+1 steps each
-    # plus one kernel probe of m+1 (200 cells hold the 3 impulse windows)
+    # plus one kernel probe of m+1, as on any grid
     totals = [nce_counts[1].total_extra_steps]
     for m in range(4):
         totals.append(cost_summary(ExperimentConfig(

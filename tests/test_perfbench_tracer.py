@@ -62,16 +62,18 @@ def test_layer_metrics_of_a_traced_cr_hybrid(monkeypatch):
     assert metrics["constrained_runs.cr_lift.calls"] == 4
     assert metrics["lifting.apply_lift.calls"] == 0
     # every LBM step goes through a traced stream_collide: three on the
-    # rimmed LBM subdomain (99 cells plus 2 ghosts), the rest inside CR
-    # lifts of the whole 200-cell grid
+    # rimmed LBM subdomain (99 cells plus 2 ghosts), two in the kernel
+    # probe on its 3 windows of 5 cells, the rest inside CR lifts of the
+    # whole 200-cell grid
     stream_calls = metrics["lattice.stream_collide.calls"]
     assert stream_calls == lbm_steps
     cr_calls = stream_calls - 3
+    cells = 3 * 101 + 2 * 15 + (cr_calls - 2) * 200
     assert metrics["lattice.stream_collide.cells_per_call"] \
-        == (3 * 101 + cr_calls * 200) / stream_calls
+        == cells / stream_calls
     # input plus output of a (3, cells) float64 field per call
     assert metrics["lattice.stream_collide.bytes_computed"] \
-        == 2 * 3 * 8 * (3 * 101 + cr_calls * 200)
+        == 2 * 3 * 8 * cells
     # each CrLifter.lift is one cr_lift span, the first one's 2-step kernel
     # probe included: (4 + 2 + 2 + 2) / 4 at m = 1
     assert metrics["constrained_runs.cr_lift.lbm_steps_per_lift"] \

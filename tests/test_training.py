@@ -22,12 +22,12 @@ from lblift.stencil import (MAX_TOTAL_ORDER, spatial_derivative,
                             time_derivative_forward)
 from lblift import training
 from lblift.training import (RESIDUAL_LIMIT, _probe_system,
-                             _probe_index, _probe_points, _window_responses,
-                             _Workspace, buffer_width, default_probe_positions)
+                             _probe_index, _probe_points, _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import (benchmark_params, derivative_at, gaussian_density,
-                      interior_derivative, with_flat, zero_coefficients)
+                      interior_derivative, one_impulse_responses, with_flat,
+                      zero_coefficients)
 
 
 def test_config_validation():
@@ -444,7 +444,7 @@ def test_impulse_linear_part_matches_field_loop(name, advection, r, m):
     p = benchmark_params(name, advection=advection)
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
     reference = field_loop_linear_part(ws)
-    gap = np.abs(_probe_system(ws, _window_responses(ws))[1] - reference).max()
+    gap = np.abs(_probe_system(ws, window_responses(ws))[1] - reference).max()
     assert gap <= 1e-10 * np.abs(reference).max(), gap
 
 
@@ -457,7 +457,7 @@ def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
     p = benchmark_params(name, advection=advection)
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
     reference = full_grid_h_map(ws, LiftCoefficients(p.fingerprint()))
-    gap = np.abs(_probe_system(ws, _window_responses(ws))[0] - reference).max()
+    gap = np.abs(_probe_system(ws, window_responses(ws))[0] - reference).max()
     assert gap <= 1e-9 * np.abs(reference).max(), gap
 
 
@@ -566,12 +566,20 @@ def offset_by_offset_offset(ws, kernels):
     return ws.solve(rows.reshape(-1, ws.params.vset.q)).ravel()
 
 
+def window_responses(ws):
+    """kernels[i, j, u] as train_coefficients takes them: the compact
+    responses of impulse_responses, the offsets u in ws.offsets order."""
+    q = ws.params.vset.q
+    return impulse_responses(ws.cfg.m, ws.params).reshape(q, q, -1)
+
+
 def full_grid_responses(ws):
-    """_window_responses from impulse_responses on the whole test grid."""
+    """window_responses from one run per impulse on the whole test grid."""
     shape = (ws.cfg.test_cells + 2 * buffer_width(ws.cfg),) \
         * ws.params.vset.dimension
     return np.array([g[(slice(None),) + tuple(ws.offsets)]
-                     for g in impulse_responses(shape, ws.cfg.m, ws.params)])
+                     for g in one_impulse_responses(shape, ws.cfg.m,
+                                                    ws.params)])
 
 
 ACCEPTANCE_CASES = (
@@ -585,9 +593,9 @@ ACCEPTANCE_CASES = (
 @pytest.mark.parametrize("name,advection,r,m", ACCEPTANCE_CASES)
 def test_batched_probe_system_is_the_reference(name, advection, r, m):
     """The batched windows (of training and of the augmentation) and the
-    impulse probe on a grid of q windows equal the term-by-term windows
-    and the probe on the whole test grid, bit for bit; the probe is still
-    one run of m+1 LBM steps.  _probe_system solves before it contracts
+    packed impulse probe equal the term-by-term windows and one run per
+    impulse on the whole test grid, bit for bit; the probe is one run of
+    m+1 LBM steps.  _probe_system solves before it contracts
     over the offsets, so its M and h0 are within a relative gap of their
     offset-by-offset references, which sum first, in units of kappa eps,
     kappa the probe-system condition.  M: 4 kappa eps, 5x the worst
@@ -602,7 +610,7 @@ def test_batched_probe_system_is_the_reference(name, advection, r, m):
         assert ws.windows.tobytes() == windows.tobytes()
     assert ws.offsets.shape[1] == (2 * m + 3) ** p.vset.dimension
     before = lbm_step_count()
-    kernels = _window_responses(ws)
+    kernels = window_responses(ws)
     assert lbm_step_count() - before == m + 1
     assert kernels.tobytes() == full_grid_responses(ws).tobytes()
     offset, linear = _probe_system(ws, kernels)
@@ -619,11 +627,13 @@ import numpy as np
 sys.path[:0] = sys.argv[1:]
 from conftest import benchmark_params
 from lblift import NceTrainConfig
-from lblift.training import _probe_system, _window_responses, _Workspace
+from lblift.constrained_runs import impulse_responses
+from lblift.training import _probe_system, _Workspace
 p = benchmark_params("D2Q9", advection=(1.0, 0.5))
 for r in (4, 6):
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=1), p)
-    offset, linear = _probe_system(ws, _window_responses(ws))
+    offset, linear = _probe_system(
+        ws, impulse_responses(1, p).reshape(9, 9, -1))
     for x in (offset, linear, np.float64(ws.condition)):
         print(r, hashlib.sha256(x.tobytes()).hexdigest())
 """
