@@ -26,7 +26,8 @@ from .lifters import CoefficientLifter, CrLifter, EquilibriumLifter
 from .lifting import (analytic_coefficients, coefficients_to_text,
                       read_key_values)
 from .macro_pde import analytic_pde
-from .training import (NceTrainConfig, augment_time_derivative, extract_pde,
+from .training import (ConfigError, NceTrainConfig, augment_time_derivative,
+                       extract_pde, min_test_cells, same_dx,
                        train_coefficients)
 
 # Canonical model problems: a 10-unit box at 200 cells, a unit Gaussian
@@ -45,20 +46,14 @@ EXAMPLE_OMEGA = {
 # production dx
 TEST_LENGTH = 3.0
 
+MIN_CELLS = 4  # cells per axis of any config at least
+
 # training cells per axis at most: a 2D training peaks at 3 to 8 kB per cell
 # of width (D2Q9, R = 6 and 4), 0.8 GB here; the canonical box needs 60
 MAX_TEST_CELLS = 10 ** 5
 
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
-
-
-class ConfigError(ValueError):
-    """A refused ExperimentConfig value; key names the field at fault."""
-
-    def __init__(self, message: str, key: str):
-        super().__init__(message)
-        self.key = key
 
 
 @dataclass
@@ -95,12 +90,12 @@ class ExperimentConfig:
         if self.extract_mode not in ("summation", "nullspace"):
             raise ConfigError(f"unknown extract_mode {self.extract_mode!r}",
                               "extract_mode")
-        if self.cells < 4:
-            raise ConfigError(f"cells = {self.cells}: need at least 4 cells",
-                              "cells")
-        if self.length <= 0:
-            raise ConfigError(f"length = {self.length}: must be positive",
-                              "length")
+        if self.cells < MIN_CELLS:
+            raise ConfigError(f"cells = {self.cells}: need at least "
+                              f"{MIN_CELLS} cells", "cells")
+        if not 0 < self.length < np.inf:
+            raise ConfigError(f"length = {self.length}: must be positive "
+                              "and finite", "length")
         # the stencil weights reach 1/dx^order, the PDE step 1/dx^2
         power = max(self.order, 2)
         dx = self.length / self.cells
@@ -119,6 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"reference_steps = {self.reference_steps}: "
                               "the reference state needs >= 0 LBM steps",
                               "reference_steps")
+        if (self.kind == "train_only" or self.lifter == "nce"
+                or (self.kind == "hybrid" and self.pde_source == "extracted")):
+            train_config(self)
 
 
 @dataclass
@@ -165,17 +163,40 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    cells = TEST_LENGTH / (config.length / config.cells)
+    """The training grid of TEST_LENGTH at config's dx, refused on the
+    config key at fault: order, m or cells, the last naming the fewest
+    cells that train at this length and m."""
+    dx = config.length / config.cells
+    cells = TEST_LENGTH / dx
     if not cells <= MAX_TEST_CELLS:
         raise ValueError(f"length = {config.length}, cells = {config.cells}: "
                          f"{cells:.6g} training cells, over {MAX_TEST_CELLS}")
     try:
-        return NceTrainConfig(spatial_order=config.order, m=config.m,
-                              test_length=TEST_LENGTH, test_cells=round(cells))
-    except ValueError as exc:
-        if not str(exc).startswith("test_cells"):
-            raise
-        raise ValueError(f"cells = {config.cells}: {exc}") from None
+        cfg = NceTrainConfig(spatial_order=config.order, m=config.m,
+                             test_length=TEST_LENGTH, test_cells=round(cells))
+        if not same_dx(TEST_LENGTH / cfg.test_cells, dx):
+            raise ConfigError(f"{cells:.6g} training cells, not a whole "
+                              "number", "test_cells")
+        return cfg
+    except ConfigError as exc:
+        key = {"spatial_order": "order", "m": "m",
+               "test_cells": "cells"}[exc.key]
+        message = f"{key} = {getattr(config, key)}: {exc}"
+        if key == "cells":
+            fewest = fewest_training_cells(config.length, config.m) or "none"
+            message += (f"; the fewest cells that train at length = "
+                        f"{config.length} and m = {config.m}: {fewest}")
+        raise ConfigError(message, key) from None
+
+
+def fewest_training_cells(length: float, m: int) -> Optional[int]:
+    """The fewest cells at length that train at m, up to MAX_TEST_CELLS."""
+    for test_cells in range(min_test_cells(m), MAX_TEST_CELLS + 1):
+        cells = round(test_cells * length / TEST_LENGTH)
+        if cells >= MIN_CELLS and same_dx(TEST_LENGTH / test_cells,
+                                          length / cells):
+            return cells
+    return None
 
 
 def make_lifter(config: ExperimentConfig, params: LbmParams):

@@ -3,14 +3,12 @@
 Second-order central stencils for spatial derivatives up to total
 order 6 (mixed 2D derivatives are tensor products of the 1D stencils),
 plus a one-sided formula for the first time derivative from a short
-sequence of snapshots.  Trained lifting coefficients absorb the
-truncation terms of the stencils they were trained with, so training
-and application share these.  Application is periodic: it wraps with
-np.roll.  padded_weights lays the 1D stencils of several orders over one
-common offset range, for applying them to a batch in one pass per offset.
-difference_stencils writes the stencils of several derivatives as one
-matrix over grid offsets, for evaluating a fixed linear combination of
-them in one pass.
+sequence of snapshots.  difference_stencils writes the stencils of
+several derivatives as one matrix over grid offsets, applied to the
+differences rho(x + u) - rho(x).  Trained lifting coefficients absorb the
+truncation terms of the stencils they were trained with, so training and
+the lift both read that one matrix.  spatial_derivative applies one
+stencil periodically in the plain sum form, wrapping with np.roll.
 """
 
 from __future__ import annotations
@@ -97,15 +95,6 @@ def _axis_stencil(order: int, dx: float):
     return offsets, fd_weights(order, offsets) / dx ** order
 
 
-def _apply_axis(rho: np.ndarray, order: int, dx: float,
-                axis: int) -> np.ndarray:
-    offsets, w = _axis_stencil(order, dx)
-    out = np.zeros_like(rho, dtype=float)
-    for off, wk in zip(offsets, w):
-        out += wk * np.roll(rho, -off, axis=axis)
-    return out
-
-
 def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
                        dx: float) -> np.ndarray:
     """Apply a (possibly mixed) periodic central difference to a field."""
@@ -115,22 +104,12 @@ def spatial_derivative(rho: np.ndarray, spec: DerivSpec,
     out = rho
     for axis, order in enumerate(spec.orders):
         if order:
-            out = _apply_axis(out, order, dx, axis)
-    return out
-
-
-def padded_weights(orders: Sequence[int], half: int, dx: float) -> np.ndarray:
-    """The 1D central stencils of orders as rows over offsets -half..half,
-    order 0 the identity.  Summed from +0.0 over a finite field, a padding
-    zero adds an exact +-0 and leaves each partial sum as it was."""
-    weights = np.zeros((len(orders), 2 * half + 1))
-    for row, order in zip(weights, orders):
-        if order:
             offsets, w = _axis_stencil(order, dx)
-            row[half + offsets[0]:half + offsets[-1] + 1] = w
-        else:
-            row[half] = 1.0
-    return weights
+            summed = np.zeros_like(out)
+            for off, wk in zip(offsets, w):
+                summed += wk * np.roll(out, -off, axis=axis)
+            out = summed
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -148,15 +127,8 @@ def difference_stencils(specs: Tuple[DerivSpec, ...], dx: float
     the centre weight is carried by the differences.  weights is
     read-only, because the cache hands the same array to every caller.
     """
-    axis_stencils = []
-    for spec in specs:
-        per_axis = []
-        for order in spec.orders:
-            if order:
-                per_axis.append(_axis_stencil(order, dx))
-            else:
-                per_axis.append(((0,), np.ones(1)))
-        axis_stencils.append(per_axis)
+    axis_stencils = [[_axis_stencil(order, dx) if order else ((0,), (1.0,))
+                      for order in spec.orders] for spec in specs]
     taps = sorted({u for per_axis in axis_stencils
                    for u in product(*(offsets for offsets, _ in per_axis))
                    if any(u)})

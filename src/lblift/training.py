@@ -14,16 +14,16 @@ smoothing, which is linear and shift-invariant with density 0; one
 constrained run probes all q on a grid of q response windows.  The probe
 system reads the test densities and their derivatives only in the probe
 windows, the m+1 cells around each probe that those responses reach,
-evaluated there alone, every term in one pass per axis and stencil
-offset over one patch around each probe, solved by the pseudo-inverse
-of one SVD of the probe block per workspace before they are contracted
-with the responses, in BLAS-free einsums.  One evaluation of the map by
-direct constrained runs closes the solve as an independent check, run
-once on the windows of 2(m+1)+1 cells per axis around every probe of
-every density, all a probe reads in m+1 LBM steps.  A 2D test grid is
-lifted only on the rows a probe reads: a row crop leaves every lifted
-value as it was, a column crop would move the lift's BLAS tiling and
-its rounding.
+evaluated there alone, every term in one contraction of the lift's
+difference stencils with one patch around each probe, solved by the
+pseudo-inverse of one SVD of the probe block per workspace before they
+are contracted with the responses, in BLAS-free einsums.  One evaluation
+of the map by direct constrained runs closes the solve as an independent
+check, run once on the windows of 2(m+1)+1 cells per axis around every
+probe of every density, all a probe reads in m+1 LBM steps.  A 2D test
+grid is lifted only on the rows a probe reads: a row crop leaves every
+lifted value as it was, a column crop would move the lift's BLAS tiling
+and its rounding.
 
 Appending a measured time-derivative column, two free LBM steps on
 windows of 5 cells, to the probe system makes it (near) singular,
@@ -33,9 +33,10 @@ nullspace of the enlarged system or by summing the augmented
 coefficient vectors over the velocities.
 
 Test densities are lifted by apply_lift, the production lift, and the
-probe system uses the same second-order central stencils: trained
-coefficients absorb the truncation terms of the stencils they were
-trained with, so training and application must match.
+probe system takes their derivatives with the lift's own stencil matrix,
+difference_stencils, in the same difference form: trained coefficients
+absorb the truncation terms of the stencils they were trained with, so
+training and application must match.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .lattice import (LbmParams, finite, integer, lbm_step_count, restrict,
 from .lifting import (LiftCoefficients, apply_lift, expansion_terms,
                       lift_kernel)
 from .macro_pde import MacroPde
-from .stencil import (MAX_TOTAL_ORDER, DerivSpec, padded_weights,
+from .stencil import (MAX_TOTAL_ORDER, DerivSpec, difference_stencils,
                       time_derivative_forward)
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
@@ -69,6 +70,14 @@ RESIDUAL_LIMIT = 1e-6
 # singular-value ratio below which the enlarged system counts as singular,
 # i.e. as evidence that a closed PDE links the derivative columns
 NULLSPACE_TOL = 1e-8
+
+
+class ConfigError(ValueError):
+    """A refused config value; key names the field at fault."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -95,14 +104,16 @@ class NceTrainConfig:
         if not finite(self.test_length, "test_length") > 0.0:
             raise ValueError(f"test_length {self.test_length} is not positive")
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
-            raise ValueError(
-                f"spatial_order {self.spatial_order} outside 1..{MAX_TOTAL_ORDER}")
+            raise ConfigError(f"spatial_order {self.spatial_order} outside "
+                              f"1..{MAX_TOTAL_ORDER}", "spatial_order")
         if self.m not in (0, 1, 2, 3):
-            raise ValueError(f"smoothness order m={self.m}, expected 0..3")
-        if self.test_cells < 4 * buffer_width(self):
-            raise ValueError(
+            raise ConfigError(f"smoothness order m={self.m}, expected 0..3",
+                              "m")
+        if self.test_cells < min_test_cells(self.m):
+            raise ConfigError(
                 f"test_cells = {self.test_cells}: the edge margins need at "
-                f"least 4(m+3) = {4 * buffer_width(self)} training cells")
+                f"least 4(m+3) = {min_test_cells(self.m)} training cells",
+                "test_cells")
 
 
 @dataclass
@@ -135,6 +146,16 @@ class AugmentResult:
 def buffer_width(cfg: NceTrainConfig) -> int:
     # one cell of information spread per LBM step plus the edge margin
     return cfg.m + 3
+
+
+def min_test_cells(m: int) -> int:
+    """Test cells per axis at least: twice the two edge margins."""
+    return 4 * (m + 3)
+
+
+def same_dx(test_dx: float, dx: float) -> bool:
+    """Whether a test grid has the model's dx, to 1e-12 relative."""
+    return abs(test_dx - dx) <= 1e-12 * dx
 
 
 def test_density_profiles(cfg: NceTrainConfig, dimension: int,
@@ -211,7 +232,8 @@ class _Workspace:
     """Probes, test densities (in 2D the probe rows) and their windows,
     all the probe system reads, evaluated nowhere else: windows[t, u, d, p]
     = D_T rho_d(p - u) and density_windows[u, d, p] = rho_d(p - u), from one
-    patch around each probe in one pass per axis and stencil offset.
+    patch around each probe, D_T by the lift's own stencil matrix W of
+    difference_stencils: sum_j W[t, j] (rho(x + tap_j) - rho(x)).
     extra_probes builds the workspace of the time-augmented system: more
     probe rows than columns, and no linear part, so its windows hold the
     probes alone (u = 0).
@@ -220,7 +242,7 @@ class _Workspace:
     def __init__(self, cfg: NceTrainConfig, params: LbmParams,
                  extra_probes: bool = False):
         test_dx = cfg.test_length / cfg.test_cells
-        if abs(test_dx - params.dx) > 1e-12 * params.dx:
+        if not same_dx(test_dx, params.dx):
             raise ValueError(
                 f"test grid spacing {test_dx} differs from model dx {params.dx}")
         dimension = params.vset.dimension
@@ -250,16 +272,18 @@ class _Workspace:
             rows = slice(first, int(self.probe_ix[0].max()) + margin + 1)
             self.probe_ix = (self.probe_ix[0] - first, self.probe_ix[1])
         self.densities = np.stack(test_density_profiles(cfg, dimension, rows))
-        # patch[v, d, p] = rho_d(p + v), |v| <= reach + stencil per axis:
-        # in one gather, every value the stencils of the windows read, the
-        # (density, probe) batch on the contiguous last axes
+        # patch[v, d, p] = rho_d(p + v), |v| <= reach + stencil per axis,
+        # every value the windows read, in one gather; p - u sits at v =
+        # reach + stencil - u, and an einsum without optimize, which makes
+        # no BLAS call, applies W to its tap differences
         patch = self.densities[(np.arange(len(self.densities))[:, None],)
                                + self._windows(reach + stencil)]
-        orders = [spec.orders for spec in self.specs] + [(0,) * dimension]
-        windows = np.flip(_derivative_patch(patch, orders, params.dx, stencil),
-                          tuple(range(1, dimension + 1)))
-        windows = windows.reshape((len(orders), -1) + patch.shape[-2:])
-        self.windows, self.density_windows = windows[:-1], windows[-1]
+        taps, weights = difference_stencils(self.specs, params.dx)
+        at = reach + stencil - self.offsets[:, :, None]
+        self.density_windows = patch[tuple(at[:, :, 0])]
+        differences = (patch[tuple(at + np.array(taps).T[:, None])]
+                       - self.density_windows[:, None])
+        self.windows = np.einsum("tj,uj...->tu...", weights, differences)
         # the block is the u = 0 slice, one row per (density, probe)
         centre = self.offsets.shape[1] // 2
         self.block = self.windows[:, centre].reshape(len(self.specs), -1).T
@@ -330,27 +354,6 @@ class _Workspace:
         """The least-squares x of block x = rhs by the pseudo-inverse; an
         einsum without optimize, unlike a matmul, makes no BLAS call."""
         return np.einsum("tk,kc->tc", self.pinv, rhs)
-
-
-def _derivative_patch(patch: np.ndarray, orders, dx: float,
-                      stencil: int) -> np.ndarray:
-    """out[t, v] = the derivative of the given orders[t] of patch at v, v
-    inset by stencil per leading axis, bit for bit spatial_derivative's:
-    axis by axis, once per distinct head of orders, offset by offset."""
-    out = patch[None]
-    rows = {(): 0}
-    for axis in range(1, len(orders[0]) + 1):
-        prefixes = list(dict.fromkeys(o[:axis] for o in orders))
-        source = out[[rows[p[:-1]] for p in prefixes]] if axis > 1 else out
-        inner = source.shape[axis] - 2 * stencil
-        out = np.zeros((len(prefixes),) + source.shape[1:axis] + (inner,)
-                       + source.shape[axis + 1:])
-        weights = padded_weights([p[-1] for p in prefixes], stencil, dx)
-        for start, w in enumerate(weights.T):
-            out += w.reshape((-1,) + (1,) * (out.ndim - 1)) * source[
-                (slice(None),) * axis + (slice(start, start + inner),)]
-        rows = {p: row for row, p in enumerate(prefixes)}
-    return out
 
 
 def _widen_probes(points, cfg: NceTrainConfig):

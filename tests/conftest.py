@@ -2,6 +2,7 @@
 paths that the package's fast ones are checked against."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from lblift import (LbmParams, LiftCoefficients, VELOCITY_SETS,
                     constrained_smooth, equilibrium, expansion_terms,
                     restrict, run_lbm)
-from lblift.stencil import _axis_stencil, central_offsets
+from lblift.stencil import central_offsets, fd_weights
 
 # Relaxation rates that make the macroscopic diffusion coefficient
 # exactly 1 for each benchmark model (0.9091 etc. are their roundings).
@@ -100,56 +101,22 @@ def d1_adv_reference(d1_adv_params):
                    d1_adv_params, 1000)
 
 
-def derivative_at(rho, spec, dx, index):
-    """spatial_derivative(rho, spec, dx)[index], evaluated only at index.
-
-    index holds one integer array per axis, as in numpy fancy indexing,
-    and wraps periodically.  One gather reads every stencil tap of every
-    point; the 1D weights then reduce it axis by axis, first axis first,
-    each sum running offset by offset from zero, exactly as
-    spatial_derivative sums them, so the values are bit-identical.  This
-    is the point-wise path that training's patch windows replaced.
-    """
+def difference_derivative(rho, spec, dx):
+    """D_T rho over a periodic field in the lift's difference form,
+    sum_u w_u (rho(x + u) - rho(x)) over the taps u != 0 in sorted order,
+    one np.roll per tap, summed tap by tap from zero.  w is the tensor
+    product of the 1D central fd_weights over dx^order per axis."""
     rho = np.asarray(rho, dtype=float)
     if len(spec.orders) != rho.ndim:
         raise ValueError("spec arity does not match field rank")
-    index = np.broadcast_arrays(*map(np.asarray, index))
-    derived = [axis for axis, order in enumerate(spec.orders) if order]
-    # taps[j_1, ..., j_k, *points]: rho at the points shifted by offset j_i
-    # along the i-th derived axis
-    gather = list(index)
-    for i, axis in enumerate(derived):
-        offsets = np.array(central_offsets(spec.orders[axis]))
-        trailing = len(derived) - 1 - i + index[0].ndim
-        gather[axis] = gather[axis] + offsets.reshape((-1,) + (1,) * trailing)
-    taps = rho[tuple(ix % n for ix, n in zip(gather, rho.shape))]
-    for axis in derived:
-        _, w = _axis_stencil(spec.orders[axis], dx)
-        out = np.zeros(taps.shape[1:])
-        for wk, values in zip(w, taps):
-            out += wk * values
-        taps = out
-    return taps
-
-
-def interior_derivative(patch, spec, dx):
-    """spatial_derivative(patch, spec, dx) on the cells whose stencil lies
-    inside patch: each derived axis loses the stencil's half width at both
-    ends.  Slices are summed axis by axis, first axis first, offset by
-    offset from zero, as spatial_derivative sums them, so bit for bit.
-    This is the term-by-term path that training's batched passes over
-    padded stencils replaced.
-    """
-    out = np.asarray(patch, dtype=float)
-    if len(spec.orders) != out.ndim:
-        raise ValueError("spec arity does not match field rank")
-    for axis, order in enumerate(spec.orders):
-        if order:
-            offsets, w = _axis_stencil(order, dx)
-            inner = out.shape[axis] - 2 * offsets[-1]
-            summed = np.zeros(out.shape[:axis] + (inner,) + out.shape[axis + 1:])
-            for start, wk in enumerate(w):
-                summed += wk * out[(slice(None),) * axis
-                                   + (slice(start, start + inner),)]
-            out = summed
+    per_axis = [zip(central_offsets(order), fd_weights(
+        order, central_offsets(order)) / dx ** order) if order
+        else [(0, 1.0)] for order in spec.orders]
+    out = np.zeros_like(rho)
+    for pairs in sorted(product(*per_axis)):
+        u = tuple(off for off, _ in pairs)
+        if any(u):
+            weight = np.prod([w for _, w in pairs])
+            out += weight * (np.roll(rho, tuple(-off for off in u),
+                                     axis=tuple(range(rho.ndim))) - rho)
     return out

@@ -75,14 +75,20 @@ def test_parse_config_refuses_a_length_whose_stencil_weights_overflow(
     as it is read, naming its config line, whatever the lifter, where the
     run would have met RuntimeWarnings and a nan density (a division by
     zero in ftcs_step for the equilibrium lifter).  An order-6 lift needs
-    1/dx^6: length = 1e-60 passes at order 2 and is refused at 6.  The
-    canonical 10-unit box of 200 cells parses at every order."""
+    1/dx^6: length = 1e-60 passes at order 2 and is refused at 6, and a
+    trained lifter refuses it first for its training grid of 6e+62 cells.
+    The canonical 10-unit box of 200 cells parses at every order."""
     head = f"kind = hybrid\nlifter = {lifter}\n"
     with pytest.raises(ValueError, match=(
             r"^config line 3: length = 1e-300, cells = 200: 1/dx\^2 is not "
             r"finite, dx = 5e-303$")):
         parse_config(head + "length = 1e-300\n")
-    assert parse_config(head + "length = 1e-60\n").length == 1e-60
+    if lifter == "nce":
+        with pytest.raises(ValueError, match=r"^length = 1e-60, cells = 200: "
+                           r"6e\+62 training cells, over 100000$"):
+            parse_config(head + "length = 1e-60\n")
+    else:
+        assert parse_config(head + "length = 1e-60\n").length == 1e-60
     with pytest.raises(ValueError, match=r"^config line 4: .* 1/dx\^6 is not"):
         parse_config(head + "order = 6\nlength = 1e-60\n")
     for order in range(1, 7):
@@ -90,24 +96,76 @@ def test_parse_config_refuses_a_length_whose_stencil_weights_overflow(
         assert (cfg.length, cfg.cells, cfg.order) == (10.0, 200, order)
 
 
+# the three ways a config trains, after its kind and lifter line
+TRAINING_HEADS = ("kind = train_only\nlifter = analytic\n",
+                  "kind = hybrid\nlifter = nce\n",
+                  "kind = hybrid\npde_source = extracted\n")
+
+
 @pytest.mark.parametrize("velocity_set,cells,test_cells", [
     ("D1Q3", 4, 1), ("D2Q9", 8, 2)])
-def test_a_too_coarse_training_grid_names_cells(tmp_path, velocity_set,
-                                                cells, test_cells):
-    """lifter = nce on a grid whose dx leaves too few cells on the 3-unit
-    training grid is refused naming the cells key, the training cells and
-    the 4(m+3) the edge margins need."""
-    cfg = parse_config(f"kind = hybrid\nvelocity_set = {velocity_set}\n"
-                       f"cells = {cells}\nlifter = nce\nsteps = 3\n"
-                       "reference_steps = 5\n")
+def test_parse_config_names_the_line_of_too_few_training_cells(
+        tmp_path, velocity_set, cells, test_cells):
+    """A config that trains on a grid whose dx leaves too few cells on the
+    3-unit training grid is refused as it is read, naming the cells line,
+    the training cells, the 4(m+3) the edge margins need and the fewest
+    cells that train at this length and m; those train, one fewer does
+    not.  A config that does not train takes the grid."""
+    for head in TRAINING_HEADS:
+        text = head + f"velocity_set = {velocity_set}\ncells = {cells}\n"
+        with pytest.raises(ValueError, match=(
+                rf"^config line 4: cells = {cells}: test_cells = "
+                rf"{test_cells}: the edge margins need at least 4\(m\+3\) = "
+                r"16 training cells; the fewest cells that train at length "
+                r"= 10.0 and m = 1: 60$")):
+            parse_config(text)
+    text = f"kind = train_only\nvelocity_set = {velocity_set}\n"
+    run_experiment(parse_config(text + "cells = 60\n"), tmp_path)
+    with pytest.raises(ValueError, match=r"^config line 3: cells = 59: "
+                       r"17.7 training cells, not a whole number"):
+        parse_config(text + "cells = 59\n")
+    assert parse_config(f"kind = hybrid\ncells = {cells}\n").cells == cells
+    assert bench.fewest_training_cells(7.7, 3) == 77
+
+
+def test_parse_config_names_the_line_of_a_training_grid_off_the_dx():
+    """A config that trains at a dx that leaves no whole number of cells on
+    the 3-unit training grid is refused as it is read, naming the cells
+    line (before, training refused it with no line); a length that no
+    grid within MAX_TEST_CELLS training cells fits says so."""
+    for head in TRAINING_HEADS:
+        with pytest.raises(ValueError, match=(
+                r"^config line 3: cells = 201: 60.3 training cells, not a "
+                r"whole number; the fewest cells that train at length = "
+                r"10.0 and m = 1: 60$")):
+            parse_config(head + "cells = 201\n")
     with pytest.raises(ValueError, match=(
-            rf"^cells = {cells}: test_cells = "
-            rf"{test_cells}: the edge margins need at least 4\(m\+3\) = 16 "
-            "training cells$")):
-        run_experiment(cfg, tmp_path)
-    # a refusal of another field is not put on cells
-    with pytest.raises(ValueError, match=r"^spatial_order 9 outside"):
-        bench.train_config(ExperimentConfig(kind="hybrid", order=9))
+            r"^config line 3: cells = 200: 190.986 training cells, not a "
+            r"whole number; the fewest cells that train at length = "
+            r"3.14159 and m = 1: none$")):
+        parse_config("kind = train_only\nlength = 3.14159\ncells = 200\n")
+    assert parse_config("kind = hybrid\ncells = 201\n").cells == 201
+
+
+def test_parse_config_names_the_line_of_a_training_order_out_of_range():
+    """order = 9 in a config that trains is refused as it is read, naming
+    its line; a config that does not train is not refused here."""
+    for head in TRAINING_HEADS:
+        with pytest.raises(ValueError, match=r"^config line 4: order = 9: "
+                           r"spatial_order 9 outside 1..6$"):
+            parse_config(head + "# too high\norder = 9\n")
+    assert parse_config("kind = lift_bench\norder = 9\n").order == 9
+
+
+def test_parse_config_names_the_line_of_a_training_m_out_of_range():
+    """m = 7 in a config that trains is refused as it is read, naming its
+    line; the constrained-runs lifter is not trained and is not refused
+    here."""
+    for head in TRAINING_HEADS:
+        with pytest.raises(ValueError, match=r"^config line 3: m = 7: "
+                           r"smoothness order m=7, expected 0..3$"):
+            parse_config(head + "m = 7\n")
+    assert parse_config("kind = lift_bench\nlifter = cr\nm = 7\n").m == 7
 
 
 @pytest.mark.parametrize("text, named", [
@@ -168,6 +226,9 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="hybrid", velocity_set="D9Q9")
     with pytest.raises(ValueError, match="reference_steps = -5"):
         ExperimentConfig(kind="lift_bench", reference_steps=-5)
+    with pytest.raises(ValueError, match="^length = inf: must be positive "
+                       "and finite$"):
+        ExperimentConfig(kind="train_only", length=float("inf"))
     with pytest.raises(ValueError, match="reference_steps = -1"):
         parse_config("kind = lift_bench\nreference_steps = -1\n")
     assert ExperimentConfig(kind="lift_bench",

@@ -7,9 +7,9 @@ from numpy.testing import assert_allclose
 from lblift import DerivSpec, spatial_derivative, time_derivative_forward
 from lblift.lifting import expansion_terms
 from lblift.stencil import (MAX_TOTAL_ORDER, _axis_stencil, central_offsets,
-                            fd_weights, padded_weights)
+                            fd_weights)
 
-from conftest import derivative_at, interior_derivative
+from conftest import difference_derivative
 
 
 def test_deriv_spec_basics():
@@ -116,73 +116,32 @@ def test_spatial_derivative_dimension_mismatch():
 
 @pytest.mark.parametrize("shape", [(9,), (9, 8), (3, 9, 8)],
                          ids=["1D", "2D", "stacked 2D"])
-def test_derivative_at_is_the_field_at_the_index(shape):
-    """Bit for bit spatial_derivative(...)[index] for every spec up to
-    order 6, at every cell (the wrap reaches all of them on 8-9 cells), at
-    indices one grid length out either way, and on broadcast index
-    arrays.  The stacked case leaves its leading axis underived, as
-    training stacks its test densities."""
+def test_difference_derivative_is_the_sum_form_to_rounding(shape):
+    """The difference-form reference and spatial_derivative's sum form
+    differ only by rounding, for every spec up to order 6: within 4 eps
+    sum|w| max|rho|, 5x the worst measured 0.81 (stacked 2D).  The
+    difference form gives exactly 0 on a constant field.  The stacked case
+    leaves its leading axis underived, as training stacks its test
+    densities."""
     rho = np.random.default_rng(7).standard_normal(shape)
     grid = shape[-2:] if len(shape) == 3 else shape
     specs = expansion_terms(len(grid), MAX_TOTAL_ORDER)
     if len(shape) == 3:
         specs = [DerivSpec((0,) + s.orders) for s in specs]
-    every_cell = np.indices(shape).reshape(len(shape), -1)
+    eps = np.finfo(float).eps
     for spec in specs:
-        full = spatial_derivative(rho, spec, 0.05)
-        at = derivative_at(rho, spec, 0.05, tuple(every_cell))
-        assert at.tobytes() == full[tuple(every_cell)].tobytes(), spec
-        shifted = tuple(ix + n * (-1) ** k
-                        for k, (ix, n) in enumerate(zip(every_cell, shape)))
-        at = derivative_at(rho, spec, 0.05, shifted)
-        assert at.tobytes() == full[tuple(every_cell)].tobytes(), spec
-        windows = tuple(np.arange(n)[:, None] if k == 0 else
-                        np.arange(n)[None, :2] for k, n in enumerate(shape))
-        assert np.array_equal(derivative_at(rho, spec, 0.05, windows),
-                              full[tuple(np.broadcast_arrays(*windows))]), spec
+        total = np.prod([np.abs(_axis_stencil(o, 0.05)[1]).sum()
+                         for o in spec.orders if o])
+        gap = np.abs(difference_derivative(rho, spec, 0.05)
+                     - spatial_derivative(rho, spec, 0.05)).max()
+        assert gap <= 4 * eps * total * np.abs(rho).max(), spec
+        constant = difference_derivative(np.full(shape, 0.3), spec, 0.05)
+        assert not constant.any(), spec
 
 
-def test_derivative_at_dimension_mismatch():
+def test_difference_derivative_dimension_mismatch():
     with pytest.raises(ValueError):
-        derivative_at(np.zeros(8), DerivSpec((1, 1)), 0.1, (np.arange(3),))
-
-
-@pytest.mark.parametrize("shape", [(15,), (15, 14), (3, 15, 14)],
-                         ids=["1D", "2D", "stacked 2D"])
-def test_interior_derivative_is_the_field_inside_the_patch(shape):
-    """Bit for bit spatial_derivative(...) on the cells whose stencil fits
-    in the patch, for every spec up to order 6: each derived axis loses
-    the stencil's half width at both ends, an underived one nothing."""
-    rho = np.random.default_rng(11).standard_normal(shape)
-    grid = shape[-2:] if len(shape) == 3 else shape
-    specs = expansion_terms(len(grid), MAX_TOTAL_ORDER)
-    if len(shape) == 3:
-        specs = [DerivSpec((0,) + s.orders) for s in specs]
-    for spec in specs:
-        halves = [central_offsets(o)[-1] if o else 0 for o in spec.orders]
-        inside = tuple(slice(h, n - h) for h, n in zip(halves, shape))
-        full = spatial_derivative(rho, spec, 0.05)[inside]
-        assert interior_derivative(rho, spec, 0.05).tobytes() \
-            == full.tobytes(), spec
-
-
-def test_interior_derivative_dimension_mismatch():
-    with pytest.raises(ValueError):
-        interior_derivative(np.zeros(8), DerivSpec((1, 1)), 0.1)
-
-
-def test_padded_weights_are_the_stencils_padded():
-    """Each row is its order's central stencil centred in 2 half + 1 slots
-    and zero elsewhere; order 0 is a unit at the centre."""
-    half = (MAX_TOTAL_ORDER + 1) // 2
-    orders = list(range(MAX_TOTAL_ORDER + 1))
-    weights = padded_weights(orders, half, 0.05)
-    assert weights.shape == (len(orders), 2 * half + 1)
-    for row, order in zip(weights, orders):
-        offsets, w = _axis_stencil(order, 0.05) if order else ((0,), [1.0])
-        taps = [half + off for off in offsets]
-        assert row[taps].tobytes() == np.asarray(w).tobytes(), order
-        assert not np.delete(row, taps).any(), order
+        difference_derivative(np.zeros(8), DerivSpec((1, 1)), 0.1)
 
 
 def test_time_derivative_forward_exact_on_polynomials():

@@ -1,8 +1,9 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,15 @@ from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
 from lblift.constrained_runs import (CrConfig, constrained_smooth, cr_lift,
                                      impulse_responses)
 from lblift.lifting import expansion_terms
-from lblift.stencil import (MAX_TOTAL_ORDER, spatial_derivative,
+from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets,
                             time_derivative_forward)
 from lblift import training
 from lblift.training import (RESIDUAL_LIMIT, _probe_system,
                              _probe_index, _probe_points, _Workspace, buffer_width, default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
-from conftest import (benchmark_params, derivative_at, gaussian_density,
-                      interior_derivative, one_impulse_responses, with_flat,
+from conftest import (benchmark_params, difference_derivative,
+                      gaussian_density, one_impulse_responses, with_flat,
                       zero_coefficients)
 
 
@@ -412,7 +413,7 @@ def full_grid_augment(coeffs, cfg, params):
 def field_loop_linear_part(ws):
     """M column by column: smooth e_i D_T rho with density 0 over the
     whole test grid for every term, velocity and test density, the
-    derivative fields taken over the whole grid by spatial_derivative."""
+    derivative fields taken over the whole grid by difference_derivative."""
     q = ws.params.vset.q
     columns = list(product(ws.specs, range(q)))
     points = len(ws.probe_points)
@@ -421,7 +422,7 @@ def field_loop_linear_part(ws):
     delta = np.zeros((q,) + densities[0].shape)
     zero_density = np.zeros(delta.shape[1:])
     for d, rho in enumerate(densities):
-        fields = {spec: spatial_derivative(rho, spec, ws.params.dx)
+        fields = {spec: difference_derivative(rho, spec, ws.params.dx)
                   for spec in ws.specs}
         rows = response[d * points:(d + 1) * points]
         for k, (spec, i) in enumerate(columns):
@@ -465,8 +466,9 @@ def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
     ("D1Q3", 6, 3, False), ("D1Q3", 6, 3, True), ("D2Q9", 4, 1, False),
     ("D2Q9", 4, 1, True)])
 def test_workspace_windows_are_the_full_fields(name, r, m, extra):
-    """windows[t, u, d, p] = D_T rho_d(p - u) bit for bit against
-    spatial_derivative over the whole test grid, for |u| <= m+1 per axis
+    """windows[t, u, d, p] = D_T rho_d(p - u) bit for bit against the
+    lift's difference form, difference_derivative, over the whole test
+    grid, for |u| <= m+1 per axis
     (u = 0 alone for the augmentation's extra probes); the block is the
     u = 0 slice, and training reports the condition of its workspace.
     That condition comes from the workspace's own SVD: it matches
@@ -482,13 +484,13 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
                                 len(ws.probe_points))
     for d, rho in enumerate(densities):
         for t, spec in enumerate(ws.specs):
-            field = spatial_derivative(rho, spec, p.dx)
+            field = difference_derivative(rho, spec, p.dx)
             for k, u in enumerate(offsets):
                 shifted = tuple(ix - off for ix, off in zip(probes, u))
                 assert ws.windows[t, k, d].tobytes() \
                     == field[shifted].tobytes(), (d, spec, u)
     block = np.vstack([np.column_stack(
-        [spatial_derivative(rho, spec, p.dx)[probes]
+        [difference_derivative(rho, spec, p.dx)[probes]
          for spec in ws.specs]) for rho in densities])
     assert ws.block.tobytes() == block.tobytes()
     assert_allclose(ws.condition, np.linalg.cond(block), rtol=4e-15, atol=0)
@@ -499,9 +501,9 @@ def test_workspace_windows_are_the_full_fields(name, r, m, extra):
 @pytest.mark.parametrize("name", ["D1Q3", "D2Q5", "D2Q9"])
 def test_patch_windows_are_the_pointwise_gathers(name):
     """windows and density_windows, from one patch around each probe,
-    equal derivative_at's gathers of every stencil tap of
-    every window point over the whole test grid, bit for bit, at every
-    order R and m, with and without the augmentation's extra probes."""
+    equal difference_derivative over the whole test grid at every window
+    point, bit for bit, at every order R and m, with and without the
+    augmentation's extra probes."""
     p = benchmark_params(name)
     for r, m, extra in product(range(1, MAX_TOTAL_ORDER + 1), range(4),
                                (False, True)):
@@ -513,17 +515,92 @@ def test_patch_windows_are_the_pointwise_gathers(name):
         window = (d_ix,) + tuple(ix[:, None] - off
                                  for ix, off in zip(probes, ws.offsets))
         windows = np.array([
-            derivative_at(stack, DerivSpec((0,) + spec.orders), p.dx, window)
+            difference_derivative(stack, DerivSpec((0,) + spec.orders),
+                                  p.dx)[window]
             for spec in ws.specs]).transpose(0, 3, 1, 2)
         assert ws.density_windows.tobytes() \
             == stack[window].transpose(2, 0, 1).tobytes(), (r, m, extra)
         assert ws.windows.tobytes() == windows.tobytes(), (r, m, extra)
 
 
+def exact_fd_weights(order, offsets):
+    """fd_weights in Fractions: Fornberg's recursion on exact offsets."""
+    x = [Fraction(off) for off in offsets]
+    c = [[Fraction(0)] * (order + 1) for _ in x]
+    c[0][0] = Fraction(1)
+    c1, c4 = Fraction(1), x[0]
+    for i in range(1, len(x)):
+        c2, c5, c4 = Fraction(1), c4, x[i]
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(min(i, order), 0, -1):
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(min(i, order), 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    return [row[order] for row in c]
+
+
+def exact_block_errors(ws):
+    """Per term, max |block - exact| / max |exact| over the block's rows,
+    exact the term's stencil in rational arithmetic: Fraction weights over
+    Fraction(dx)^order, on the float test densities read exactly.  The
+    densities around the probes are scaled to one power-of-two
+    denominator and the weights to integers, so each axis contracts in
+    Python integers."""
+    dimension = ws.params.vset.dimension
+    half = (ws.cfg.spatial_order + 1) // 2
+    patch = ws.densities[(np.arange(len(ws.densities))[:, None],)
+                         + ws._windows(half)]
+    patch = patch.reshape(patch.shape[:dimension] + (-1,))
+    ratios = [value.as_integer_ratio() for value in patch.ravel()]
+    scale = max(den for _, den in ratios)
+    numerators = np.array([num * (scale // den) for num, den in ratios],
+                          dtype=object).reshape(patch.shape)
+    errors = []
+    for column, spec in zip(ws.block.T, ws.specs):
+        summed = numerators
+        denominator = scale * Fraction(ws.params.dx) ** spec.total
+        for order in spec.orders:
+            offsets = central_offsets(order) if order else (0,)
+            weights = exact_fd_weights(order, offsets)
+            common = lcm(*(w.denominator for w in weights))
+            integers = np.zeros(2 * half + 1, dtype=object)
+            for off, w in zip(offsets, weights):
+                integers[half + off] = int(w * common)
+            summed = np.tensordot(integers, summed, axes=(0, 0))
+            denominator *= common
+        exact = [Fraction(num) / denominator for num in summed]
+        gap = max(abs(Fraction(float(value)) - e)
+                  for value, e in zip(column, exact))
+        errors.append(float(gap / max(map(abs, exact))))
+    return errors
+
+
+@pytest.mark.parametrize("name,r,bound", [
+    ("D1Q3", 5, 1.5e-9), ("D1Q3", 6, 3e-7), ("D2Q9", 4, 1.2e-9),
+    ("D2Q9", 6, 1e-4)])
+def test_probe_block_against_exact_arithmetic(name, r, bound):
+    """The probe block (m = 1), the lift's difference stencils at the
+    probes, is within about 3x its measured worst per-term relative error
+    of the exact rational evaluation: 4.6e-10 and 9.6e-8 (D1Q3, R = 5 and
+    6), 3.8e-10 and 3.1e-5 (D2Q9, R = 4 and 6).  The plain sum form
+    sum_v w_v rho(x + v), applied axis by axis, misses every bound: it
+    reads 7.5e-9, 1.2e-6, 4.6e-8 and 1.2e-3."""
+    ws = _Workspace(NceTrainConfig(spatial_order=r, m=1),
+                    benchmark_params(name))
+    assert max(exact_block_errors(ws)) <= bound
+
+
 def per_term_windows(ws):
     """density_windows and windows as cut term by term: a sliding-window
-    patch[d, p, v] per probe, interior_derivative of it per term, each
-    window flipped; in the workspace's layouts."""
+    patch[d, p, v] per probe, difference_derivative of it per term, whose
+    centre the patch's wrap does not reach, each window flipped; in the
+    workspace's layouts."""
     dimension = ws.params.vset.dimension
     reach = int(ws.offsets.max())
     stencil = (ws.cfg.spatial_order + 1) // 2
@@ -539,8 +616,8 @@ def per_term_windows(ws):
             range(2, values.ndim))).reshape(values.shape[:2] + (-1,))
 
     windows = np.array([
-        window(interior_derivative(patch, DerivSpec((0, 0) + spec.orders),
-                                   ws.params.dx))
+        window(difference_derivative(patch, DerivSpec((0, 0) + spec.orders),
+                                     ws.params.dx))
         for spec in ws.specs])
     return window(patch).transpose(2, 0, 1), windows.transpose(0, 3, 1, 2)
 
