@@ -18,8 +18,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .constrained_runs import CrConfig
-from .hybrid import (HybridSpec, compare_to_reference, default_split,
-                     hybrid_step, init_hybrid)
+from .hybrid import (HybridSpec, checked_split, compare_to_reference,
+                     default_split, hybrid_step, init_hybrid)
 from .lattice import (VELOCITY_SETS, LbmParams, equilibrium, finite_positive,
                       lbm_step_count, restrict, run_lbm, stable_omega)
 from .lifters import CoefficientLifter, CrLifter, EquilibriumLifter
@@ -106,7 +106,7 @@ class ExperimentConfig:
         if not finite_weights:
             raise ConfigError(f"length = {self.length}, cells = {self.cells}: "
                               f"1/dx^{power} is not finite, dx = {dx:.3g}",
-                              "length")
+                              "length", "cells")
         if self.steps < 1:
             raise ConfigError(f"steps = {self.steps}: need at least 1 step",
                               "steps")
@@ -114,6 +114,25 @@ class ExperimentConfig:
             raise ConfigError(f"reference_steps = {self.reference_steps}: "
                               "the reference state needs >= 0 LBM steps",
                               "reference_steps")
+        # the rules of what a run builds from these values, applied here
+        # so that the config line at fault is named; the model gets unit
+        # placeholders, its dt and omega rules having run on parsing
+        checks = [("advection", lambda: LbmParams(
+            VELOCITY_SETS[self.velocity_set], 1.0, 1.0, 1.0, self.advection))]
+        if self.split_index is not None and self.kind in ("hybrid",
+                                                          "cost_table"):
+            checks.append(("split_index", lambda: checked_split(
+                self.cells, self.split_index)))
+        if self.lifter == "cr" and self.kind != "train_only":
+            checks.append(("m", lambda: CrConfig(m=self.m)))
+        for key, check in checks:
+            try:
+                check()
+            except ValueError as exc:
+                value = getattr(self, key)
+                if isinstance(value, tuple):
+                    value = ", ".join(map(str, value))
+                raise ConfigError(f"{key} = {value}: {exc}", key) from None
         if (self.kind == "train_only" or self.lifter == "nce"
                 or (self.kind == "hybrid" and self.pde_source == "extracted")):
             train_config(self)
@@ -169,8 +188,9 @@ def train_config(config: ExperimentConfig) -> NceTrainConfig:
     dx = config.length / config.cells
     cells = TEST_LENGTH / dx
     if not cells <= MAX_TEST_CELLS:
-        raise ValueError(f"length = {config.length}, cells = {config.cells}: "
-                         f"{cells:.6g} training cells, over {MAX_TEST_CELLS}")
+        raise ConfigError(f"length = {config.length}, cells = {config.cells}: "
+                          f"{cells:.6g} training cells, over {MAX_TEST_CELLS}",
+                          "length", "cells")
     try:
         cfg = NceTrainConfig(spatial_order=config.order, m=config.m,
                              test_length=TEST_LENGTH, test_cells=round(cells))
@@ -180,7 +200,7 @@ def train_config(config: ExperimentConfig) -> NceTrainConfig:
         return cfg
     except ConfigError as exc:
         key = {"spatial_order": "order", "m": "m",
-               "test_cells": "cells"}[exc.key]
+               "test_cells": "cells"}[exc.keys[0]]
         message = f"{key} = {getattr(config, key)}: {exc}"
         if key == "cells":
             fewest = fewest_training_cells(config.length, config.m) or "none"
@@ -374,9 +394,10 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
     try:
         return ExperimentConfig(**values)
     except ConfigError as exc:
-        if exc.key not in entries:
+        stated = [entries[key][0] for key in exc.keys if key in entries]
+        if not stated:
             raise
-        raise ValueError(f"config line {entries[exc.key][0]}: {exc}") from None
+        raise ValueError(f"config line {stated[0]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

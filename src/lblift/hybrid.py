@@ -47,6 +47,16 @@ def default_split(cells: int) -> int:
     return cells // 2
 
 
+def checked_split(total_cells: int, split_index: int) -> Tuple[int, int]:
+    """(n, p), refused unless both subdomains keep at least one cell."""
+    n = integer(total_cells, "total_cells")
+    p = integer(split_index, "split_index")
+    if not 1 <= p <= n - 2:
+        raise ValueError(
+            f"split index {p} leaves an empty subdomain on a {n}-cell grid")
+    return n, p
+
+
 @dataclass
 class HybridSpec:
     """Static description of one split-domain problem.
@@ -75,11 +85,7 @@ class HybridSpec:
     start: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        n = integer(self.total_cells, "total_cells")
-        p = integer(self.split_index, "split_index")
-        if not 1 <= p <= n - 2:
-            raise ValueError(
-                f"split index {p} leaves an empty subdomain on a {n}-cell grid")
+        n, p = checked_split(self.total_cells, self.split_index)
         try:
             rho = finite_density(self.initial_density, self.params.vset)
         except ValueError as error:

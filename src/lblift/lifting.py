@@ -435,7 +435,7 @@ def _coefficient_entry(key: str, value: str) -> tuple:
             raise ValueError(f"term label {label!r} is not d<order> per axis")
         orders = tuple(int(tok) for tok in label[1:].split("d"))
         return DerivSpec(orders), _finite_vector(value)
-    if key.startswith("time"):
+    if key == "time dt1":
         return "time", _finite_vector(value)
     if key not in _HEADER_FIELDS:
         raise ValueError(f"unknown key {key!r}")

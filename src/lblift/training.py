@@ -11,19 +11,18 @@ coefficients, so the map is affine and its fixed point is one exact
 linear solve.  Both its linear part and its offset, the map at zero
 coefficients, are superposed from the q impulse responses of the
 smoothing, which is linear and shift-invariant with density 0; one
-constrained run probes all q on a grid of q response windows.  The probe
-system reads the test densities and their derivatives only in the probe
-windows, the m+1 cells around each probe that those responses reach,
-evaluated there alone, every term in one contraction of the lift's
-difference stencils with one patch around each probe, solved by the
-pseudo-inverse of one SVD of the probe block per workspace before they
-are contracted with the responses, in BLAS-free einsums.  One evaluation
-of the map by direct constrained runs closes the solve as an independent
-check, run once on the windows of 2(m+1)+1 cells per axis around every
-probe of every density, all a probe reads in m+1 LBM steps.  A 2D test
-grid is lifted only on the rows a probe reads: a row crop leaves every
-lifted value as it was, a column crop would move the lift's BLAS tiling
-and its rounding.
+constrained run probes all q on a grid of q response windows.  The test
+densities are evaluated, lifted and smoothed only on one patch around
+each probe, m+1 + (R+1)//2 cells per axis on either side: the closing
+run's m+1 steps and the reach of the lift's stencil.  The probe system
+reads them and their derivatives in the probe windows, the m+1 cells
+around each probe that the responses reach, every term in one
+contraction of the lift's difference stencils with the patches, solved
+by the pseudo-inverse of one SVD of the probe block per workspace before
+they are contracted with the responses, in BLAS-free einsums.  One
+evaluation of the map by direct constrained runs closes the solve as an
+independent check: one lift of the patches side by side, and one run of
+the cells within m+1 of every probe, all a probe reads in m+1 LBM steps.
 
 Appending a measured time-derivative column, two free LBM steps on
 windows of 5 cells, to the probe system makes it (near) singular,
@@ -51,8 +50,7 @@ import numpy as np
 from .constrained_runs import constrained_smooth, impulse_responses
 from .lattice import (LbmParams, finite, integer, lbm_step_count, restrict,
                       stream_collide)
-from .lifting import (LiftCoefficients, apply_lift, expansion_terms,
-                      lift_kernel)
+from .lifting import LiftCoefficients, apply_lift, expansion_terms
 from .macro_pde import MacroPde
 from .stencil import (MAX_TOTAL_ORDER, DerivSpec, difference_stencils,
                       time_derivative_forward)
@@ -73,11 +71,12 @@ NULLSPACE_TOL = 1e-8
 
 
 class ConfigError(ValueError):
-    """A refused config value; key names the field at fault."""
+    """A refused config value; keys name the fields at fault, the one to
+    name first."""
 
-    def __init__(self, message: str, key: str):
+    def __init__(self, message: str, *keys: str):
         super().__init__(message)
-        self.key = key
+        self.keys = keys
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,8 @@ class NceTrainConfig:
     dx; the probes sit within it at default_probe_positions, at least m+3
     cells from its edges (in 2D the positions are used per axis and
     combined into a grid).  m is the smoothness order of the constrained
-    run that closes the coefficient map.  A 2D test square is evaluated
-    only on the rows the probes read, as a row crop rounds nothing anew.
+    run that closes the coefficient map.  The test densities are
+    evaluated only on one patch around each probe.
     """
 
     spatial_order: int = 2
@@ -159,9 +158,9 @@ def same_dx(test_dx: float, dx: float) -> bool:
 
 
 def test_density_profiles(cfg: NceTrainConfig, dimension: int,
-                          rows: slice = slice(None)) -> List[np.ndarray]:
-    """Polynomial test densities on the buffered test grid, in 2D on its
-    given rows only.
+                          at: Optional[tuple] = None) -> List[np.ndarray]:
+    """Polynomial test densities on the buffered test grid, or only at its
+    cells `at`, one index array per axis, broadcast together.
 
     1D uses rho(x) = sum_{k=1..R} x^k / k!: every derivative up to order
     R is present and the degree-R term keeps the top probe column
@@ -170,28 +169,33 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int,
     columns are constants over the probes and hence proportional, so R+1
     scaled copies rho_d = sum s_d^j x^j y^k / (j! k!) are stacked; the
     constants then differ per density as s_d^j, a Vandermonde pattern in
-    the scales: the rows of one array, each power of x and y formed once.
+    the scales: the rows of one array.  Each power of x is formed once
+    over the whole axis and gathered at `at`, so every value is the one
+    the whole grid holds there, bit for bit.
     """
     r = cfg.spatial_order
     dx = cfg.test_length / cfg.test_cells
     width = buffer_width(cfg)
     x = (np.arange(cfg.test_cells + 2 * width) - width) * dx
-    if dimension == 1:
-        rho = np.zeros_like(x)
-        for k in range(1, r + 1):
-            rho += x ** k / factorial(k)
-        return [rho]
-    if dimension != 2:
+    if dimension not in (1, 2):
         raise ValueError(f"unsupported dimension {dimension}")
-    powers_x = [x[rows, None] ** j for j in range(r + 1)]
-    powers_y = [x[None, :] ** k for k in range(r + 1)]
-    rho = np.zeros((r + 1, powers_x[0].size, x.size))
+    if at is None:
+        at = np.ix_(*(np.arange(x.size),) * dimension)
+    shape = np.broadcast_shapes(*(ix.shape for ix in at))
+    if dimension == 1:
+        rho = np.zeros(shape)
+        for k in range(1, r + 1):
+            rho += (x ** k / factorial(k))[at[0]]
+        return [rho]
+    powers = [x ** j for j in range(r + 1)]
+    rho = np.zeros((r + 1,) + shape)
     for j in range(r + 1):
         for k in range(r + 1 - j):
             if j + k >= 1:
                 coeffs = np.array([(1.0 + 0.5 * d) ** j / (
                     factorial(j) * factorial(k)) for d in range(r + 1)])
-                rho += coeffs[:, None, None] * powers_x[j] * powers_y[k]
+                rho += (coeffs.reshape((-1,) + (1,) * len(shape))
+                        * powers[j][at[0]] * powers[k][at[1]])
     return list(rho)
 
 
@@ -229,14 +233,15 @@ def _probe_index(points, width: int):
 # ---------------------------------------------------------------------------
 
 class _Workspace:
-    """Probes, test densities (in 2D the probe rows) and their windows,
-    all the probe system reads, evaluated nowhere else: windows[t, u, d, p]
-    = D_T rho_d(p - u) and density_windows[u, d, p] = rho_d(p - u), from one
-    patch around each probe, D_T by the lift's own stencil matrix W of
-    difference_stencils: sum_j W[t, j] (rho(x + tap_j) - rho(x)).
-    extra_probes builds the workspace of the time-augmented system: more
-    probe rows than columns, and no linear part, so its windows hold the
-    probes alone (u = 0).
+    """Probes and one patch of test density around each, patch[v, d, p] =
+    rho_d(p + v) for |v| <= steps + (R+1)//2 per axis (steps m+1, or 2 for
+    the augmentation), the only cells training evaluates, lifts and
+    smooths.  From it come windows[t, u, d, p] = D_T rho_d(p - u) and
+    density_windows[u, d, p] = rho_d(p - u), D_T by the lift's own stencil
+    matrix W of difference_stencils: sum_j W[t, j] (rho(x + tap_j) -
+    rho(x)).  extra_probes builds the workspace of the time-augmented
+    system: more probe rows than columns, and no linear part, so its
+    windows hold the probes alone (u = 0).
     """
 
     def __init__(self, cfg: NceTrainConfig, params: LbmParams,
@@ -261,25 +266,18 @@ class _Workspace:
         reach = 0 if extra_probes else cfg.m + 1
         self.offsets = np.array(list(product(range(-reach, reach + 1),
                                              repeat=dimension))).T
+        steps = 2 if extra_probes else cfg.m + 1
         stencil = (cfg.spatial_order + 1) // 2
-        rows = slice(None)
-        if dimension == 2:
-            # only the rows a probe reads, through the lift's stencil and
-            # the closing run's m+1 steps (the augmentation's 2); a crop of
-            # the last axis would move the lift's BLAS tiling and rounding
-            margin = max(cfg.m + 1, 2) + stencil
-            first = int(self.probe_ix[0].min()) - margin
-            rows = slice(first, int(self.probe_ix[0].max()) + margin + 1)
-            self.probe_ix = (self.probe_ix[0] - first, self.probe_ix[1])
-        self.densities = np.stack(test_density_profiles(cfg, dimension, rows))
-        # patch[v, d, p] = rho_d(p + v), |v| <= reach + stencil per axis,
-        # every value the windows read, in one gather; p - u sits at v =
-        # reach + stencil - u, and an einsum without optimize, which makes
-        # no BLAS call, applies W to its tap differences
-        patch = self.densities[(np.arange(len(self.densities))[:, None],)
-                               + self._windows(reach + stencil)]
+        radius = steps + stencil
+        span = np.arange(-radius, radius + 1)
+        patch = np.moveaxis(np.stack(test_density_profiles(
+            cfg, dimension, tuple(
+                ix + span.reshape((-1,) + (1,) * (dimension - ax))
+                for ax, ix in enumerate(self.probe_ix)))), 0, -2)
+        # p - u sits at v = radius - u, and an einsum without optimize,
+        # which makes no BLAS call, applies W to its tap differences
         taps, weights = difference_stencils(self.specs, params.dx)
-        at = reach + stencil - self.offsets[:, :, None]
+        at = radius - self.offsets[:, :, None]
         self.density_windows = patch[tuple(at[:, :, 0])]
         differences = (patch[tuple(at + np.array(taps).T[:, None])]
                        - self.density_windows[:, None])
@@ -301,41 +299,32 @@ class _Workspace:
         self.pinv = np.einsum("st,ks->tk", vt / sigma[:, None], u)
         self.feq_rows = (self.density_windows[centre].reshape(-1, 1)
                          * params.equilibrium_weights())
-        # the closing run's m+1 LBM steps (the augmentation's 2) run on
-        # the windows of the probes, laid side by side along the last axis
-        # in (density, probe) order: flat indices into one density's grid
-        r = 2 if extra_probes else cfg.m + 1
-        run = np.ravel_multi_index(self._windows(r), self.densities.shape[1:])
-        run = run.reshape(run.shape[:dimension] + (-1,)).swapaxes(-1, -2)
-        self.run_index = run.reshape(run.shape[:-2] + (-1,))
-        self.run_probes = ((Ellipsis,) + (r,) * (dimension - 1)
-                           + (slice(r, None, 2 * r + 1),))
+        # the patches side by side along the last axis in (density, probe)
+        # order, lifted together; the run windows are the cells within
+        # steps of each probe, whose lifted values read no wrapped one,
+        # and after steps LBM steps on them alone a probe holds the value
+        # a run of the whole periodic test grid gives it
+        self.patches = np.moveaxis(patch, dimension - 1, -1).reshape(
+            patch.shape[:dimension - 1] + (-1,))
+        self.patch_width = span.size
+        inner = slice(stencil, -stencil)
+        self.run_cells = ((Ellipsis,) + (inner,) * (dimension - 1)
+                          + (slice(None), inner))
+        self.run_probes = ((Ellipsis,) + (steps,) * (dimension - 1)
+                           + (slice(steps, None, 2 * steps + 1),))
 
-    def _windows(self, radius: int) -> tuple:
-        """Fancy index of a density grid's cells within radius per axis of
-        every probe, one array per axis, broadcasting to (2 radius + 1,) *
-        dim + (1, probe).  After at most radius LBM steps on these windows
-        alone, a probe holds the value a run of the whole periodic test
-        grid gives it."""
-        span = np.arange(-radius, radius + 1)
-        return tuple(
-            ix + span.reshape((-1,) + (1,) * (len(self.probe_ix) - ax + 1))
-            for ax, ix in enumerate(self.probe_ix))
-
-    def cut(self, fields) -> np.ndarray:
-        """One field per test density, densities or distributions, cut to
-        the run windows.  np.take keeps a velocity axis outermost in
-        memory, so restrict sums it in the order a full field does; fancy
-        indexing would not."""
-        return np.concatenate([np.take(
-            f.reshape(f.shape[:f.ndim - self.densities.ndim + 1] + (-1,)),
-            self.run_index, axis=-1) for f in fields], axis=-1)
+    def run_windows(self, field: np.ndarray) -> np.ndarray:
+        """A field over the side-by-side patches cut to the run windows,
+        side by side again; the copy keeps a leading velocity axis
+        outermost in memory, so restrict sums it in the order a full
+        field does."""
+        cut = field.reshape(field.shape[:-1]
+                            + (-1, self.patch_width))[self.run_cells]
+        return cut.reshape(cut.shape[:-2] + (-1,))
 
     def lifted_windows(self, coeffs: LiftCoefficients) -> np.ndarray:
         """The test densities lifted with coeffs, cut to the run windows."""
-        kernel = lift_kernel(coeffs, self.params) if coeffs.terms else None
-        return self.cut(apply_lift(rho, coeffs, self.params, kernel)
-                        for rho in self.densities)
+        return self.run_windows(apply_lift(self.patches, coeffs, self.params))
 
     def h_map(self, coeffs: LiftCoefficients) -> np.ndarray:
         """One application H(a) of the coefficient map, as a flat array.
@@ -346,7 +335,7 @@ class _Workspace:
         state.  Coefficients on the slow manifold are invariant under H.
         """
         smooth = constrained_smooth(self.lifted_windows(coeffs),
-                                    self.cut(self.densities),
+                                    self.run_windows(self.patches),
                                     self.cfg.m, self.params)
         return self.solve(smooth[self.run_probes].T - self.feq_rows).ravel()
 

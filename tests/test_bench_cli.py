@@ -84,8 +84,9 @@ def test_parse_config_refuses_a_length_whose_stencil_weights_overflow(
             r"finite, dx = 5e-303$")):
         parse_config(head + "length = 1e-300\n")
     if lifter == "nce":
-        with pytest.raises(ValueError, match=r"^length = 1e-60, cells = 200: "
-                           r"6e\+62 training cells, over 100000$"):
+        with pytest.raises(ValueError, match=r"^config line 3: length = "
+                           r"1e-60, cells = 200: 6e\+62 training cells, "
+                           r"over 100000$"):
             parse_config(head + "length = 1e-60\n")
     else:
         assert parse_config(head + "length = 1e-60\n").length == 1e-60
@@ -159,33 +160,85 @@ def test_parse_config_names_the_line_of_a_training_order_out_of_range():
 
 def test_parse_config_names_the_line_of_a_training_m_out_of_range():
     """m = 7 in a config that trains is refused as it is read, naming its
-    line; the constrained-runs lifter is not trained and is not refused
-    here."""
+    line; a config whose run reads no m is not refused."""
     for head in TRAINING_HEADS:
         with pytest.raises(ValueError, match=r"^config line 3: m = 7: "
                            r"smoothness order m=7, expected 0..3$"):
             parse_config(head + "m = 7\n")
-    assert parse_config("kind = lift_bench\nlifter = cr\nm = 7\n").m == 7
+    assert parse_config("kind = lift_bench\nlifter = equilibrium\n"
+                        "m = 7\n").m == 7
+
+
+def test_parse_config_names_the_line_of_a_cr_order_out_of_range():
+    """m = 7 with the constrained-runs lifter is refused as it is read, by
+    CrConfig's rule and naming its line, where it failed only when the
+    run built the lifter; a config that only trains refuses it by the
+    training rule instead."""
+    for kind in ("lift_bench", "hybrid", "cost_table"):
+        with pytest.raises(ValueError, match=r"^config line 4: m = 7: "
+                           r"extrapolation order m=7, expected 0..3$"):
+            parse_config(f"kind = {kind}\nlifter = cr\n# too high\nm = 7\n")
+    with pytest.raises(ValueError, match=r"^config line 3: m = 7: "
+                       r"smoothness order m=7"):
+        parse_config("kind = train_only\nlifter = cr\nm = 7\n")
+    assert parse_config("kind = hybrid\nlifter = cr\nm = 3\n").m == 3
+
+
+def test_parse_config_names_the_line_of_an_advection_of_another_dimension():
+    """An advection vector whose length is not the velocity set's
+    dimension is refused as it is read, by LbmParams' rule and naming its
+    line, where it failed only when the run built the model."""
+    with pytest.raises(ValueError, match=(
+            r"^config line 3: advection = 1.0: advection vector must match "
+            r"the lattice dimension$")):
+        parse_config("kind = hybrid\nvelocity_set = D2Q9\nadvection = 1\n")
+    with pytest.raises(ValueError, match=r"^config line 2: advection = "
+                       r"1.0, 0.5: advection vector must match"):
+        parse_config("kind = lift_bench\nadvection = 1, 1/2\n")
+    assert parse_config("kind = hybrid\nvelocity_set = D2Q9\n"
+                        "advection = 1, 1/2\n").advection == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("split", [0, 15, 500, -1])
+def test_parse_config_names_the_line_of_a_split_index_out_of_range(split):
+    """A split index that leaves either subdomain empty is refused as it
+    is read, by HybridSpec's rule and naming its line, in the kinds that
+    run a hybrid, where it failed only when the run built the hybrid; the
+    kinds that split nothing take it, and 1 and cells - 2 pass."""
+    for kind in ("hybrid", "cost_table"):
+        head = f"kind = {kind}\ncells = 16\n"
+        with pytest.raises(ValueError, match=(
+                rf"^config line 3: split_index = {split}: split index "
+                rf"{split} leaves an empty subdomain on a 16-cell grid$")):
+            parse_config(head + f"split_index = {split}\n")
+        for fine in (1, 14):
+            assert parse_config(
+                head + f"split_index = {fine}\n").split_index == fine
+    assert parse_config(f"kind = lift_bench\ncells = 16\n"
+                        f"split_index = {split}\n").split_index == split
 
 
 @pytest.mark.parametrize("text, named", [
     ("kind = hybrid\nlifter = nce\nlength = 0.001\n",
-     r"length = 0.001, cells = 200: 600000 training cells"),
+     r"config line 3: length = 0.001, cells = 200: 600000 training cells"),
     ("kind = hybrid\nlifter = nce\nlength = 0.001\ncells = 64\n",
-     r"length = 0.001, cells = 64: 192000 training cells"),
+     r"config line 3: length = 0.001, cells = 64: 192000 training cells"),
     ("kind = train_only\ncells = 100000000000000000000\n",
-     r"length = 10.0, cells = 100000000000000000000: 3e\+19 training cells"),
+     r"config line 2: length = 10.0, cells = 100000000000000000000: "
+     r"3e\+19 training cells"),
     # the smallest dx whose 1/dx^2 stays finite is far below any limit
     ("kind = hybrid\nlifter = nce\nlength = 1e-150\n",
-     r"length = 1e-150, cells = 200: 6e\+152 training cells"),
+     r"config line 3: length = 1e-150, cells = 200: 6e\+152 training cells"),
 ], ids=["hybrid-tiny-length", "hybrid-tiny-length-64", "train-huge-cells",
         "hybrid-huge-cells"])
 def test_an_oversized_training_grid_is_refused_before_allocating(
         tmp_path, text, named):
     """A config whose dx would give the 3-unit training grid more than
-    MAX_TEST_CELLS cells a side is refused naming length, cells and the
-    training cells implied, before any array of the run is allocated
-    (numpy's own refusal, "Maximum allowed size exceeded", named no key)."""
+    MAX_TEST_CELLS cells a side is refused naming the config line of
+    length (of cells, when the config states no length), length, cells
+    and the training cells implied, before any array of the run is
+    allocated (numpy's own refusal, "Maximum allowed size exceeded",
+    named no key)."""
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=rf"^{named}, over 100000$"):

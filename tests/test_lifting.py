@@ -414,6 +414,20 @@ def test_coefficient_text_refuses_malformed_lines(extra, message):
         coefficients_from_text(text + extra + "\n")
 
 
+def test_coefficient_text_reads_the_time_vector_only_as_time_dt1():
+    """The time vector loads only from `time dt1`, the key that
+    coefficients_to_text writes; any other key starting with "time" is
+    refused as an unknown key, naming its line."""
+    text = coefficients_to_text(analytic_coefficients(
+        benchmark_params("D1Q3"), 2))
+    for key in ("timestamp", "time dt7", "time", "timedt1"):
+        with pytest.raises(ValueError,
+                           match=rf"^line 9: unknown key '{key}'$"):
+            coefficients_from_text(text + f"{key} = 1.0 2.0 3.0\n")
+    back = coefficients_from_text(text + "time dt1 = 1.0 2.0 3.0\n")
+    assert back.time_term.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_coefficient_text_header_values_name_their_line():
     text = coefficients_to_text(analytic_coefficients(
         benchmark_params("D1Q3"), 2))

@@ -22,8 +22,9 @@ from lblift.lifting import expansion_terms
 from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets,
                             time_derivative_forward)
 from lblift import training
-from lblift.training import (RESIDUAL_LIMIT, _probe_system,
-                             _probe_index, _probe_points, _Workspace, buffer_width, default_probe_positions)
+from lblift.training import (RESIDUAL_LIMIT, _probe_points, _probe_system,
+                             _Workspace, buffer_width,
+                             default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import (benchmark_params, difference_derivative,
@@ -75,14 +76,15 @@ def test_test_density_profiles():
     assert all(p.shape == (n, n) for p in profiles2)
 
 
-def per_density_profiles(cfg, rows):
-    """The 2D test densities built one scale at a time, every power
-    formed anew: the loop that the stacked build replaced."""
+def per_density_profiles(cfg):
+    """The 2D test densities over the whole grid built one scale at a
+    time, every power formed anew: the loop that the stacked build
+    replaced."""
     r = cfg.spatial_order
     width = buffer_width(cfg)
     x = (np.arange(cfg.test_cells + 2 * width) - width) * (
         cfg.test_length / cfg.test_cells)
-    grid_x = x[rows, None]
+    grid_x = x[:, None]
     grid_y = x[None, :]
     profiles = []
     for d in range(r + 1):
@@ -97,16 +99,66 @@ def per_density_profiles(cfg, rows):
     return profiles
 
 
+def patch_cells(ws):
+    """The buffered-grid cells of the workspace's patches, one index array
+    per axis broadcasting to (2 radius + 1,) * dim + (probe,)."""
+    span = np.arange(ws.patch_width) - (ws.patch_width - 1) // 2
+    dimension = len(ws.probe_ix)
+    return tuple(ix + span.reshape((-1,) + (1,) * (dimension - ax))
+                 for ax, ix in enumerate(ws.probe_ix))
+
+
+def side_by_side(patch, dimension):
+    """patch[v, d, p] laid out as the workspace lifts it: the (density,
+    probe) patches side by side along the last axis."""
+    return np.moveaxis(patch, dimension - 1, -1).reshape(
+        patch.shape[:dimension - 1] + (-1,))
+
+
 @pytest.mark.parametrize("r", range(1, MAX_TOTAL_ORDER + 1))
 def test_stacked_density_profiles_are_the_per_density_loop(r):
-    """Bit for bit, on the whole grid and on a row crop."""
+    """Bit for bit: the stacked build on the whole grid, by default and
+    given every cell, against the per-density loop, and the evaluation at
+    a workspace's patch cells, in
+    1D and 2D, with and without the augmentation's extra probes, against
+    the whole grid gathered there, which is also the workspace's own
+    side-by-side patches."""
     cfg = NceTrainConfig(spatial_order=r, m=1)
-    for rows in (slice(None), slice(9, 50)):
-        stacked = density_profiles(cfg, 2, rows)
-        reference = per_density_profiles(cfg, rows)
+    reference = per_density_profiles(cfg)
+    every = np.arange(len(reference[0]))
+    for at in (None, np.ix_(every, every)):
+        stacked = density_profiles(cfg, 2, at)
         assert len(stacked) == len(reference) == r + 1
         for got, want in zip(stacked, reference):
-            assert got.tobytes() == want.tobytes(), rows
+            assert got.tobytes() == want.tobytes()
+    for name, extra in product(("D1Q3", "D2Q9"), (False, True)):
+        p = benchmark_params(name)
+        ws = _Workspace(cfg, p, extra_probes=extra)
+        dimension = p.vset.dimension
+        cells = patch_cells(ws)
+        whole = np.stack(density_profiles(cfg, dimension))
+        gathered = whole[(slice(None),) + cells]
+        at = np.stack(density_profiles(cfg, dimension, cells))
+        assert at.tobytes() == gathered.tobytes(), (name, extra)
+        assert ws.patches.tobytes() == side_by_side(
+            np.moveaxis(gathered, 0, -2), dimension).tobytes(), (name, extra)
+
+
+@pytest.mark.parametrize("name", ["D1Q3", "D2Q9"])
+def test_patch_cells_lie_inside_the_buffered_grid(name):
+    """Every patch index is a cell of the buffered test grid, which numpy
+    would otherwise wrap silently for a negative one: at every (R, m),
+    with and without the augmentation's extra probes, on the default grid
+    and on the smallest one of 4(m+3) cells."""
+    p = benchmark_params(name)
+    for r, m, extra in product(range(1, MAX_TOTAL_ORDER + 1), range(4),
+                               (False, True)):
+        for cells in (60, 4 * (m + 3)):
+            cfg = NceTrainConfig(spatial_order=r, m=m, test_cells=cells,
+                                 test_length=cells * p.dx)
+            size = cells + 2 * buffer_width(cfg)
+            for ix in patch_cells(_Workspace(cfg, p, extra_probes=extra)):
+                assert 0 <= ix.min() and ix.max() < size, (r, m, extra, cells)
 
 
 def test_default_probes_fit_margins():
@@ -369,10 +421,9 @@ def test_augmentation_step_count(name, advection, order):
 
 
 def full_grid(ws):
-    """The test densities over the whole test grid, and the probe index on
-    it: the workspace's own, shifted back by its 2D row crop."""
-    return (density_profiles(ws.cfg, ws.params.vset.dimension),
-            _probe_index(ws.probe_points, buffer_width(ws.cfg)))
+    """The test densities over the whole test grid, and the workspace's
+    probe index on it."""
+    return density_profiles(ws.cfg, ws.params.vset.dimension), ws.probe_ix
 
 
 def at_probes(f, probes):
@@ -554,9 +605,12 @@ def exact_block_errors(ws):
     Python integers."""
     dimension = ws.params.vset.dimension
     half = (ws.cfg.spatial_order + 1) // 2
-    patch = ws.densities[(np.arange(len(ws.densities))[:, None],)
-                         + ws._windows(half)]
-    patch = patch.reshape(patch.shape[:dimension] + (-1,))
+    span = np.arange(-half, half + 1)
+    patch = np.stack(density_profiles(ws.cfg, dimension, tuple(
+        ix + span.reshape((-1,) + (1,) * (dimension - ax))
+        for ax, ix in enumerate(ws.probe_ix))))
+    patch = np.moveaxis(patch, 0, -2).reshape(patch.shape[1:dimension + 1]
+                                              + (-1,))
     ratios = [value.as_integer_ratio() for value in patch.ravel()]
     scale = max(den for _, den in ratios)
     numerators = np.array([num * (scale // den) for num, den in ratios],
@@ -605,7 +659,8 @@ def per_term_windows(ws):
     reach = int(ws.offsets.max())
     stencil = (ws.cfg.spatial_order + 1) // 2
     patch = sliding_window_view(
-        ws.densities, (2 * (reach + stencil) + 1,) * dimension,
+        np.stack(density_profiles(ws.cfg, dimension)),
+        (2 * (reach + stencil) + 1,) * dimension,
         axis=tuple(range(1, dimension + 1)))[
             (slice(None),) + tuple(ix - reach - stencil for ix in ws.probe_ix)]
 
@@ -744,16 +799,23 @@ CROP_CASES = [(name, advection, r, m)
 
 
 @pytest.mark.parametrize("name,advection,r,m", CROP_CASES)
-def test_cropped_evaluation_is_the_full_grid_one(name, advection, r, m):
+def test_patch_evaluation_is_the_full_grid_one(name, advection, r, m):
     """H(a) at the trained coefficients, and the time augmentation, by
-    the workspace, whose 2D test grid holds only the rows the probes
-    read and whose runs cover only the windows around the probes, equal
-    their direct evaluation over the whole test grid bit for bit."""
+    the workspace, which lifts only one patch around each probe and runs
+    only the windows within the run's steps of it, against their direct
+    evaluation over the whole test grid.  The augmentation matches bit
+    for bit.  H(a) is within 8 kappa eps relative of the whole grid's,
+    kappa the probe-system condition, 4.6x the worst measured 1.72
+    (D2Q5, R = 6, m = 1, one BLAS thread): the lift's batched matrix
+    product rounds a column by where it falls in the BLAS tiling, and the
+    whole-grid reference itself moves with the thread count."""
     p = benchmark_params(name, advection=advection)
     cfg = NceTrainConfig(spatial_order=r, m=m)
     coeffs = train_coefficients(cfg, p).coefficients
     ws = _Workspace(cfg, p)
-    assert ws.h_map(coeffs).tobytes() == full_grid_h_map(ws, coeffs).tobytes()
+    reference = full_grid_h_map(ws, coeffs)
+    gap = np.abs(ws.h_map(coeffs) - reference).max() / np.abs(reference).max()
+    assert gap <= 8 * ws.condition * np.finfo(float).eps, gap
     aug = augment_time_derivative(coeffs, cfg, p)
     system, coeff_matrix = full_grid_augment(coeffs, cfg, p)
     assert aug.system.tobytes() == system.tobytes()
