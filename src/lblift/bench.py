@@ -10,10 +10,10 @@ round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .lattice import (VELOCITY_SETS, LbmParams, equilibrium, finite_positive,
 from .lifters import CoefficientLifter, CrLifter, EquilibriumLifter
 from .lifting import (analytic_coefficients, coefficients_to_text,
                       read_key_values)
-from .macro_pde import analytic_pde
+from .macro_pde import MacroPde, analytic_pde, stability_breaches
 from .training import (ConfigError, NceTrainConfig, augment_time_derivative,
                        extract_pde, min_test_cells, same_dx,
                        train_coefficients)
@@ -75,6 +75,9 @@ class ExperimentConfig:
     split_index: Optional[int] = None
     pde_source: str = "analytic"
     extract_mode: str = "summation"
+    # the config line of each key the file states, for refusals after parsing
+    lines: Dict[str, int] = field(default_factory=dict, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -133,6 +136,15 @@ class ExperimentConfig:
                 if isinstance(value, tuple):
                     value = ", ".join(map(str, value))
                 raise ConfigError(f"{key} = {value}: {exc}", key) from None
+        if self.kind == "cost_table" or (self.kind == "hybrid"
+                                         and self.pde_source == "analytic"):
+            params = experiment_params(self)
+            try:
+                pde = analytic_pde(params)
+            except ValueError as exc:
+                raise ConfigError(str(exc), "omega" if params.omega == 0.0
+                                  else "advection") from None
+            _refuse_unstable_pde(pde, params)
         if (self.kind == "train_only" or self.lifter == "nce"
                 or (self.kind == "hybrid" and self.pde_source == "extracted")):
             train_config(self)
@@ -219,6 +231,20 @@ def fewest_training_cells(length: float, m: int) -> Optional[int]:
     return None
 
 
+def _refuse_unstable_pde(pde: MacroPde, params: LbmParams) -> None:
+    """Refuse a hybrid whose PDE step breaks a stability bound of
+    macro_pde.ftcs_step, which would blow up: a ConfigError names omega
+    for the diffusion number and dt for a Courant number, with the
+    number, and the line of advection, length or cells for a dt the
+    config leaves to its default."""
+    breaches = stability_breaches(pde, params.dx, params.dt)
+    if breaches:
+        key, message = breaches[0]
+        raise ConfigError(
+            f"{key} = {getattr(params, key)!r}: unstable PDE step, {message}",
+            key, *(("advection", "length", "cells") if key == "dt" else ()))
+
+
 def make_lifter(config: ExperimentConfig, params: LbmParams):
     """Build the configured lifter; returns (lifter, training_lbm_steps)."""
     if config.lifter == "equilibrium":
@@ -275,6 +301,9 @@ def _extracted_pde(config: ExperimentConfig, params: LbmParams, coefficients):
 
 
 def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
+    """The configured hybrid; an extracted PDE whose step is unstable is
+    refused once trained, naming its config line (an analytic one was
+    refused as the config was read)."""
     params = experiment_params(config)
     lifter, _ = make_lifter(config, params)
     if config.lifter == "nce" and config.pde_source == "extracted":
@@ -282,6 +311,10 @@ def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
         pde = _extracted_pde(config, params, lifter.coefficients)
     else:
         pde = hybrid_pde(config, params)
+    try:
+        _refuse_unstable_pde(pde, params)
+    except ConfigError as exc:
+        raise _on_config_line(exc, config.lines) from None
     return _hybrid_spec(config, params, pde, lifter)
 
 
@@ -391,13 +424,20 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
         values["kind"] = kind
     if "kind" not in values:
         raise ValueError("config does not state an experiment kind")
+    lines = {key: line for key, (line, _) in entries.items()}
     try:
-        return ExperimentConfig(**values)
+        return ExperimentConfig(**values, lines=lines)
     except ConfigError as exc:
-        stated = [entries[key][0] for key in exc.keys if key in entries]
-        if not stated:
-            raise
-        raise ValueError(f"config line {stated[0]}: {exc}") from None
+        raise _on_config_line(exc, lines) from None
+
+
+def _on_config_line(exc: ConfigError, lines: Dict[str, int]) -> ValueError:
+    """exc as a ValueError that names the config line of its first key
+    the file states; exc itself when the file states none."""
+    stated = [lines[key] for key in exc.keys if key in lines]
+    if not stated:
+        return exc
+    return ValueError(f"config line {stated[0]}: {exc}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,13 @@ its blocks can be ill-conditioned at grid-scale wavenumbers, near
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from .lattice import (LbmParams, finite_density, integer, lbm_step_count,
-                      reset_density, stream_collide)
+                      restrict, stream_collide)
 
 
 # the largest max-norm of a closing residual that counts as converged
@@ -67,16 +68,21 @@ class CrResult:
     kernel: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def extrapolation_weights(m: int) -> np.ndarray:
     """Backward extrapolation weights over states at t = dt, ..., (m+1) dt.
 
     Enforcing a vanishing (m+1)-th forward difference at t = 0 gives
     v(0) = sum_j (-1)^(j+1) C(m+1, j) v(j dt).  The weights sum to 1.
+    Built once per m; the array is read-only because every caller shares
+    it.
     """
-    return np.array(
+    weights = np.array(
         [(-1) ** (j + 1) * comb(m + 1, j) for j in range(1, m + 2)],
         dtype=float,
     )
+    weights.flags.writeable = False
+    return weights
 
 
 def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
@@ -93,13 +99,20 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     is invariant under one constrained step is invariant under any
     binomial combination of them, and the m >= 1 benchmark errors never
     drop.  Works for any velocity set on a periodic grid.
+
+    The sum accumulates from zero in a new field, and one product buffer
+    serves every step's weighted snapshot.  The reset then lands in place
+    on the rest row of that field, as lattice.reset_density would on a
+    copy of it.
     """
-    weights = extrapolation_weights(m)
-    out = np.zeros_like(np.asarray(f, dtype=float))
-    for w in weights:
+    out = np.zeros(np.shape(f))
+    term = np.empty_like(out)
+    for w in extrapolation_weights(m):
         f = stream_collide(f, params)
-        out += w * f
-    return reset_density(out, rho0, params.vset)
+        np.multiply(w, f, out=term)
+        out += term
+    out[params.vset.rest] += rho0 - restrict(out)
+    return out
 
 
 def impulse_responses(m: int, params: LbmParams) -> np.ndarray:
@@ -126,8 +139,13 @@ def impulse_responses(m: int, params: LbmParams) -> np.ndarray:
 
 
 def _distributions(rho0: np.ndarray, v: np.ndarray, rest: int) -> np.ndarray:
-    """f with non-rest components v and density rho0."""
-    return np.concatenate((v[:rest], (rho0 - v.sum(axis=0))[None], v[rest:]))
+    """f with non-rest components v and density rho0: v copied straight
+    into the non-rest rows, the rest row rho0 - restrict(v)."""
+    f = np.empty((len(v) + 1,) + v.shape[1:])
+    f[:rest] = v[:rest]
+    f[rest + 1:] = v[rest:]
+    np.subtract(rho0, restrict(v), out=f[rest])
+    return f
 
 
 def _non_rest(f: np.ndarray, rest: int) -> np.ndarray:
@@ -217,16 +235,18 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
     are v = irfftn(G rfftn(rho0)), with G the half-spectrum transfer of
     cr_kernel.  kernel takes G from an earlier lift (CrResult.kernel) or
     cr_kernel call on the same grid shape, config and model; without it
-    the lift probes G itself.  A closing constrained run of the lifted f
-    gives the residual max|v - cr_map(rho0, v)|, and converged = residual
-    <= CR_TOL, so a kernel of another model is caught; a lift that misses
-    CR_TOL is returned rather than raised, so callers can inspect it.
-    iterations is 1, the one FFT filter; lbm_steps counts the LBM steps
-    of the lift, the closing run and any probe of cr_kernel.  A density
-    that lattice.finite_density refuses is refused before any LBM step,
-    and so is a kernel whose shape does not fit the grid.  A kernel of a
-    grid whose last axis differs by one cell can have the same shape; its
-    closing run fails.
+    the lift probes G itself.  v is written straight into the non-rest rows
+    of f, whose rest row is rho0 less their sum.  A closing constrained run
+    g of the lifted f gives the residual max|v - cr_map(rho0, v)|, taken in
+    place on g as max|g - f| over its non-rest rows, and converged =
+    residual <= CR_TOL, so a kernel of another model is caught; a lift
+    that misses CR_TOL is returned rather than raised, so callers can
+    inspect it.  iterations is 1, the one FFT filter; lbm_steps counts the
+    LBM steps of the lift, the closing run and any probe of cr_kernel.  A
+    density that lattice.finite_density refuses is refused before any LBM
+    step, and so is a kernel whose shape does not fit the grid.  A kernel
+    of a grid whose last axis differs by one cell can have the same shape;
+    its closing run fails.
     """
     rho0 = finite_density(rho0, params.vset)
     q = params.vset.q
@@ -243,7 +263,11 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
                       axes=tuple(range(1, rho0.ndim + 1)))
     rest = params.vset.rest
     f = _distributions(rho0, v, rest)
-    smooth = _non_rest(constrained_smooth(f, rho0, config.m, params), rest)
-    residual = float(np.max(np.abs(smooth - v)))
+    # |g - f| in place on the closing run's field; its rest row is no
+    # unknown, so it is zeroed out of the max
+    gap = constrained_smooth(f, rho0, config.m, params)
+    np.abs(np.subtract(gap, f, out=gap), out=gap)
+    gap[rest] = 0.0
+    residual = float(gap.max())
     return CrResult(f, 1, lbm_step_count() - before, residual,
                     residual <= CR_TOL, kernel)

@@ -7,7 +7,12 @@ Distribution fields are plain numpy arrays with the velocity index
 leading: shape (q, n) in 1D and (q, nx, ny) in 2D.  Density fields drop
 the leading axis.  The update is periodic on every axis; a subdomain fed
 through ghost cells (the hybrid) updates its rimmed field periodically
-and keeps the interior, which the wrap never reaches.
+and keeps the interior, which the wrap never reaches.  The update
+collides as many velocities at once as fit _BLOCK_CELLS elements, in one
+group scratch array that then serves every streaming copy; every value
+is the same, bit for bit, whatever the group size, and whatever the
+memory layout of the field, as restrict sums the velocities in index
+order.
 
 The D1Q3 moment transform follows the (f_1, f_0, f_-1) ordering with
 dimensionless lattice velocities c_i in {+1, 0, -1}:
@@ -22,7 +27,7 @@ Physical velocities are v_i = c_i * dx / dt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import product
 from typing import Tuple
 
@@ -61,6 +66,32 @@ class VelocitySet:
     def rest(self) -> int:
         """Index of the zero direction, the one reset_density corrects."""
         return self.directions.index((0,) * self.dimension)
+
+    @cached_property
+    def stream_copies(self):
+        """Per moving direction k, the (destination, source) slice pairs
+        of its streaming, built once per velocity set.
+
+        Direction k moves one link along c_k: component[x] = source[x -
+        c_k].  Each axis needs two slice copies per nonzero shift (the bulk
+        and the wrapped edge), independent of the grid size.
+        """
+        streams = []
+        for k, c in enumerate(self.directions):
+            if not any(c):
+                continue
+            per_axis = []
+            for shift in c:
+                if shift:
+                    per_axis.append(
+                        [(slice(shift, None), slice(None, -shift)),
+                         (slice(None, shift), slice(-shift, None))])
+                else:
+                    per_axis.append([(slice(None), slice(None))])
+            streams.append((k, tuple(
+                (tuple(d for d, _ in pairs), tuple(s for _, s in pairs))
+                for pairs in product(*per_axis))))
+        return tuple(streams)
 
     def direction_array(self) -> np.ndarray:
         """Directions as an integer array of shape (q, dimension)."""
@@ -194,6 +225,35 @@ class LbmParams:
         w.flags.writeable = False
         return w
 
+    def collision_groups(self, group: int) -> tuple:
+        """(rows, local, weight) per group of up to group velocities, in
+        index order: the rows of the field, the rows of the group scratch
+        and the equilibrium weights of stream_collide's relaxation terms.
+
+        A group of one velocity takes an integer row and a scalar weight,
+        so its ufunc calls are the per-velocity ones; a larger group takes
+        slices and a column of weights that broadcasts over the grid.
+        Built once per parameter set and group size.
+        """
+        groups = self._collision_groups.get(group)
+        if groups is None:
+            weights = self.equilibrium_weights()
+            columns = weights.reshape((-1,) + (1,) * self.vset.dimension)
+            groups = []
+            for start in range(0, self.vset.q, group):
+                stop = min(start + group, self.vset.q)
+                if stop - start == 1:
+                    groups.append((start, 0, weights[start]))
+                else:
+                    groups.append((slice(start, stop), slice(0, stop - start),
+                                   columns[start:stop]))
+            groups = self._collision_groups[group] = tuple(groups)
+        return groups
+
+    @cached_property
+    def _collision_groups(self) -> dict:
+        return {}
+
 
 @dataclass
 class Moments:
@@ -203,6 +263,14 @@ class Moments:
     phi: np.ndarray
     xi: np.ndarray
 
+
+# Elements per block of a kernel's scratch: stream_collide collides as
+# many velocities at once as fit, and the stencil lift takes its output
+# rows in blocks of this many cells.
+_BLOCK_CELLS = 8192
+
+# restrict's start: a 0-d array, the cheapest +0.0 operand of a ufunc
+_PLUS_ZERO = np.zeros(())
 
 # Running count of stream_collide calls in this process.  Lifting
 # operators differ mainly in how many extra LBM steps they burn, so the
@@ -247,16 +315,28 @@ def equilibrium(rho: np.ndarray, params: LbmParams) -> np.ndarray:
 
 
 def restrict(f: np.ndarray) -> np.ndarray:
-    """Restriction to the macroscopic density: sum over the velocity axis."""
-    return np.asarray(f, dtype=float).sum(axis=0)
+    """Restriction to the macroscopic density: the velocities summed in
+    index order, one component at a time, from +0.0 as np.sum starts.  An
+    explicit loop, because np.sum adds pairwise when the velocity axis is
+    innermost in memory: this order holds whatever the layout of f."""
+    f = np.asarray(f, dtype=float)
+    rho = np.add(_PLUS_ZERO, f[0])
+    for k in range(1, len(f)):
+        rho += f[k]
+    return rho
 
 
 def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     """One periodic BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
 
     Collision fills one new field, in which each component then streams
-    one lattice link in place; every grid axis wraps.  One component-sized
-    scratch array serves every relaxation term and every streaming copy.
+    one lattice link in place; every grid axis wraps.  The velocities
+    collide in groups of as many as fit _BLOCK_CELLS elements, at least
+    one (LbmParams.collision_groups): a 1D row of 200 cells takes all q
+    in one group, a 101 x 200 D2Q9 field one velocity per group.  One
+    group-sized scratch array serves every relaxation term, and its first
+    row every streaming copy.  Each element meets the same operations in
+    the same order whatever the group size.
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
@@ -269,45 +349,22 @@ def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     global _step_count
     _step_count += 1
     rho = restrict(f)
-    weights = params.equilibrium_weights()
-    post = (1.0 - params.omega) * f
-    # one component at a time: no second field-sized buffer
-    scratch = np.empty_like(rho)
-    for k in range(vset.q):
-        np.multiply(weights[k], rho, out=scratch)
-        scratch *= params.omega
-        post[k] += scratch
-    for k, copies in _stream_copies(vset.directions):
+    omega = params.omega
+    post = (1.0 - omega) * f
+    group = min(vset.q, max(1, _BLOCK_CELLS // max(1, rho.size)))
+    scratch = np.empty((group,) + rho.shape)
+    for rows, local, weight in params.collision_groups(group):
+        term = scratch[local]
+        np.multiply(weight, rho, out=term)
+        term *= omega
+        post[rows] += term
+    scratch = scratch[0]
+    for k, copies in vset.stream_copies:
         component = post[k]
         scratch[...] = component
         for dst, src in copies:
             component[dst] = scratch[src]
     return post
-
-
-@lru_cache(maxsize=None)
-def _stream_copies(directions: Tuple[Tuple[int, ...], ...]):
-    """Per moving direction k, the (destination, source) slice pairs.
-
-    Direction k moves one link along c_k: component[x] = source[x - c_k].
-    Each axis needs two slice copies per nonzero shift (the bulk and the
-    wrapped edge), independent of the grid size.
-    """
-    streams = []
-    for k, c in enumerate(directions):
-        if not any(c):
-            continue
-        per_axis = []
-        for shift in c:
-            if shift:
-                per_axis.append([(slice(shift, None), slice(None, -shift)),
-                                 (slice(None, shift), slice(-shift, None))])
-            else:
-                per_axis.append([(slice(None), slice(None))])
-        streams.append((k, tuple(
-            (tuple(d for d, _ in pairs), tuple(s for _, s in pairs))
-            for pairs in product(*per_axis))))
-    return tuple(streams)
 
 
 def run_lbm(f: np.ndarray, params: LbmParams, steps: int) -> np.ndarray:

@@ -37,17 +37,18 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .lattice import (D1Q3, VELOCITY_SETS, LbmParams, equilibrium,
-                      finite_density, finite_positive, stable_omega)
+from .lattice import (_BLOCK_CELLS, D1Q3, VELOCITY_SETS, LbmParams,
+                      equilibrium, finite_density, finite_positive,
+                      stable_omega)
 from .stencil import DerivSpec, difference_stencils
 # perfbench's tracer wraps spatial_derivative at this module attribute
 from .stencil import spatial_derivative  # noqa: F401
 
-# Output cells per row block of the stencil lift: 40 rows of a 200 x 200
-# field.  The block's buffer holds 6 slots (4 differences along the last
-# axis, 1 along axis 0, the density) of its 44 source rows at D2Q9 order 4:
-# 422 kB.  A 1D grid is always one block of one row.
-_BLOCK_CELLS = 8192
+# The stencil lift takes its output rows in blocks of _BLOCK_CELLS cells:
+# 40 rows of a 200 x 200 field.  The block's buffer holds 6 slots (4
+# differences along the last axis, 1 along axis 0, the density) of its 44
+# source rows at D2Q9 order 4: 422 kB.  A 1D grid is always one block of
+# one row.
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,6 +67,34 @@ def analytic_pde(params: LbmParams) -> MacroPde:
     return MacroPde(advection=params.advection, diffusion=diffusion)
 
 
+def stability_breaches(pde: MacroPde, dx: float,
+                       dt: float) -> List[Tuple[str, str]]:
+    """The stability bounds of ftcs_step that its step breaks, each as
+    (the model parameter that sets the number, a message): dim nu <= 1/2,
+    set by omega, whatever dx and dt, as nu = c_s^2 (1/omega - 1/2) in
+    lattice units; each Courant number C = |a| dt / dx <= 1 and sum C^2 <=
+    2 nu (von Neumann, for central advection), set by dt.  nu = D dt /
+    dx^2."""
+    nu = pde.diffusion * dt / dx ** 2
+    breaches = []
+    if len(pde.advection) * nu > 0.5:
+        breaches.append(("omega", f"diffusion number {len(pde.advection)}*"
+                         f"{nu:.3g} exceeds 1/2; forward Euler may be "
+                         "unstable"))
+    courant_sq = 0.0
+    for a in pde.advection:
+        courant = abs(a) * dt / dx
+        if courant > 1.0:
+            breaches.append(("dt", "advection Courant number "
+                             f"{courant:.3g} exceeds 1"))
+        courant_sq += courant * courant
+    if courant_sq > 2.0 * nu:
+        breaches.append(("dt", f"squared Courant numbers sum to "
+                         f"{courant_sq:.3g}, above 2 nu = {2.0 * nu:.3g}; "
+                         "forward Euler with central advection is unstable"))
+    return breaches
+
+
 def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
               dt: float) -> np.ndarray:
     """One periodic forward-Euler step of the advection-diffusion PDE.
@@ -75,31 +103,20 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
     per axis, with nu = D dt / dx^2 (the grid spacing is shared by all
     axes).  Axis 0 reads its neighbours from a copy with one wrapped cell
     at each end, the other axes from np.roll; 2 rho is formed once and
-    every axis reuses the same two term buffers.  The stability bounds,
-    dim nu <= 1/2, each Courant number C = |a| dt / dx <= 1 and sum C^2 <=
-    2 nu (von Neumann, for central advection), are warnings, not errors: a
-    subdomain fed by ghost values can behave better than the periodic
-    worst case.
+    every axis reuses the same two term buffers.  The stability bounds of
+    stability_breaches are warnings here, not errors: a subdomain fed by
+    ghost values can behave better than the periodic worst case.  The
+    experiment configs refuse them (lblift.bench).
     """
     rho = np.asarray(rho, dtype=float)
     dim = rho.ndim
     if len(pde.advection) != dim:
         raise ValueError(
             f"advection has {len(pde.advection)} axes, density has {dim}")
-    nu = pde.diffusion * dt / dx ** 2
-    if dim * nu > 0.5:
-        warnings.warn(f"diffusion number {dim}*{nu:.3g} exceeds 1/2; "
-                      "forward Euler may be unstable", stacklevel=2)
-    for a in pde.advection:
-        if abs(a) * dt / dx > 1.0:
-            warnings.warn(f"advection Courant number {abs(a) * dt / dx:.3g} "
-                          "exceeds 1", stacklevel=2)
-    courant_sq = sum((a * dt / dx) ** 2 for a in pde.advection)
-    if courant_sq > 2.0 * nu:
-        warnings.warn(f"squared Courant numbers sum to {courant_sq:.3g}, above "
-                      f"2 nu = {2.0 * nu:.3g}; forward Euler with central "
-                      "advection is unstable", stacklevel=2)
+    for _, message in stability_breaches(pde, dx, dt):
+        warnings.warn(message, stacklevel=2)
 
+    nu = pde.diffusion * dt / dx ** 2
     padded = np.concatenate([rho[-1:], rho, rho[:1]], axis=0)
     two_rho = 2.0 * rho
     diffusion = np.empty_like(rho)

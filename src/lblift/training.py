@@ -315,9 +315,7 @@ class _Workspace:
 
     def run_windows(self, field: np.ndarray) -> np.ndarray:
         """A field over the side-by-side patches cut to the run windows,
-        side by side again; the copy keeps a leading velocity axis
-        outermost in memory, so restrict sums it in the order a full
-        field does."""
+        side by side again."""
         cut = field.reshape(field.shape[:-1]
                             + (-1, self.patch_width))[self.run_cells]
         return cut.reshape(cut.shape[:-2] + (-1,))

@@ -199,6 +199,56 @@ def test_parse_config_names_the_line_of_an_advection_of_another_dimension():
                         "advection = 1, 1/2\n").advection == (1.0, 0.5)
 
 
+def test_cli_refuses_an_unstable_hybrid_on_its_omega_line(tmp_path, capsys):
+    """D1Q3 with the analytic lifter at omega = 1e-12 on 40 cells: a PDE
+    diffusion number of 6.67e+11, far past 1/2.  Its 3 hybrid steps once
+    exited 0 with a max_error of 2.9e75; the config is now refused as it
+    is read, naming the omega line and the number, and writes nothing."""
+    cfg = tmp_path / "unstable.cfg"
+    cfg.write_text("kind = hybrid\nvelocity_set = D1Q3\nlifter = analytic\n"
+                   "omega = 1e-12\ncells = 40\nsteps = 3\n")
+    out = tmp_path / "out"
+    assert main(["hybrid", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config line 4: omega = 1e-12: unstable PDE step, diffusion "
+        "number 1*6.67e+11 exceeds 1/2; forward Euler may be unstable\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["hybrid", "cost_table"])
+def test_parse_config_names_the_dt_line_of_an_unstable_pde_step(kind):
+    """The Courant bounds name the dt line, or the advection line when dt
+    is left to its default: a Courant number of 1.2, then squared Courant
+    numbers above 2 nu at omega = 1.99, where nu = (2/3)(1/omega - 1/2)
+    is 0.00168.  The canonical D1Q3 step, nu = 0.4, parses."""
+    head = f"kind = {kind}\nvelocity_set = D1Q3\n"
+    with pytest.raises(ValueError, match=(
+            r"^config line 4: dt = 0.001: unstable PDE step, advection "
+            r"Courant number 1.2 exceeds 1$")):
+        parse_config(head + "advection = 60\ndt = 1/1000\n")
+    with pytest.raises(ValueError, match=(
+            r"^config line 3: dt = 0.001: unstable PDE step, squared Courant "
+            r"numbers sum to 0.01, above 2 nu = 0.00331")):
+        parse_config(head + "advection = 5\nomega = 1.99\n")
+    assert parse_config(head + "advection = 0.66\n").advection == (0.66,)
+
+
+def test_an_unstable_extracted_pde_is_refused_after_training():
+    """An extracted PDE is known only once trained: hybrid_spec refuses
+    its unstable step after the training and its augmentation, before any
+    hybrid step, naming the dt line."""
+    cfg = parse_config("kind = hybrid\nvelocity_set = D1Q3\nlifter = nce\n"
+                       "pde_source = extracted\nomega = 1.99\ndt = 1e-3\n"
+                       "advection = 5\nsteps = 3\n")
+    before = lbm_step_count()
+    with pytest.raises(ValueError, match=(
+            r"^config line 6: dt = 0.001: unstable PDE step, squared Courant "
+            r"numbers sum to 0.01")):
+        bench.hybrid_spec(cfg)
+    # one training of 2(m + 1) steps and the two-step augmentation
+    assert lbm_step_count() - before == 2 * 2 + 2
+
+
 @pytest.mark.parametrize("split", [0, 15, 500, -1])
 def test_parse_config_names_the_line_of_a_split_index_out_of_range(split):
     """A split index that leaves either subdomain empty is refused as it

@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lblift import (CrConfig, CrLifter, HybridSpec, Moments, analytic_pde,
+from lblift import (VELOCITY_SETS, CrConfig, CrLifter, HybridSpec, Moments,
+                    analytic_pde,
                     compare_to_reference, constrained_smooth, cr_kernel,
                     cr_lift, cr_map, equilibrium, from_moments,
                     lbm_step_count, moments, restrict, run_lbm)
@@ -12,8 +15,11 @@ from lblift import constrained_runs
 from lblift.constrained_runs import (CR_TOL, extrapolation_weights,
                                     impulse_responses)
 
-from conftest import (benchmark_params, gaussian_density,
+from conftest import (benchmark_params, gaussian_density, off_matrix_models,
                       one_impulse_responses)
+
+OFF_MATRIX = settings(derandomize=True, max_examples=40, deadline=None,
+                      database=None)
 
 
 def test_extrapolation_weights_binomial():
@@ -391,6 +397,69 @@ def test_packed_impulse_responses_match_one_run_per_impulse(name, advection,
                 continue
             gap = np.abs(got - want).max() / np.abs(want).max()
             assert gap <= 8 * np.finfo(float).eps, (m, i, gap)
+
+
+@st.composite
+def probe_cases(draw, fewest=lambda m: 1):
+    """(model, m, grid) off the acceptance matrix: any velocity set, a
+    drawn model, m = 0..3 and fewest(m) to fewest(m) + 11 cells per axis."""
+    name = draw(st.sampled_from(sorted(VELOCITY_SETS)))
+    p = draw(off_matrix_models(name))
+    m = draw(st.integers(0, 3))
+    shape = draw(st.tuples(*(st.integers(fewest(m), fewest(m) + 11),)
+                           * p.vset.dimension))
+    return p, m, shape
+
+
+@OFF_MATRIX
+@given(probe_cases(fewest=lambda m: 2 * m + 3))
+def test_packed_impulse_responses_fit_any_model_bit_for_bit(case):
+    """Where every axis holds a window of 2(m+1)+1 cells, the wrapped
+    packed responses equal one run per impulse bit for bit at drawn
+    models too."""
+    p, m, shape = case
+    packed = impulse_responses(m, p)
+    for i, want in enumerate(one_impulse_responses(shape, m, p)):
+        assert np.array_equal(constrained_runs._wrap(packed[i], shape),
+                              want), (m, i)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the pinned 8 eps bound on summed images holds on the canonical "
+    "models only; off them one run per impulse is itself up to 106 eps "
+    "from exact arithmetic on one cell (CHANGES.md FOUND: D2Q5, omega = "
+    "0.30078125, m = 1, 1 x 1 cells)"))
+@OFF_MATRIX
+@given(probe_cases())
+def test_packed_impulse_responses_off_the_acceptance_matrix(case):
+    """The check of test_packed_impulse_responses_match_one_run_per_impulse
+    at drawn models, m and grids of 1 to 12 cells per axis, many of them
+    shorter than 2(m+1)+1: bit for bit where every axis holds a window,
+    within the pinned 8 eps of max|R_i| where images are summed."""
+    p, m, shape = case
+    packed = impulse_responses(m, p)
+    for i, want in enumerate(one_impulse_responses(shape, m, p)):
+        got = constrained_runs._wrap(packed[i], shape)
+        if min(shape) >= 2 * m + 3:
+            assert np.array_equal(got, want), (m, i)
+        else:
+            gap = np.abs(got - want).max() / np.abs(want).max()
+            assert gap <= 8 * np.finfo(float).eps, (m, i, gap)
+
+
+@OFF_MATRIX
+@given(off_matrix_models("D1Q3"), st.integers(0, 3), st.integers(1, 40),
+       st.integers(0, 2 ** 32 - 1))
+def test_cr_lift_matches_dense_reference_off_the_acceptance_matrix(
+        p, m, cells, seed):
+    """The bound of test_cr_lift_matches_dense_reference at drawn D1Q3
+    models, m and grids of 1 to 40 cells: the transfer-kernel lift
+    converges and gives the dense moment-space fixed point to 1e-12."""
+    rho = 1.0 + 0.5 * np.random.default_rng(seed).uniform(size=cells)
+    res = cr_lift(rho, CrConfig(m=m), p)
+    assert res.converged, res.residual
+    assert_allclose(res.f, dense_reference_lift(rho, m, p), rtol=0,
+                    atol=1e-12)
 
 
 def test_cr_lift_reports_the_steps_it_makes():

@@ -1,7 +1,9 @@
 """Property tests: coefficient text round-trip, mass conservation of every
 lifter, linearity and shift invariance of the stepping kernels and every
-lifter, refusal of empty and non-finite densities by every lifter, and
-refusal of malformed coefficient text.
+lifter, the stepping kernels bit for bit against their np.roll references
+off the acceptance matrix and alike on either memory layout, refusal of
+empty and non-finite densities by every lifter, and refusal of malformed
+coefficient text.
 
 Examples are derandomized, so every run of the suite draws the same ones.
 """
@@ -21,8 +23,11 @@ from lblift import (VELOCITY_SETS, CoefficientLifter, CrConfig, CrLifter,
                     coefficients_to_text, lbm_step_count, restrict,
                     stream_collide, train_coefficients)
 from lblift.constrained_runs import constrained_smooth
+from lblift.lattice import reset_density
 
-from conftest import benchmark_params, with_flat, zero_coefficients
+from conftest import (benchmark_params, off_matrix_models,
+                      roll_constrained_smooth, roll_stream_collide, with_flat,
+                      zero_coefficients)
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
                     database=None)
@@ -171,6 +176,92 @@ def test_constrained_smooth_is_linear_and_shift_invariant(name, advection):
         assert_linear_and_shift_invariant(
             lambda z: constrained_smooth(z[:-1], z[-1], m, params),
             data.draw, 1, shape, signed)
+
+    check()
+
+
+def group_grids(dimension):
+    """Grids on both sides of stream_collide's group budget: in 1D rows of
+    3 to 3,000 cells, which take all q velocities per group up to 2,730
+    cells and groups of 2 and 1 beyond; in 2D all q (5 x 45), groups of
+    8 and 1 or of 5 (40 x 25) and one velocity per group (101 x 200)."""
+    if dimension == 1:
+        return st.tuples(st.one_of(st.integers(3, 3000),
+                                   st.sampled_from((2730, 2731))))
+    return st.sampled_from(((5, 45), (40, 25), (101, 200)))
+
+
+def signed_field(seed, shape):
+    """Normal values, every seventh cell -0.0 in all velocities: the sign
+    a sum from +0.0 sets, and a sum from the first velocity does not."""
+    f = np.random.default_rng(seed).normal(size=shape)
+    f.reshape(shape[0], -1)[:, ::7] = -0.0
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(VELOCITY_SETS))
+def test_stream_collide_matches_roll_reference_off_the_matrix(name):
+    """Bit for bit the collide-then-np.roll reference, at any group size,
+    omega and advection."""
+    @PROPERTY
+    @given(off_matrix_models(name), group_grids(VELOCITY_SETS[name].dimension),
+           st.integers(0, 2 ** 32 - 1))
+    def check(params, grid, seed):
+        f = signed_field(seed, (params.vset.q,) + grid)
+        got = stream_collide(f, params)
+        assert got.tobytes() == roll_stream_collide(f, params).tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(VELOCITY_SETS))
+def test_constrained_smooth_matches_roll_reference(name):
+    """Bit for bit roll_stream_collide steps, their binomial sum and an
+    explicit reset of the rest row, at m = 0..3."""
+    @PROPERTY
+    @given(off_matrix_models(name), group_grids(VELOCITY_SETS[name].dimension),
+           st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def check(params, grid, m, seed):
+        f = signed_field(seed, (params.vset.q,) + grid)
+        rho0 = np.random.default_rng(seed + 1).normal(size=grid)
+        got = constrained_smooth(f, rho0, m, params)
+        want = roll_constrained_smooth(f, rho0, m, params)
+        assert got.tobytes() == want.tobytes()
+
+    check()
+
+
+def velocity_innermost(f):
+    """The values of f stored with the velocity axis innermost in memory."""
+    inner = np.moveaxis(np.ascontiguousarray(np.moveaxis(f, 0, -1)), -1, 0)
+    assert inner.strides[0] == inner.itemsize
+    return inner
+
+
+@pytest.mark.parametrize("name", sorted(VELOCITY_SETS))
+def test_kernels_round_alike_whatever_the_memory_layout(name):
+    """restrict, stream_collide, reset_density and constrained_smooth
+    give the same bits on a field stored with the velocity axis outermost
+    and on the same field stored innermost, where np.sum would add the
+    velocities pairwise.  On the outermost layout restrict keeps np.sum's
+    bits on every grid of more than one cell; on one cell np.sum adds the
+    nine D2Q9 velocities pairwise whatever the layout."""
+    vset = VELOCITY_SETS[name]
+
+    @PROPERTY
+    @given(off_matrix_models(name),
+           st.tuples(*(st.integers(1, 12),) * vset.dimension),
+           st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+    def check(params, grid, m, seed):
+        outer = signed_field(seed, (vset.q,) + grid)
+        inner = velocity_innermost(outer)
+        rho0 = np.random.default_rng(seed + 1).normal(size=grid)
+        if np.prod(grid) > 1:
+            assert restrict(outer).tobytes() == outer.sum(axis=0).tobytes()
+        for kernel in (restrict, lambda f: stream_collide(f, params),
+                       lambda f: reset_density(f, rho0, vset),
+                       lambda f: constrained_smooth(f, rho0, m, params)):
+            assert kernel(outer).tobytes() == kernel(inner).tobytes()
 
     check()
 
