@@ -75,9 +75,10 @@ class ExperimentConfig:
     split_index: Optional[int] = None
     pde_source: str = "analytic"
     extract_mode: str = "summation"
-    # the config line of each key the file states, for refusals after parsing
-    lines: Dict[str, int] = field(default_factory=dict, repr=False,
-                                  compare=False)
+    # the config line of each key the file states, which parse_config
+    # fills, for the refusals of an extracted PDE after training
+    lines: Dict[str, int] = field(init=False, default_factory=dict,
+                                  repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -311,10 +312,11 @@ def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
         pde = _extracted_pde(config, params, lifter.coefficients)
     else:
         pde = hybrid_pde(config, params)
-    try:
-        _refuse_unstable_pde(pde, params)
-    except ConfigError as exc:
-        raise _on_config_line(exc, config.lines) from None
+    if config.pde_source == "extracted":
+        try:
+            _refuse_unstable_pde(pde, params)
+        except ConfigError as exc:
+            raise _on_config_line(exc, config.lines) from None
     return _hybrid_spec(config, params, pde, lifter)
 
 
@@ -426,9 +428,11 @@ def parse_config(text: str, kind: Optional[str] = None) -> ExperimentConfig:
         raise ValueError("config does not state an experiment kind")
     lines = {key: line for key, (line, _) in entries.items()}
     try:
-        return ExperimentConfig(**values, lines=lines)
+        config = ExperimentConfig(**values)
     except ConfigError as exc:
         raise _on_config_line(exc, lines) from None
+    config.lines = lines
+    return config
 
 
 def _on_config_line(exc: ConfigError, lines: Dict[str, int]) -> ValueError:

@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 
 from .lattice import (LbmParams, finite_density, integer, lbm_step_count,
-                      restrict, stream_collide)
+                      reset_density, restrict, stream_collide)
 
 
 # the largest max-norm of a closing residual that counts as converged
@@ -101,9 +101,8 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
     drop.  Works for any velocity set on a periodic grid.
 
     The sum accumulates from zero in a new field, and one product buffer
-    serves every step's weighted snapshot.  The reset then lands in place
-    on the rest row of that field, as lattice.reset_density would on a
-    copy of it.
+    serves every step's weighted snapshot; reset_density then pins the
+    density in place on that field.
     """
     out = np.zeros(np.shape(f))
     term = np.empty_like(out)
@@ -111,8 +110,7 @@ def constrained_smooth(f: np.ndarray, rho0: np.ndarray, m: int,
         f = stream_collide(f, params)
         np.multiply(w, f, out=term)
         out += term
-    out[params.vset.rest] += rho0 - restrict(out)
-    return out
+    return reset_density(out, rho0, params.vset)
 
 
 def impulse_responses(m: int, params: LbmParams) -> np.ndarray:

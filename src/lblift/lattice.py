@@ -232,8 +232,12 @@ class LbmParams:
 
         A group of one velocity takes an integer row and a scalar weight,
         so its ufunc calls are the per-velocity ones; a larger group takes
-        slices and a column of weights that broadcasts over the grid.
-        Built once per parameter set and group size.
+        slices and a column of weights that broadcasts over the grid.  On
+        a 101 x 200 D2Q9 field, one velocity per group, length-1 slices
+        with a (1, 1, 1) weight column make stream_collide about 5 %
+        slower (455 -> 486 us, median of 20 paired timeit rounds on a
+        2-core Intel Xeon VM).  Built once per parameter set and group
+        size.
         """
         groups = self._collision_groups.get(group)
         if groups is None:
@@ -393,7 +397,8 @@ def from_moments(m: Moments) -> np.ndarray:
 
 def reset_density(f: np.ndarray, rho0: np.ndarray,
                   vset: VelocitySet) -> np.ndarray:
-    """Pin the density of f to rho0 keeping all non-density moments.
+    """Pin the density of the float field f to rho0 in place, keeping all
+    non-density moments; returns f.
 
     The correction lands entirely on the rest direction vset.rest: for
     D1Q3 this is exactly the moment-space reset of (rho, phi, xi) ->
@@ -401,6 +406,5 @@ def reset_density(f: np.ndarray, rho0: np.ndarray,
     rest component enters no non-density moment of the invertible
     transform).
     """
-    f = np.array(f, dtype=float, copy=True)
     f[vset.rest] += rho0 - restrict(f)
     return f

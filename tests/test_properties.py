@@ -259,7 +259,7 @@ def test_kernels_round_alike_whatever_the_memory_layout(name):
         if np.prod(grid) > 1:
             assert restrict(outer).tobytes() == outer.sum(axis=0).tobytes()
         for kernel in (restrict, lambda f: stream_collide(f, params),
-                       lambda f: reset_density(f, rho0, vset),
+                       lambda f: reset_density(f.copy(order="K"), rho0, vset),
                        lambda f: constrained_smooth(f, rho0, m, params)):
             assert kernel(outer).tobytes() == kernel(inner).tobytes()
 
