@@ -176,6 +176,26 @@ def cr_map(rho0: np.ndarray, v: np.ndarray, config: CrConfig,
     return _non_rest(g, rest)
 
 
+def _grid_rfft(x: np.ndarray, dimension: int) -> np.ndarray:
+    """np.fft.rfftn over the last `dimension` axes of x, through the 1D
+    transforms rfftn runs, in its order: rfft on the last axis, then fft
+    on each other one from the last to the first.  The same values,
+    without rfftn's argument handling on every call."""
+    x = np.fft.rfft(x)
+    for axis in range(-2, -dimension - 1, -1):
+        x = np.fft.fft(x, axis=axis)
+    return x
+
+
+def _grid_irfft(x: np.ndarray, shape: tuple) -> np.ndarray:
+    """np.fft.irfftn(x, s=shape) over the last len(shape) axes of x, as
+    _grid_rfft runs rfftn: ifft on each leading axis from the first, then
+    irfft on the last to shape[-1] cells."""
+    for axis in range(-len(shape), -1):
+        x = np.fft.ifft(x, axis=axis)
+    return np.fft.irfft(x, shape[-1])
+
+
 def cr_kernel(shape: tuple, config: CrConfig,
               params: LbmParams) -> np.ndarray:
     """Per-wavenumber transfer G = (I - B)^-1 A of the cr_map fixed point.
@@ -200,10 +220,9 @@ def cr_kernel(shape: tuple, config: CrConfig,
     in rad in [0, 2 pi), looked up only once the solve has failed.
     """
     rest = params.vset.rest
-    axes = tuple(range(1, len(shape) + 1))
     # spectra[i][k, r]: row r of R_i at wavenumber k, one R_i at a time
-    spectra = [np.moveaxis(np.fft.rfftn(_wrap(_non_rest(g, rest), shape),
-                                        axes=axes), 0, -1)
+    spectra = [np.moveaxis(_grid_rfft(_wrap(_non_rest(g, rest), shape),
+                                      len(shape)), 0, -1)
                for g in impulse_responses(config.m, params)]
     density = spectra.pop(rest)
     blocks = np.eye(len(spectra)) - (np.stack(spectra, axis=-1)
@@ -256,9 +275,7 @@ def cr_lift(rho0: np.ndarray, config: CrConfig, params: LbmParams,
         cells = " x ".join(str(n) for n in rho0.shape)
         raise ValueError(
             f"kernel of shape {kernel.shape} does not fit {cells} cells")
-    # an explicit s skips numpy's shape inference, as slow as a 1D FFT
-    v = np.fft.irfftn(kernel * np.fft.rfftn(rho0), s=rho0.shape,
-                      axes=tuple(range(1, rho0.ndim + 1)))
+    v = _grid_irfft(kernel * _grid_rfft(rho0, rho0.ndim), rho0.shape)
     rest = params.vset.rest
     f = _distributions(rho0, v, rest)
     # |g - f| in place on the closing run's field; its rest row is no

@@ -8,11 +8,12 @@ leading: shape (q, n) in 1D and (q, nx, ny) in 2D.  Density fields drop
 the leading axis.  The update is periodic on every axis; a subdomain fed
 through ghost cells (the hybrid) updates its rimmed field periodically
 and keeps the interior, which the wrap never reaches.  The update
-collides as many velocities at once as fit _BLOCK_CELLS elements, in one
-group scratch array that then serves every streaming copy; every value
-is the same, bit for bit, whatever the group size, and whatever the
-memory layout of the field, as restrict sums the velocities in index
-order.
+collides as many velocities at once as fit _BLOCK_CELLS elements into a
+group-sized scratch array, and streams that scratch straight into the
+new field, whose rows of the group hold the relaxation term until then;
+every value is the same, bit for bit, whatever the group size, and
+whatever the memory layout of the field, as restrict sums the velocities
+in index order.
 
 The D1Q3 moment transform follows the (f_1, f_0, f_-1) ordering with
 dimensionless lattice velocities c_i in {+1, 0, -1}:
@@ -32,6 +33,18 @@ from itertools import product
 from typing import Tuple
 
 import numpy as np
+
+
+def _stream_moves(c: Tuple[int, ...]) -> list:
+    """The (destination, source) slice pairs along the grid axes that move
+    a component one link along c: the bulk and the wrapped edge along each
+    axis of a nonzero shift, the whole axis where c has no shift, so 2^s
+    pairs for s shifted axes."""
+    per_axis = [((slice(shift, None), slice(None, -shift)),
+                 (slice(None, shift), slice(-shift, None))) if shift
+                else ((slice(None), slice(None)),) for shift in c]
+    return [(tuple(d for d, _ in pairs), tuple(s for _, s in pairs))
+            for pairs in product(*per_axis)]
 
 
 @dataclass(frozen=True)
@@ -67,31 +80,28 @@ class VelocitySet:
         """Index of the zero direction, the one reset_density corrects."""
         return self.directions.index((0,) * self.dimension)
 
-    @cached_property
-    def stream_copies(self):
-        """Per moving direction k, the (destination, source) slice pairs
-        of its streaming, built once per velocity set.
+    def group_moves(self, group: int) -> tuple:
+        """Per group of up to group velocities, in index order, the
+        (destination, source) index pairs that stream the group's rows of
+        stream_collide's scratch into the new field.
 
-        Direction k moves one link along c_k: component[x] = source[x -
-        c_k].  Each axis needs two slice copies per nonzero shift (the bulk
-        and the wrapped edge), independent of the grid size.
+        Velocity k moves one link along c_k, out[k][x] = scratch[x - c_k]:
+        the rest velocity in one copy, the others in 2^s copies for s
+        shifted axes (the bulk and the wrapped edge along each), whatever
+        the grid size.  Built once per velocity set and group size.
         """
-        streams = []
-        for k, c in enumerate(self.directions):
-            if not any(c):
-                continue
-            per_axis = []
-            for shift in c:
-                if shift:
-                    per_axis.append(
-                        [(slice(shift, None), slice(None, -shift)),
-                         (slice(None, shift), slice(-shift, None))])
-                else:
-                    per_axis.append([(slice(None), slice(None))])
-            streams.append((k, tuple(
-                (tuple(d for d, _ in pairs), tuple(s for _, s in pairs))
-                for pairs in product(*per_axis))))
-        return tuple(streams)
+        moves = self._group_moves.get(group)
+        if moves is None:
+            moves = self._group_moves[group] = tuple(
+                tuple(((k,) + dst, (k - start,) + src)
+                      for k in range(start, min(start + group, self.q))
+                      for dst, src in _stream_moves(self.directions[k]))
+                for start in range(0, self.q, group))
+        return moves
+
+    @cached_property
+    def _group_moves(self) -> dict:
+        return {}
 
     def direction_array(self) -> np.ndarray:
         """Directions as an integer array of shape (q, dimension)."""
@@ -226,31 +236,35 @@ class LbmParams:
         return w
 
     def collision_groups(self, group: int) -> tuple:
-        """(rows, local, weight) per group of up to group velocities, in
-        index order: the rows of the field, the rows of the group scratch
-        and the equilibrium weights of stream_collide's relaxation terms.
+        """(rows, local, weight, moves) per group of up to group
+        velocities, in index order: the rows of the field, the rows of the
+        group scratch, the equilibrium weights of stream_collide's
+        relaxation terms, and the (destination, source) index pairs that
+        stream the group's scratch rows into the new field.
 
         A group of one velocity takes an integer row and a scalar weight,
         so its ufunc calls are the per-velocity ones; a larger group takes
         slices and a column of weights that broadcasts over the grid.  On
-        a 101 x 200 D2Q9 field, one velocity per group, length-1 slices
-        with a (1, 1, 1) weight column make stream_collide about 5 %
-        slower (455 -> 486 us, median of 20 paired timeit rounds on a
-        2-core Intel Xeon VM).  Built once per parameter set and group
-        size.
+        a 68 x 68 D2Q5 field, five groups of one, length-1 slices with a
+        (1, 1, 1) weight column make stream_collide 3-5 % slower (56 -> 59
+        and 62 -> 64 us, medians of 20 to 30 alternating timeit rounds on a
+        2-core Intel Xeon VM), about 1 % on a 101 x 200 D2Q9 field.  The
+        moves are VelocitySet.group_moves.  Built once per parameter set
+        and group size.
         """
         groups = self._collision_groups.get(group)
         if groups is None:
             weights = self.equilibrium_weights()
             columns = weights.reshape((-1,) + (1,) * self.vset.dimension)
             groups = []
-            for start in range(0, self.vset.q, group):
+            for start, moves in zip(range(0, self.vset.q, group),
+                                    self.vset.group_moves(group)):
                 stop = min(start + group, self.vset.q)
                 if stop - start == 1:
-                    groups.append((start, 0, weights[start]))
+                    groups.append((start, 0, weights[start], moves))
                 else:
                     groups.append((slice(start, stop), slice(0, stop - start),
-                                   columns[start:stop]))
+                                   columns[start:stop], moves))
             groups = self._collision_groups[group] = tuple(groups)
         return groups
 
@@ -269,8 +283,9 @@ class Moments:
 
 
 # Elements per block of a kernel's scratch: stream_collide collides as
-# many velocities at once as fit, and the stencil lift takes its output
-# rows in blocks of this many cells.
+# many velocities at once as fit into its group scratch, which it then
+# streams into the new field, and the stencil lift takes its output rows
+# in blocks of this many cells.
 _BLOCK_CELLS = 8192
 
 # restrict's start: a 0-d array, the cheapest +0.0 operand of a ufunc
@@ -333,14 +348,16 @@ def restrict(f: np.ndarray) -> np.ndarray:
 def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     """One periodic BGK update  f_i(x + c_i dx, t + dt) = (1-w) f_i + w f_eq_i.
 
-    Collision fills one new field, in which each component then streams
-    one lattice link in place; every grid axis wraps.  The velocities
-    collide in groups of as many as fit _BLOCK_CELLS elements, at least
-    one (LbmParams.collision_groups): a 1D row of 200 cells takes all q
-    in one group, a 101 x 200 D2Q9 field one velocity per group.  One
-    group-sized scratch array serves every relaxation term, and its first
-    row every streaming copy.  Each element meets the same operations in
-    the same order whatever the group size.
+    The velocities collide in groups of as many as fit _BLOCK_CELLS
+    elements, at least one (LbmParams.collision_groups): a 1D row of 200
+    cells takes all q in one group, a 101 x 200 D2Q9 field one velocity
+    per group.  Per group, (1-w) f goes into a group-sized scratch array,
+    the relaxation term (w_i rho) w into the group's rows of the new
+    field, and their sum back into the scratch, which the group's moves
+    then stream one lattice link into those rows; every grid axis wraps.
+    No field-sized intermediate is made, and f is only read.  Each
+    element meets the same operations in the same order whatever the
+    group size.
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
@@ -354,21 +371,20 @@ def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     _step_count += 1
     rho = restrict(f)
     omega = params.omega
-    post = (1.0 - omega) * f
+    keep = 1.0 - omega
+    out = np.empty(f.shape)
     group = min(vset.q, max(1, _BLOCK_CELLS // max(1, rho.size)))
     scratch = np.empty((group,) + rho.shape)
-    for rows, local, weight in params.collision_groups(group):
-        term = scratch[local]
+    for rows, local, weight, moves in params.collision_groups(group):
+        post = scratch[local]
+        np.multiply(keep, f[rows], out=post)
+        term = out[rows]
         np.multiply(weight, rho, out=term)
         term *= omega
-        post[rows] += term
-    scratch = scratch[0]
-    for k, copies in vset.stream_copies:
-        component = post[k]
-        scratch[...] = component
-        for dst, src in copies:
-            component[dst] = scratch[src]
-    return post
+        post += term
+        for dst, src in moves:
+            out[dst] = scratch[src]
+    return out
 
 
 def run_lbm(f: np.ndarray, params: LbmParams, steps: int) -> np.ndarray:

@@ -102,7 +102,8 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
     rho' = rho + nu (rho_W - 2 rho + rho_E) - (a dt / 2 dx)(rho_E - rho_W)
     per axis, with nu = D dt / dx^2 (the grid spacing is shared by all
     axes).  Axis 0 reads its neighbours from a copy with one wrapped cell
-    at each end, the other axes from np.roll; 2 rho is formed once and
+    at each end, the other axes from two neighbour buffers, each filled by
+    two wrap copies, as np.roll fills them; 2 rho is formed once and
     every axis reuses the same two term buffers.  The stability bounds of
     stability_breaches are warnings here, not errors: a subdomain fed by
     ghost values can behave better than the periodic worst case.  The
@@ -121,10 +122,18 @@ def ftcs_step(rho: np.ndarray, pde: MacroPde, dx: float,
     two_rho = 2.0 * rho
     diffusion = np.empty_like(rho)
     drift = np.empty_like(rho)
+    if dim > 1:
+        east_buffer = np.empty_like(rho)
+        west_buffer = np.empty_like(rho)
     for ax, a in enumerate(pde.advection):
         if ax:
-            east = np.roll(rho, -1, axis=ax)
-            west = np.roll(rho, 1, axis=ax)
+            # np.roll(rho, -1) and np.roll(rho, 1) along ax, as wrap copies
+            east, west = east_buffer, west_buffer
+            before = (slice(None),) * ax
+            east[before + (slice(None, -1),)] = rho[before + (slice(1, None),)]
+            east[before + (slice(-1, None),)] = rho[before + (slice(None, 1),)]
+            west[before + (slice(1, None),)] = rho[before + (slice(None, -1),)]
+            west[before + (slice(None, 1),)] = rho[before + (slice(-1, None),)]
         else:
             east = padded[2:]
             west = padded[:-2]

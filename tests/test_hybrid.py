@@ -1,18 +1,23 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lblift import (CoefficientLifter, CrConfig, CrLifter, EquilibriumLifter,
-                    HybridSpec, HybridState, MacroPde, NceTrainConfig,
-                    analytic_coefficients, analytic_pde, compare_to_reference,
+from lblift import (VELOCITY_SETS, CoefficientLifter, CrConfig, CrLifter,
+                    EquilibriumLifter, HybridSpec, HybridState, MacroPde,
+                    NceTrainConfig, analytic_coefficients, analytic_pde,
+                    compare_to_reference,
                     default_split, full_density, hybrid_step, init_hybrid,
                     lbm_step_count, train_coefficients)
 from lblift.hybrid import _split_state
 from lblift.lifters import lift_reach
 
-from conftest import benchmark_params, gaussian_density, roll_stream_collide
+from conftest import (benchmark_params, gaussian_density, off_matrix_models,
+                      roll_stream_collide, zero_coefficients)
 from test_lifting import reference_lift
 
 
@@ -358,6 +363,52 @@ def test_init_hybrid_is_the_cropped_full_lift(name, lifter, cells):
     full = _split_state(spec.lifter.lift(spec.initial_density, p), spec)
     assert np.array_equal(state.f_rim, full.f_rim)
     assert np.array_equal(state.rho_pde, full.rho_pde)
+
+
+@st.composite
+def few_row_hybrids(draw):
+    """A hybrid off the acceptance matrix: a drawn velocity set, omega in
+    (0.3, 1.9) and advection (conftest.off_matrix_models); a coefficient
+    lifter of spatial order 0 to 4 with drawn vectors, each term scaled by
+    dx to its order, so reaches 0 to 2; 3 to 12 rows of 1 to 6 cells in
+    2D, where the ghost slab wraps the grid or holds rows twice; a drawn
+    split, densities near 1, and a PDE of diffusion number 0.05 to 0.2,
+    inside ftcs_step's bounds at every drawn advection."""
+    params = draw(st.sampled_from(sorted(VELOCITY_SETS)).flatmap(
+        off_matrix_models))
+    rows = draw(st.integers(3, 12))
+    shape = (rows,) + tuple(draw(st.integers(1, 6))
+                            for _ in range(params.vset.dimension - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = zero_coefficients(params, draw(st.integers(0, 4)))
+    for term in coeffs.terms:
+        coeffs.terms[term] = rng.normal(size=params.vset.q) \
+            * params.dx ** term.total
+    nu = draw(st.floats(0.05, 0.2))
+    return HybridSpec(
+        total_cells=rows, split_index=draw(st.integers(1, rows - 2)),
+        params=params,
+        pde=MacroPde(params.advection, nu * params.dx ** 2 / params.dt),
+        lifter=CoefficientLifter(coeffs),
+        initial_density=1.0 + 0.1 * rng.normal(size=shape))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(few_row_hybrids())
+def test_slab_start_and_steps_match_the_whole_field_run_off_the_matrix(spec):
+    """The ghost-slab start and three ghost-slab steps give bit for bit
+    the run that lifts the whole field, through a wrapper that states no
+    reach, on few-row grids and off the acceptance matrix."""
+    whole = dataclasses.replace(spec, lifter=Forwarding(spec.lifter, False))
+    h = lift_reach(spec.lifter, spec.params)
+    assert spec.lifted_rows == 4 * max(h, 1) + 2
+    assert whole.lifted_rows == spec.total_cells
+    state, ref = init_hybrid(spec), init_hybrid(whole)
+    for step in range(4):
+        if step:
+            state, ref = hybrid_step(state, spec), hybrid_step(ref, whole)
+        assert np.array_equal(state.f_rim, ref.f_rim), step
+        assert np.array_equal(state.rho_pde, ref.rho_pde), step
 
 
 def test_cr_hybrid_spec_probes_nothing():

@@ -174,6 +174,42 @@ def test_stream_collide_matches_roll_reference(name, advection, shapes):
         assert np.array_equal(got, ref), (name, shape)
 
 
+@pytest.mark.parametrize("vset", [D1Q3, D2Q5, D2Q9], ids=lambda v: v.name)
+def test_collision_groups_stream_every_cell_once(vset):
+    """At every group size, the groups take the velocities in index order,
+    and their moves read each (scratch row, cell) of a group and write
+    each (velocity, cell) of the new field exactly once, one link along
+    the velocity; on axes of one to three cells, where the wrapped edge
+    is all or most of the axis."""
+    p = LbmParams(vset=vset, dx=0.05, dt=1e-3, omega=1.0)
+    grids = [(1,), (2,), (5,)] if vset.dimension == 1 else [(1, 3), (3, 2),
+                                                            (4, 1)]
+    for grid in grids:
+        cells = np.arange(np.prod(grid)).reshape(grid)
+        for group in range(1, vset.q + 1):
+            written = np.zeros((vset.q,) + grid, dtype=int)
+            streamed = np.full((vset.q,) + grid, -1)
+            rows = []
+            scratch = np.repeat(cells[None], group, axis=0)
+            for row, _, _, moves in p.collision_groups(group):
+                velocities = np.atleast_1d(np.arange(vset.q)[row])
+                rows.extend(velocities.tolist())
+                size = velocities.size
+                read = np.zeros((group,) + grid, dtype=int)
+                for dst, src in moves:
+                    written[dst] += 1
+                    read[src] += 1
+                    streamed[dst] = scratch[src]
+                assert np.all(read[:size] == 1), (grid, group)
+                assert np.all(read[size:] == 0), (grid, group)
+            assert rows == list(range(vset.q)), group
+            assert np.all(written == 1), (grid, group)
+            for k, c in enumerate(vset.directions):
+                assert np.array_equal(
+                    streamed[k], np.roll(cells, c, axis=tuple(
+                        range(vset.dimension)))), (grid, group, k)
+
+
 def test_equilibrium_weights_cached_read_only():
     p = benchmark_params("D2Q9", advection=(1.0, 0.5))
     w = p.equilibrium_weights()

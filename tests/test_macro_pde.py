@@ -150,11 +150,16 @@ def test_ftcs_step_matches_roll_reference():
 def test_ftcs_step_keeps_its_summation_order():
     """ftcs_step sums each axis as the one-expression form does, rho plus
     the diffusion term minus the advection term, then one term pair per
-    later axis, so its reused buffers give that form bit for bit."""
+    later axis, so its reused buffers give that form bit for bit; later
+    axes of one and two cells included, where a wrap copy fills the whole
+    axis or half of it."""
     rng = np.random.default_rng(10)
     for advection, shape, dt in (((0.25,), (30,), 1e-3),
                                  ((0.1, -0.3), (12, 7), 1e-4),
-                                 ((0.1, -0.3), (2, 5), 1e-4)):
+                                 ((0.1, -0.3), (2, 5), 1e-4),
+                                 ((0.1, -0.3), (7, 1), 1e-4),
+                                 ((0.1, -0.3), (1, 6), 1e-4),
+                                 ((0.1, -0.3), (3, 2), 1e-4)):
         pde = MacroPde(advection=advection, diffusion=1.0)
         rho = rng.random(shape)
         nu = pde.diffusion * dt / 0.05 ** 2
