@@ -10,7 +10,7 @@ round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -56,31 +56,51 @@ KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
 
 
+def _parse_float(text: str) -> float:
+    # accepts fractions like 10/11 so relaxation rates can be given exactly
+    return float(Fraction(text))
+
+
+def _parse_tuple(text: str) -> Tuple[float, ...]:
+    return tuple(float(Fraction(part.strip())) for part in text.split(","))
+
+
+def _key(parse, default=MISSING):
+    # a config key: a field with its default and the parser of its text
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment, as read from a key = value config file."""
+    """One experiment, as read from a key = value config file: each init
+    field is a config key, read from its text by its parser."""
 
-    kind: str
-    velocity_set: str = "D1Q3"
-    length: float = 10.0
-    cells: int = 200
-    dt: Optional[float] = None
-    omega: Optional[float] = None
-    advection: Optional[Tuple[float, ...]] = None
-    lifter: str = "analytic"
-    order: int = 2
-    m: int = 1
-    steps: int = 200
-    reference_steps: int = 1000
-    split_index: Optional[int] = None
-    pde_source: str = "analytic"
-    extract_mode: str = "summation"
+    kind: str = _key(str)
+    velocity_set: str = _key(str, "D1Q3")
+    length: float = _key(_parse_float, 10.0)
+    cells: int = _key(int, 200)
+    dt: Optional[float] = _key(_parse_float, None)
+    omega: Optional[float] = _key(_parse_float, None)
+    advection: Optional[Tuple[float, ...]] = _key(_parse_tuple, None)
+    lifter: str = _key(str, "analytic")
+    order: int = _key(int, 2)
+    m: int = _key(int, 1)
+    steps: int = _key(int, 200)
+    reference_steps: int = _key(int, 1000)
+    split_index: Optional[int] = _key(int, None)
+    pde_source: str = _key(str, "analytic")
+    extract_mode: str = _key(str, "summation")
     # the config line of each key the file states, which parse_config
     # fills, for the refusals of an extracted PDE after training
     lines: Dict[str, int] = field(init=False, default_factory=dict,
                                   repr=False, compare=False)
 
     def __post_init__(self):
+        # the model's rules on dt and omega, before any other
+        for key, rule in (("dt", finite_positive), ("omega", stable_omega)):
+            value = getattr(self, key)
+            if value is not None:
+                self._check(key, lambda: rule(value))
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}", "kind")
         if self.velocity_set not in VELOCITY_SETS:
@@ -119,27 +139,16 @@ class ExperimentConfig:
                               "the reference state needs >= 0 LBM steps",
                               "reference_steps")
         # the rules of what a run builds from these values, applied here
-        # so that the config line at fault is named; the model gets unit
-        # placeholders, its dt and omega rules having run on parsing
-        checks = [("advection", lambda: LbmParams(
-            VELOCITY_SETS[self.velocity_set], 1.0, 1.0, 1.0, self.advection))]
+        # so that the config line at fault is named
+        params = self._check("advection", lambda: experiment_params(self))
         if self.split_index is not None and self.kind in ("hybrid",
                                                           "cost_table"):
-            checks.append(("split_index", lambda: checked_split(
-                self.cells, self.split_index)))
+            self._check("split_index", lambda: checked_split(
+                self.cells, self.split_index))
         if self.lifter == "cr" and self.kind != "train_only":
-            checks.append(("m", lambda: CrConfig(m=self.m)))
-        for key, check in checks:
-            try:
-                check()
-            except ValueError as exc:
-                value = getattr(self, key)
-                if isinstance(value, tuple):
-                    value = ", ".join(map(str, value))
-                raise ConfigError(f"{key} = {value}: {exc}", key) from None
+            self._check("m", lambda: CrConfig(m=self.m))
         if self.kind == "cost_table" or (self.kind == "hybrid"
                                          and self.pde_source == "analytic"):
-            params = experiment_params(self)
             try:
                 pde = analytic_pde(params)
             except ValueError as exc:
@@ -149,6 +158,17 @@ class ExperimentConfig:
         if (self.kind == "train_only" or self.lifter == "nce"
                 or (self.kind == "hybrid" and self.pde_source == "extracted")):
             train_config(self)
+
+    def _check(self, key: str, rule):
+        """rule(), its ValueError refused as a ConfigError on key that
+        names the key's value."""
+        try:
+            return rule()
+        except ValueError as exc:
+            value = getattr(self, key)
+            if isinstance(value, tuple):
+                value = ", ".join(map(str, value))
+            raise ConfigError(f"{key} = {value}: {exc}", key) from None
 
 
 @dataclass
@@ -196,8 +216,9 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
     """The training grid of TEST_LENGTH at config's dx, refused on the
-    config key at fault: order, m or cells, the last naming the fewest
-    cells that train at this length and m."""
+    config key at fault: order, m or cells (then length, when the file
+    states no cells), the last naming the fewest cells that train at this
+    length and m."""
     dx = config.length / config.cells
     cells = TEST_LENGTH / dx
     if not cells <= MAX_TEST_CELLS:
@@ -219,7 +240,8 @@ def train_config(config: ExperimentConfig) -> NceTrainConfig:
             fewest = fewest_training_cells(config.length, config.m) or "none"
             message += (f"; the fewest cells that train at length = "
                         f"{config.length} and m = {config.m}: {fewest}")
-        raise ConfigError(message, key) from None
+        raise ConfigError(message, key, *(("length",) if key == "cells"
+                                          else ())) from None
 
 
 def fewest_training_cells(length: float, m: int) -> Optional[int]:
@@ -295,16 +317,22 @@ def hybrid_pde(config: ExperimentConfig, params: LbmParams):
 
 
 def _extracted_pde(config: ExperimentConfig, params: LbmParams, coefficients):
+    """The PDE extracted from trained coefficients; one whose step is
+    unstable is refused, naming its config line (an analytic one was
+    refused as the config was read)."""
     cfg = train_config(config)
     augmented = augment_time_derivative(coefficients, cfg, params)
-    return extract_pde(augmented.coefficients, mode=config.extract_mode,
-                       system=augmented.system)
+    pde = extract_pde(augmented.coefficients, mode=config.extract_mode,
+                      system=augmented.system)
+    try:
+        _refuse_unstable_pde(pde, params)
+    except ConfigError as exc:
+        raise _on_config_line(exc, config.lines) from None
+    return pde
 
 
 def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
-    """The configured hybrid; an extracted PDE whose step is unstable is
-    refused once trained, naming its config line (an analytic one was
-    refused as the config was read)."""
+    """The configured hybrid, its PDE from hybrid_pde."""
     params = experiment_params(config)
     lifter, _ = make_lifter(config, params)
     if config.lifter == "nce" and config.pde_source == "extracted":
@@ -312,11 +340,6 @@ def hybrid_spec(config: ExperimentConfig) -> HybridSpec:
         pde = _extracted_pde(config, params, lifter.coefficients)
     else:
         pde = hybrid_pde(config, params)
-    if config.pde_source == "extracted":
-        try:
-            _refuse_unstable_pde(pde, params)
-        except ConfigError as exc:
-            raise _on_config_line(exc, config.lines) from None
     return _hybrid_spec(config, params, pde, lifter)
 
 
@@ -373,43 +396,16 @@ def cost_summary(config: ExperimentConfig) -> StepCounter:
 # Config file parsing: flat `key = value` lines, # comments.
 # ---------------------------------------------------------------------------
 
-def _parse_float(text: str) -> float:
-    # accepts fractions like 10/11 so relaxation rates can be given exactly
-    return float(Fraction(text))
-
-def _parse_int(text: str) -> int:
-    return int(text, 10)
-
-def _parse_tuple(text: str) -> Tuple[float, ...]:
-    return tuple(float(Fraction(part.strip())) for part in text.split(","))
-
-def _parse_str(text: str) -> str:
-    return text
-
-_CONFIG_KEYS = {
-    "kind": _parse_str,
-    "velocity_set": _parse_str,
-    "length": _parse_float,
-    "cells": _parse_int,
-    "dt": lambda text: finite_positive(_parse_float(text)),
-    "omega": lambda text: stable_omega(_parse_float(text)),
-    "advection": _parse_tuple,
-    "lifter": _parse_str,
-    "order": _parse_int,
-    "m": _parse_int,
-    "steps": _parse_int,
-    "reference_steps": _parse_int,
-    "split_index": _parse_int,
-    "pde_source": _parse_str,
-    "extract_mode": _parse_str,
-}
+# each config key's parser, read off the fields of ExperimentConfig
+_PARSERS = {key.name: key.metadata["parse"]
+            for key in fields(ExperimentConfig) if key.init}
 
 
 def _config_entry(key: str, value: str) -> tuple:
-    if key not in _CONFIG_KEYS:
+    if key not in _PARSERS:
         raise ValueError(f"unknown key {key!r}")
     try:
-        return key, _CONFIG_KEYS[key](value)
+        return key, _PARSERS[key](value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse {key} = {value!r} ({exc})") from None
 

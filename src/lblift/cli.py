@@ -22,18 +22,16 @@ from typing import List, Optional
 
 from .bench import parse_config, run_experiment
 
-_COMMAND_KIND = {
-    "train": "train_only",
-    "lift-bench": "lift_bench",
-    "hybrid": "hybrid",
-    "cost": "cost_table",
-}
-
-_COMMAND_HELP = {
-    "train": "train lifting coefficients and write them to a file",
-    "lift-bench": "measure restrict-then-lift error on a reference state",
-    "hybrid": "run a split PDE/LBM domain against a full LBM reference",
-    "cost": "meter the LBM steps a lifting route consumes in a hybrid run",
+# each subcommand: the experiment kind it runs, and its help line
+_COMMANDS = {
+    "train": ("train_only",
+              "train lifting coefficients and write them to a file"),
+    "lift-bench": ("lift_bench",
+                   "measure restrict-then-lift error on a reference state"),
+    "hybrid": ("hybrid",
+               "run a split PDE/LBM domain against a full LBM reference"),
+    "cost": ("cost_table",
+             "meter the LBM steps a lifting route consumes in a hybrid run"),
 }
 
 
@@ -43,8 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="lattice Boltzmann lifting benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMAND_KIND:
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for command, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", required=True, metavar="FILE",
                        help="experiment config (key = value lines)")
         p.add_argument("--out", default=".", metavar="DIR",
@@ -61,7 +59,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
         return 1
     try:
-        config = parse_config(text, kind=_COMMAND_KIND[args.command])
+        config = parse_config(text, kind=_COMMANDS[args.command][0])
         paths = run_experiment(config, Path(args.out))
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,7 +139,6 @@ class HybridState:
 
     rho_pde: np.ndarray
     f_rim: np.ndarray
-    t: int = 0
 
     @property
     def f_lbm(self) -> np.ndarray:
@@ -206,7 +205,7 @@ def hybrid_step(state: HybridState, spec: HybridSpec) -> HybridState:
     rho_new = ftcs_step(rho_ext, spec.pde, spec.params.dx,
                         spec.params.dt)[1:-1]
 
-    return HybridState(rho_pde=rho_new, f_rim=f_new, t=state.t + 1)
+    return HybridState(rho_pde=rho_new, f_rim=f_new)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from lblift import (LbmParams, LiftCoefficients, VELOCITY_SETS,
                     constrained_smooth, equilibrium, expansion_terms,
                     run_lbm)
+from lblift.constrained_runs import extrapolation_weights
 from lblift.stencil import central_offsets, fd_weights
 
 # Relaxation rates that make the macroscopic diffusion coefficient
@@ -96,6 +97,48 @@ def one_impulse_responses(shape, m, params):
         impulse = np.zeros((q,) + shape)
         impulse[(i,) + (0,) * len(shape)] = 1.0
         yield constrained_smooth(impulse, np.zeros(shape), m, params)
+
+
+def exact_impulse_responses(shape, m, params, absolute=False):
+    """(N, E): the q responses of one_impulse_responses in exact
+    arithmetic, N[i] / 2^E as Python integers.  The run's coefficients are
+    taken as the floats it multiplies by: 1 - omega as stream_collide
+    rounds it, omega, the equilibrium weights and the binomial weights.
+    Every float is an integer over 2^P, so each step multiplies the
+    denominator by 2^2P.  With absolute, every coefficient is replaced by
+    its magnitude and the reset adds the sum of the components to the
+    rest one where it subtracts it: the scale B that bounds the rounding
+    of the float runs (tests/test_constrained_runs.py)."""
+    vset = params.vset
+    q, rest = vset.q, vset.rest
+    keep = 1.0 - params.omega
+    weights = params.equilibrium_weights()
+    binomial = extrapolation_weights(m)
+    P = max(value.as_integer_ratio()[1].bit_length() - 1
+            for value in (keep, params.omega, *weights))
+
+    def exact(value, level=1):
+        numerator, denominator = value.as_integer_ratio()
+        numerator = abs(numerator) if absolute else numerator
+        return numerator * (2 ** (level * P) // denominator)
+
+    axes = tuple(range(1, 1 + len(shape)))
+    f = np.zeros((q, q) + tuple(shape), dtype=object)
+    for i in range(q):
+        f[(i, i) + (0,) * len(shape)] = 1
+    relax = [exact(w) * exact(params.omega) for w in weights]
+    out = np.zeros_like(f)
+    for j, b in enumerate(binomial, start=1):
+        rho = f.sum(axis=1)
+        post = np.empty_like(f)
+        for k, c in enumerate(vset.directions):
+            post[:, k] = np.roll((exact(keep) << P) * f[:, k] + relax[k] * rho,
+                                 c, axis=axes)
+        f = post
+        out = out + exact(b, 0) * (f << (2 * P * (len(binomial) - j)))
+    total = out.sum(axis=1)
+    out[:, rest] = out[:, rest] + total if absolute else out[:, rest] - total
+    return out, 2 * P * len(binomial)
 
 
 def zero_coefficients(params: LbmParams, max_order: int) -> LiftCoefficients:

@@ -1,14 +1,22 @@
+import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lblift.bench as bench
 from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
     lift_restrict_error, parse_config, run_experiment
-from lblift.cli import _COMMAND_KIND, main
+from lblift.cli import _COMMANDS, main
+from lblift.constrained_runs import CrConfig
+from lblift.hybrid import checked_split, default_split
+from lblift.macro_pde import stability_breaches
+from lblift.training import ConfigError
 
 
 def test_parse_config_happy_path():
@@ -50,13 +58,33 @@ def test_parse_config_names_the_line_of_a_refused_value():
         parse_config("# a comment\nkind = hybrid\n\nsteps = 0\n")
     with pytest.raises(ValueError, match=r"^config line 1: unknown lifter"):
         parse_config("lifter = magic\n", kind="hybrid")
-    # dt and omega follow the rules of LbmParams, refused as they are read
-    with pytest.raises(ValueError, match=r"^config line 2: cannot parse "
-                                         r"dt = '0' \(0.0 is not finite"):
+    # dt and omega follow the rules of LbmParams, which ExperimentConfig
+    # applies
+    with pytest.raises(ValueError, match=r"^config line 2: dt = 0.0: 0.0 is "
+                                         r"not finite and positive$"):
         parse_config("kind = hybrid\ndt = 0\n")
-    with pytest.raises(ValueError, match=r"^config line 3: cannot parse "
-                                         r"omega = '3' \(omega 3.0 outside"):
+    with pytest.raises(ValueError, match=r"^config line 3: omega = 3.0: "
+                                         r"omega 3.0 outside the stable"):
         parse_config("kind = hybrid\n\nomega = 3  # unstable\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dt", -1.0, "-1.0 is not finite and positive"),
+    ("dt", float("inf"), "inf is not finite and positive"),
+    ("omega", 3.0, "omega 3.0 outside the stable range [0, 2]"),
+    ("omega", float("nan"), "omega nan outside the stable range [0, 2]"),
+], ids=["dt-negative", "dt-inf", "omega-3", "omega-nan"])
+def test_a_directly_built_config_meets_the_dt_and_omega_rules(key, value,
+                                                               message):
+    """An ExperimentConfig built in code refuses a dt or omega that breaks
+    the model's rules as a ConfigError on that key, as a parsed one does,
+    where it once built and failed only in run_experiment, naming no
+    key."""
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig(kind="lift_bench", lifter="equilibrium",
+                         **{key: value})
+    assert str(refused.value) == f"{key} = {value}: {message}"
+    assert refused.value.keys == (key,)
 
 
 def test_parse_config_refuses_an_overflowing_length():
@@ -233,9 +261,11 @@ def test_parse_config_names_the_dt_line_of_an_unstable_pde_step(kind):
     assert parse_config(head + "advection = 0.66\n").advection == (0.66,)
 
 
-def test_an_unstable_extracted_pde_is_refused_after_training():
-    """An extracted PDE is known only once trained: hybrid_spec refuses
-    its unstable step after the training and its augmentation, before any
+@pytest.mark.parametrize("build", ["hybrid_spec", "hybrid_pde"])
+def test_an_unstable_extracted_pde_is_refused_after_training(build):
+    """An extracted PDE is known only once trained: hybrid_spec, and
+    hybrid_pde, which perfbench builds its hybrids from, refuse its
+    unstable step after the training and its augmentation, before any
     hybrid step, naming the dt line."""
     cfg = parse_config("kind = hybrid\nvelocity_set = D1Q3\nlifter = nce\n"
                        "pde_source = extracted\nomega = 1.99\ndt = 1e-3\n"
@@ -243,8 +273,11 @@ def test_an_unstable_extracted_pde_is_refused_after_training():
     before = lbm_step_count()
     with pytest.raises(ValueError, match=(
             r"^config line 6: dt = 0.001: unstable PDE step, squared Courant "
-            r"numbers sum to 0.01")):
-        bench.hybrid_spec(cfg)
+            r"numbers sum to 0.01, above 2 nu = 0.00331")):
+        if build == "hybrid_spec":
+            bench.hybrid_spec(cfg)
+        else:
+            bench.hybrid_pde(cfg, bench.experiment_params(cfg))
     # one training of 2(m + 1) steps and the two-step augmentation
     assert lbm_step_count() - before == 2 * 2 + 2
 
@@ -537,8 +570,117 @@ def test_shipped_configs_run_through_the_cli(cfg_file, tmp_path, capsys):
     """Every config in demos/configs runs with the subcommand of its kind
     and writes the artifacts of that kind, and nothing else."""
     kind = parse_config(cfg_file.read_text()).kind
-    command = {k: c for c, k in _COMMAND_KIND.items()}[kind]
+    command = {k: c for c, (k, _) in _COMMANDS.items()}[kind]
     assert main([command, "--config", str(cfg_file),
                  "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert sorted(path.name for path in tmp_path.iterdir()) == ARTIFACTS[kind]
+
+
+# Config text off the beaten path: each key left out, or stated with a
+# value a run would take or, for up to two keys, with an edge value: for
+# a number 0, negatives, huge, tiny, non-integral, fractions or overflow
+# literals, for a word one that no rule knows.
+EDGE_NUMBERS = st.sampled_from([
+    "0", "-0", "0.0",                                  # zero
+    "-1", "-3", "-0.5", "-1e-3", "-200",               # negatives
+    "100001", "1e18", "1e300", "100000000000000000000",  # huge
+    "5e-324", "1e-300", "1e-12", "1e-6",               # tiny
+    "0.5", "2.5", "1.99", "0.3",                       # non-integral
+    "10/11", "125/64", "1/1000", "7/3", "1/0",         # fractions
+    "1e400", "-1e400", "1" + "0" * 400,                # overflow literals
+])
+PLAIN_VALUES = {
+    "velocity_set": sorted(bench.VELOCITY_SETS),
+    "length": ["3", "10", "7.7"],
+    "cells": ["4", "16", "60", "64", "200"],
+    "dt": ["1e-3", "1e-4", "1e-5"],
+    "omega": ["1", "10/11", "50/31", "125/64"],
+    "advection": ["0", "0.66", "1, 0.5", "0, 0"],
+    "lifter": list(bench.LIFTERS),
+    "order": ["1", "2", "4", "6"],
+    "m": ["0", "1", "2", "3"],
+    "steps": ["1", "3"],
+    "reference_steps": ["0", "5"],
+    "split_index": ["1", "7"],
+    "pde_source": ["analytic", "extracted"],
+    "extract_mode": ["summation", "nullspace"],
+}
+WORDS = ("velocity_set", "lifter", "pde_source", "extract_mode")
+KEYS = [key.name for key in fields(ExperimentConfig) if key.init]
+
+
+def edge_values(key):
+    if key in WORDS:
+        return st.just("bogus")
+    if key == "advection":
+        return st.lists(EDGE_NUMBERS, min_size=1, max_size=2).map(", ".join)
+    return EDGE_NUMBERS
+
+
+@st.composite
+def config_texts(draw, kind):
+    """The text of a config of kind: every other key drawn."""
+    edges = draw(st.sets(st.sampled_from(KEYS[1:]), max_size=2))
+    lines = [f"kind = {kind}"]
+    for key in KEYS[1:]:
+        value = draw(edge_values(key) if key in edges else st.one_of(
+            st.none(), st.sampled_from(PLAIN_VALUES[key])))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", bench.KINDS)
+def test_config_text_is_refused_on_a_line_or_builds(kind):
+    """Each config text either is refused with a ValueError that names
+    one of its lines, every one of which states a key, or gives a config whose pieces all
+    build: the model, the training grid when the config trains, the split
+    of a hybrid run with a stable analytic PDE step, and the CR settings.
+    Nothing here runs an experiment, and nothing field-sized is
+    allocated, huge grids included."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None,
+              database=None)
+    @given(config_texts(kind))
+    # a training grid off the dx with cells left to its default: the
+    # refusal names the length line
+    @example(f"kind = {kind}\nlifter = nce\nlength = 7.7\n")
+    def check(text):
+        lines = text.splitlines()
+        tracemalloc.start()
+        try:
+            try:
+                config = parse_config(text)
+            except ValueError as refused:
+                named = re.match(r"config line (\d+): ", str(refused))
+                assert named, str(refused)
+                assert int(named[1]) <= len(lines), str(refused)
+                return
+            params = bench.experiment_params(config)
+            if (kind == "train_only" or config.lifter == "nce"
+                    or (kind == "hybrid" and config.pde_source == "extracted")):
+                bench.train_config(config)
+            if kind in ("hybrid", "cost_table"):
+                split = config.split_index
+                checked_split(config.cells, default_split(config.cells)
+                              if split is None else split)
+                if kind == "cost_table" or config.pde_source == "analytic":
+                    pde = bench.analytic_pde(params)
+                    assert not stability_breaches(pde, params.dx, params.dt)
+            if config.lifter == "cr" and kind != "train_only":
+                CrConfig(m=config.m)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1e6, (peak, text)
+
+    check()
+
+
+def test_the_readme_lists_every_config_key_in_declaration_order():
+    """The Config keys table of the README names exactly the init fields
+    of ExperimentConfig, the one declaration of the keys, in order."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### Config keys\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", section, flags=re.M) == KEYS

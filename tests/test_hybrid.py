@@ -117,14 +117,6 @@ def test_mass_drift_stays_small():
     assert drift < 1e-5
 
 
-def test_time_counter_advances():
-    p = benchmark_params("D1Q3")
-    spec = make_spec(p, order2_lifter(p))
-    state = init_hybrid(spec)
-    state = hybrid_step(hybrid_step(state, spec), spec)
-    assert state.t == 2
-
-
 def test_coupling_error_concentrates_at_interface():
     """Far from the split the hybrid tracks the reference at least as
     well as near it."""
@@ -229,7 +221,7 @@ def ghost_hybrid_step(state, spec):
         a = spec.pde.advection[ax]
         rho_new += nu * (east - 2.0 * mid + west) \
             - (a * dt / (2.0 * dx)) * (east - west)
-    return HybridState(rho_pde=rho_new, f_rim=f_new, t=state.t + 1)
+    return HybridState(rho_pde=rho_new, f_rim=f_new)
 
 
 def trained_lifter(params, order, m):
@@ -281,7 +273,6 @@ def test_hybrid_step_matches_ghost_reference(name, advection, lifter, cells,
         ref = ghost_hybrid_step(ref, spec)
         assert np.array_equal(state.f_lbm, ref.f_lbm), step
         assert np.array_equal(state.rho_pde, ref.rho_pde), step
-    assert state.t == ref.t == 20
     assert not np.array_equal(state.rho_pde, init_hybrid(spec).rho_pde)
 
 

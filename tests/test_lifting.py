@@ -4,9 +4,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from lblift import (CoefficientLifter, DerivSpec, LbmParams,
+from lblift import (VELOCITY_SETS, CoefficientLifter, DerivSpec, LbmParams,
                     analytic_coefficients, apply_lift, coefficients_from_text,
                     coefficients_to_text, equilibrium, expansion_terms,
                     restrict, run_lbm)
@@ -14,8 +16,8 @@ from lblift.lattice import D1Q3
 from lblift.lifting import _wrapped
 from lblift.stencil import central_offsets, fd_weights, spatial_derivative
 
-from conftest import (benchmark_params, gaussian_density, with_flat,
-                      zero_coefficients)
+from conftest import (benchmark_params, gaussian_density, off_matrix_models,
+                      with_flat, zero_coefficients)
 
 
 def test_expansion_terms_counts():
@@ -304,6 +306,47 @@ def test_coefficient_lifter_reach_bounds_the_support_of_an_impulse(name,
         assert rows.min() == 12 - h and rows.max() == 12 + h, (rows, h)
     else:
         assert rows.size == 0
+
+
+@st.composite
+def cropped_lifts(draw):
+    """(coefficients, model, density, first row, stop row, reach) off the
+    acceptance matrix: a drawn model (conftest.off_matrix_models), terms
+    to order 1..4 with drawn vectors, each scaled by dx to its order, and
+    a density of 1 to 16 rows plus twice the reach, with a crop along
+    axis 0 of 1 to all of its rows plus twice the reach.  In 2D a row
+    holds 1 to 6 cells, or 4,097 to 4,200, where each block of the
+    stencil lift holds one row."""
+    params = draw(st.sampled_from(sorted(VELOCITY_SETS)).flatmap(
+        off_matrix_models))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = zero_coefficients(params, draw(st.integers(1, 4)))
+    for term in coeffs.terms:
+        coeffs.terms[term] = rng.normal(size=params.vset.q) \
+            * params.dx ** term.total
+    h = CoefficientLifter(coeffs).reach(params)
+    rows = draw(st.integers(1, 16)) + 2 * h
+    shape = (rows,) + tuple(
+        draw(st.integers(4097, 4200) if draw(st.booleans())
+             else st.integers(1, 6))
+        for _ in range(params.vset.dimension - 1))
+    kept = draw(st.integers(1, rows - 2 * h))
+    first = draw(st.integers(0, rows - 2 * h - kept))
+    return (coeffs, params, 1.0 + 0.1 * rng.normal(size=shape), first,
+            first + kept + 2 * h, h)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(cropped_lifts())
+def test_a_cropped_lift_is_the_full_lift_away_from_the_wrap(case):
+    """apply_lift on rows a..b-1 of a density gives, on its rows a+h..b-h-1
+    that read no wrapped row, bit for bit the rows a full-field lift
+    gives, h the reach along axis 0: the hybrid's ghost slab and start
+    rely on it."""
+    coeffs, params, rho, a, b, h = case
+    full = apply_lift(rho, coeffs, params)
+    crop = apply_lift(rho[a:b], coeffs, params)
+    assert np.array_equal(crop[:, h:b - a - h], full[:, a + h:b - h])
 
 
 def test_stencil_lift_temporaries_stay_small():

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose
 
-from lblift import (DerivSpec, LbmParams, LiftCoefficients, NceTrainConfig,
+from lblift import (VELOCITY_SETS, DerivSpec, LbmParams, LiftCoefficients,
+                    NceTrainConfig,
                     analytic_coefficients, analytic_pde, apply_lift,
                     augment_time_derivative, equilibrium, extract_pde,
                     lbm_step_count, restrict, stream_collide,
@@ -28,8 +31,8 @@ from lblift.training import (RESIDUAL_LIMIT, _probe_points, _probe_system,
 from lblift.training import test_density_profiles as density_profiles
 
 from conftest import (benchmark_params, difference_derivative,
-                      gaussian_density, one_impulse_responses, with_flat,
-                      zero_coefficients)
+                      gaussian_density, off_matrix_models,
+                      one_impulse_responses, with_flat, zero_coefficients)
 
 
 def test_config_validation():
@@ -510,6 +513,53 @@ def test_superposed_offset_matches_direct_h_map(name, advection, r, m):
     ws = _Workspace(NceTrainConfig(spatial_order=r, m=m), p)
     reference = full_grid_h_map(ws, LiftCoefficients(p.fingerprint()))
     gap = np.abs(_probe_system(ws, window_responses(ws))[0] - reference).max()
+    assert gap <= 1e-9 * np.abs(reference).max(), gap
+
+
+@st.composite
+def probe_workspaces(draw):
+    """A training workspace off the acceptance matrix: any velocity set, a
+    drawn model (conftest.off_matrix_models), R = 1..6 in 1D and 1..4 in
+    2D, where the field-loop reference grows to seconds, and m = 0..3."""
+    name = draw(st.sampled_from(sorted(VELOCITY_SETS)))
+    top = 6 if VELOCITY_SETS[name].dimension == 1 else 4
+    cfg = NceTrainConfig(spatial_order=draw(st.integers(1, top)),
+                         m=draw(st.integers(0, 3)))
+    return _Workspace(cfg, draw(off_matrix_models(name)))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(probe_workspaces())
+def test_probe_system_matches_its_references_off_the_acceptance_matrix(ws):
+    """The bounds of test_impulse_linear_part_matches_field_loop and
+    test_superposed_offset_matches_direct_h_map at drawn omega, advection,
+    R and m: M within 1e-10 max|M| of the field loop and h0 within 1e-9
+    max|h0| of the whole-grid evaluation."""
+    offset, linear = _probe_system(ws, window_responses(ws))
+    reference = field_loop_linear_part(ws)
+    gap = np.abs(linear - reference).max()
+    assert gap <= 1e-10 * np.abs(reference).max(), gap
+    reference = full_grid_h_map(ws, LiftCoefficients(ws.params.fingerprint()))
+    gap = np.abs(offset - reference).max()
+    assert gap <= 1e-9 * np.abs(reference).max(), gap
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the pinned 1e-9 max|h0| bound holds near the canonical omega only; "
+    "at omega = 0.3, D1Q3 R = 6, m = 3 the gap is 7.0e-9 max|h0| "
+    "(CHANGES.md FOUND)"))
+def test_probe_system_offset_at_slow_relaxation():
+    """An example of the strategy of
+    test_probe_system_matches_its_references_off_the_acceptance_matrix
+    that its derandomized draws miss: h0 within 1e-9 max|h0| of the
+    whole-grid evaluation at omega = 0.3.  The probe block's condition,
+    8.0e4, does not depend on omega; the gap falls to 2.5e-10 at the
+    canonical 10/11 and 4.6e-11 at 1.9."""
+    p = LbmParams(VELOCITY_SETS["D1Q3"], 0.05, 1e-3, 0.3)
+    ws = _Workspace(NceTrainConfig(spatial_order=6, m=3), p)
+    reference = full_grid_h_map(ws, LiftCoefficients(p.fingerprint()))
+    gap = np.abs(_probe_system(ws, window_responses(ws))[0]
+                 - reference).max()
     assert gap <= 1e-9 * np.abs(reference).max(), gap
 
 
