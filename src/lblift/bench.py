@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from math import floor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -27,8 +28,7 @@ from .lifting import (analytic_coefficients, coefficients_to_text,
                       read_key_values)
 from .macro_pde import MacroPde, analytic_pde, stability_breaches
 from .training import (ConfigError, NceTrainConfig, augment_time_derivative,
-                       extract_pde, min_test_cells, same_dx,
-                       train_coefficients)
+                       extract_pde, min_test_cells, train_coefficients)
 
 # Canonical model problems: a 10-unit box at 200 cells, a unit Gaussian
 # bump in the middle, and relaxation rates chosen so the macroscopic
@@ -48,8 +48,11 @@ TEST_LENGTH = 3.0
 
 MIN_CELLS = 4  # cells per axis of any config at least
 
-# training cells per axis at most: a 2D training peaks at 3 to 8 kB per cell
-# of width (D2Q9, R = 6 and 4), 0.8 GB here; the canonical box needs 60
+# training cells per axis at most; the canonical box needs 60.  Training
+# forms each power of x over the whole axis, (R+1) x 8 bytes per cell, so at
+# this bound a training peaks at a few MB (tracemalloc, D2Q9 with m = 1:
+# 5.0 and 7.1 MB at R = 4 and 6, against 1.67 MB at R = 4 from 60 to 6,000
+# cells); a finer dx is refused before its axis is allocated
 MAX_TEST_CELLS = 10 ** 5
 
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
@@ -215,10 +218,10 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    """The training grid of TEST_LENGTH at config's dx, refused on the
-    config key at fault: order, m or cells (then length, when the file
-    states no cells), the last naming the fewest cells that train at this
-    length and m."""
+    """The training grid: TEST_LENGTH rounded to whole cells of config's
+    dx, refused on the config key at fault: order, m or cells (then
+    length, when the file states no cells), the last naming the fewest
+    cells that train at this length and m."""
     dx = config.length / config.cells
     cells = TEST_LENGTH / dx
     if not cells <= MAX_TEST_CELLS:
@@ -226,32 +229,24 @@ def train_config(config: ExperimentConfig) -> NceTrainConfig:
                           f"{cells:.6g} training cells, over {MAX_TEST_CELLS}",
                           "length", "cells")
     try:
-        cfg = NceTrainConfig(spatial_order=config.order, m=config.m,
-                             test_length=TEST_LENGTH, test_cells=round(cells))
-        if not same_dx(TEST_LENGTH / cfg.test_cells, dx):
-            raise ConfigError(f"{cells:.6g} training cells, not a whole "
-                              "number", "test_cells")
-        return cfg
+        return NceTrainConfig(spatial_order=config.order, m=config.m,
+                              test_cells=round(cells), dx=dx)
     except ConfigError as exc:
         key = {"spatial_order": "order", "m": "m",
                "test_cells": "cells"}[exc.keys[0]]
         message = f"{key} = {getattr(config, key)}: {exc}"
         if key == "cells":
-            fewest = fewest_training_cells(config.length, config.m) or "none"
+            # the fewest cells whose training cells round to 4(m+3): the
+            # cells at 4(m+3) - 1/2 training cells, rounded down, or one
+            # more where the round-off of dx rounds those down too
+            need = min_test_cells(config.m)
+            fewest = floor((need - 0.5) * config.length / TEST_LENGTH)
+            if round(TEST_LENGTH / (config.length / fewest)) < need:
+                fewest += 1
             message += (f"; the fewest cells that train at length = "
                         f"{config.length} and m = {config.m}: {fewest}")
         raise ConfigError(message, key, *(("length",) if key == "cells"
                                           else ())) from None
-
-
-def fewest_training_cells(length: float, m: int) -> Optional[int]:
-    """The fewest cells at length that train at m, up to MAX_TEST_CELLS."""
-    for test_cells in range(min_test_cells(m), MAX_TEST_CELLS + 1):
-        cells = round(test_cells * length / TEST_LENGTH)
-        if cells >= MIN_CELLS and same_dx(TEST_LENGTH / test_cells,
-                                          length / cells):
-            return cells
-    return None
 
 
 def _refuse_unstable_pde(pde: MacroPde, params: LbmParams) -> None:
@@ -499,22 +494,23 @@ def run_experiment(config: ExperimentConfig, out_dir: Path) -> List[Path]:
 
     if config.kind == "hybrid":
         spec = hybrid_spec(config)
-        outcome = compare_to_reference(spec, config.steps, keep_fields=True)
+        # per-step error fields only where the CSV writes them, in 1D: a
+        # 2D run writes its final field alone
+        one_d = params.vset.dimension == 1
+        outcome = compare_to_reference(spec, config.steps, keep_fields=one_d)
         summary = _csv(
             ["step", "max_error", "l2_error"],
             [[k + 1, float(outcome.max_error[k]), float(outcome.l2_error[k])]
              for k in range(config.steps)],
         )
         paths = [_write(out_dir, "hybrid_summary.csv", summary)]
-        fields = outcome.error_fields
-        if params.vset.dimension == 1:
-            rows = [[k + 1, j, float(fields[k, j])]
+        if one_d:
+            rows = [[k + 1, j, float(outcome.error_fields[k, j])]
                     for k in range(config.steps)
                     for j in range(config.cells)]
             field_csv = _csv(["step", "index", "abs_error"], rows)
         else:
-            # full per-step dumps would be enormous in 2D; keep the final one
-            last = fields[-1]
+            last = outcome.final_error_field
             rows = [[config.steps, i, j, float(last[i, j])]
                     for i in range(last.shape[0])
                     for j in range(last.shape[1])]

@@ -215,6 +215,7 @@ class HybridComparison:
     max_error: np.ndarray
     l2_error: np.ndarray
     error_fields: Optional[np.ndarray]
+    final_error_field: np.ndarray
     final_state: HybridState
 
 
@@ -226,11 +227,11 @@ def compare_to_reference(spec: HybridSpec, steps: int,
     whole lifted field and the hybrid from its LBM part, so at step 0
     the two runs agree and every later discrepancy is coupling error
     plus modeling error of the PDE half.  Errors are recorded after each of
-    the `steps` updates: the absolute density difference field (kept
-    only on request), its max, and its flat 2-norm.  The run stops at
-    the first non-finite hybrid density, whatever the lifter, with a
-    ValueError naming the step and the cell: this check, not the lift,
-    sees the densities outside the ghost slab.
+    the `steps` updates: the absolute density difference field (each
+    one only on request, the last always), its max, and its flat
+    2-norm.  The run stops at the first non-finite hybrid density,
+    whatever the lifter, with a ValueError naming the step and the cell:
+    this check, not the lift, sees the densities outside the ghost slab.
     """
     if integer(steps, "steps") < 1:
         raise ValueError("need at least one step to compare")
@@ -255,5 +256,6 @@ def compare_to_reference(spec: HybridSpec, steps: int,
         max_error=max_err,
         l2_error=l2_err,
         error_fields=np.array(fields) if keep_fields else None,
+        final_error_field=diff,
         final_state=state,
     )

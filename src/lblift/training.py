@@ -84,24 +84,25 @@ class NceTrainConfig:
     """Settings for coefficient training.
 
     spatial_order is the highest derivative kept in the expansion.  The
-    test domain is a small 1D interval (or square) with the production
-    dx; the probes sit within it at default_probe_positions, at least m+3
-    cells from its edges (in 2D the positions are used per axis and
-    combined into a grid).  m is the smoothness order of the constrained
-    run that closes the coefficient map.  The test densities are
-    evaluated only on one patch around each probe.
+    test domain is a small 1D interval (or square) of test_cells cells at
+    dx, which must be the production model's; the probes sit within it at
+    default_probe_positions, at least m+3 cells from its edges (in 2D the
+    positions are used per axis and combined into a grid).  m is the
+    smoothness order of the constrained run that closes the coefficient
+    map.  The test densities are evaluated only on one patch around each
+    probe.
     """
 
     spatial_order: int = 2
     m: int = 1
-    test_length: float = 3.0
     test_cells: int = 60
+    dx: float = 0.05
 
     def __post_init__(self):
         for name in ("spatial_order", "m", "test_cells"):
             integer(getattr(self, name), name)
-        if not finite(self.test_length, "test_length") > 0.0:
-            raise ValueError(f"test_length {self.test_length} is not positive")
+        if not finite(self.dx, "dx") > 0.0:
+            raise ValueError(f"dx {self.dx} is not positive")
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
             raise ConfigError(f"spatial_order {self.spatial_order} outside "
                               f"1..{MAX_TOTAL_ORDER}", "spatial_order")
@@ -152,11 +153,6 @@ def min_test_cells(m: int) -> int:
     return 4 * (m + 3)
 
 
-def same_dx(test_dx: float, dx: float) -> bool:
-    """Whether a test grid has the model's dx, to 1e-12 relative."""
-    return abs(test_dx - dx) <= 1e-12 * dx
-
-
 def test_density_profiles(cfg: NceTrainConfig, dimension: int,
                           at: Optional[tuple] = None) -> List[np.ndarray]:
     """Polynomial test densities on the buffered test grid, or only at its
@@ -174,9 +170,8 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int,
     the whole grid holds there, bit for bit.
     """
     r = cfg.spatial_order
-    dx = cfg.test_length / cfg.test_cells
     width = buffer_width(cfg)
-    x = (np.arange(cfg.test_cells + 2 * width) - width) * dx
+    x = (np.arange(cfg.test_cells + 2 * width) - width) * cfg.dx
     if dimension not in (1, 2):
         raise ValueError(f"unsupported dimension {dimension}")
     if at is None:
@@ -246,10 +241,9 @@ class _Workspace:
 
     def __init__(self, cfg: NceTrainConfig, params: LbmParams,
                  extra_probes: bool = False):
-        test_dx = cfg.test_length / cfg.test_cells
-        if not same_dx(test_dx, params.dx):
+        if cfg.dx != params.dx:
             raise ValueError(
-                f"test grid spacing {test_dx} differs from model dx {params.dx}")
+                f"test grid spacing {cfg.dx} differs from model dx {params.dx}")
         dimension = params.vset.dimension
         self.cfg = cfg
         self.params = params

@@ -173,7 +173,7 @@ def test_criterion_4c_monotone_improvement(nce_table):
     15-20 % below the published values (ratios 0.855 and 0.802).  No lever
     tried moves them onto the published values while keeping the rest of
     the table:
-    - test_length 1.5 or 6 (30 or 120 test cells): every ratio unchanged
+    - test_cells 30 or 120 (1.5 or 6 long at dx 0.05): every ratio unchanged
       to 3 digits;
     - probe positions shifted by -3, +3 or +5 cells: within 0.1 %;
     - a reference settled for 2,000 steps instead of 1,000: every cell

@@ -14,7 +14,7 @@ from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
     lift_restrict_error, parse_config, run_experiment
 from lblift.cli import _COMMANDS, main
 from lblift.constrained_runs import CrConfig
-from lblift.hybrid import checked_split, default_split
+from lblift.hybrid import checked_split, compare_to_reference, default_split
 from lblift.macro_pde import stability_breaches
 from lblift.training import ConfigError
 
@@ -132,7 +132,7 @@ TRAINING_HEADS = ("kind = train_only\nlifter = analytic\n",
 
 
 @pytest.mark.parametrize("velocity_set,cells,test_cells", [
-    ("D1Q3", 4, 1), ("D2Q9", 8, 2)])
+    ("D1Q3", 4, 1), ("D2Q9", 8, 2), ("D1Q3", 51, 15)])
 def test_parse_config_names_the_line_of_too_few_training_cells(
         tmp_path, velocity_set, cells, test_cells):
     """A config that trains on a grid whose dx leaves too few cells on the
@@ -146,34 +146,53 @@ def test_parse_config_names_the_line_of_too_few_training_cells(
                 rf"^config line 4: cells = {cells}: test_cells = "
                 rf"{test_cells}: the edge margins need at least 4\(m\+3\) = "
                 r"16 training cells; the fewest cells that train at length "
-                r"= 10.0 and m = 1: 60$")):
+                r"= 10.0 and m = 1: 52$")):
             parse_config(text)
     text = f"kind = train_only\nvelocity_set = {velocity_set}\n"
-    run_experiment(parse_config(text + "cells = 60\n"), tmp_path)
-    with pytest.raises(ValueError, match=r"^config line 3: cells = 59: "
-                       r"17.7 training cells, not a whole number"):
-        parse_config(text + "cells = 59\n")
+    run_experiment(parse_config(text + "cells = 52\n"), tmp_path)
     assert parse_config(f"kind = hybrid\ncells = {cells}\n").cells == cells
-    assert bench.fewest_training_cells(7.7, 3) == 77
 
 
-def test_parse_config_names_the_line_of_a_training_grid_off_the_dx():
-    """A config that trains at a dx that leaves no whole number of cells on
-    the 3-unit training grid is refused as it is read, naming the cells
-    line (before, training refused it with no line); a length that no
-    grid within MAX_TEST_CELLS training cells fits says so."""
-    for head in TRAINING_HEADS:
-        with pytest.raises(ValueError, match=(
-                r"^config line 3: cells = 201: 60.3 training cells, not a "
-                r"whole number; the fewest cells that train at length = "
-                r"10.0 and m = 1: 60$")):
-            parse_config(head + "cells = 201\n")
-    with pytest.raises(ValueError, match=(
-            r"^config line 3: cells = 200: 190.986 training cells, not a "
-            r"whole number; the fewest cells that train at length = "
-            r"3.14159 and m = 1: none$")):
-        parse_config("kind = train_only\nlength = 3.14159\ncells = 200\n")
-    assert parse_config("kind = hybrid\ncells = 201\n").cells == 201
+@pytest.mark.parametrize("length,m", [
+    (10.0, 0), (10.0, 3), (7.7, 1), (3.14159, 2), (100.0, 1),
+    # whole cells at 4(m+3) - 1/2 training cells, which the round-off of
+    # dx rounds down, and cells just below them
+    (17 * 3 / 15.5, 1), (35 * 3 / 19.5, 2)])
+def test_the_fewest_cells_named_train_and_one_fewer_do_not(length, m):
+    """The fewest cells that a too-few-cells refusal names give the
+    4(m+3) training cells the edge margins need, and one fewer are
+    refused naming them, also where the round-off of dx decides."""
+    def config(cells):
+        return ExperimentConfig(kind="train_only", length=length, m=m,
+                                cells=cells)
+
+    with pytest.raises(ConfigError) as refused:
+        config(bench.MIN_CELLS)
+    fewest = int(str(refused.value).rsplit(": ", 1)[1])
+    assert bench.train_config(config(fewest)).test_cells == 4 * (m + 3)
+    with pytest.raises(ConfigError, match=(
+            rf"^cells = {fewest - 1}: test_cells = {4 * (m + 3) - 1}: .*: "
+            rf"{fewest}$")):
+        config(fewest - 1)
+
+
+@pytest.mark.parametrize("text", [
+    "kind = train_only\ncells = 201\n",
+    "kind = train_only\nlength = 3.14159\ncells = 200\n",
+    "kind = train_only\nvelocity_set = D2Q9\ncells = 201\n"])
+def test_a_config_trains_at_its_own_dx(tmp_path, text):
+    """A dx that leaves no whole number of cells on the 3-unit training
+    grid trains at that dx, on the grid rounded to whole cells."""
+    config = parse_config(text)
+    dx = bench.experiment_params(config).dx
+    cfg = bench.train_config(config)
+    assert (cfg.dx, cfg.test_cells) == (dx, round(bench.TEST_LENGTH / dx))
+    run_experiment(config, tmp_path)
+    with open(tmp_path / "train_summary.csv") as summary:
+        row = dict(zip(*(line.rstrip("\n").split(",") for line in summary)))
+    assert float(row["dx"]) == dx
+    assert float(row["residual"]) < 1e-10
+    assert float(row["condition"]) < 1e7
 
 
 def test_parse_config_names_the_line_of_a_training_order_out_of_range():
@@ -477,6 +496,27 @@ def test_run_experiment_2d_field_keeps_final_step(tmp_path):
     assert all(line.startswith("4,") for line in field[1:])
 
 
+def test_a_2d_hybrid_run_holds_no_per_step_error_fields(tmp_path):
+    """A 2D hybrid experiment, which writes its final error field alone,
+    peaks below the size of a per-step history of 200 fields of 40 x 40;
+    the field it writes is the last of that history."""
+    cfg = ExperimentConfig(kind="hybrid", velocity_set="D2Q9", cells=40,
+                           lifter="equilibrium", steps=200)
+    history = cfg.steps * cfg.cells ** 2 * 8
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < history, (peak, history)
+    lines = (tmp_path / "hybrid_error_field.csv").read_text().splitlines()
+    written = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+    fields = compare_to_reference(bench.hybrid_spec(cfg), cfg.steps,
+                                  keep_fields=True).error_fields
+    assert np.array_equal(np.reshape(written, fields.shape[1:]), fields[-1])
+
+
 def test_csv_floats_roundtrip(tmp_path):
     cfg = ExperimentConfig(kind="lift_bench", lifter="analytic", order=2)
     run_experiment(cfg, tmp_path)
@@ -643,9 +683,9 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None)
     @given(config_texts(kind))
-    # a training grid off the dx with cells left to its default: the
-    # refusal names the length line
-    @example(f"kind = {kind}\nlifter = nce\nlength = 7.7\n")
+    # too few training cells with cells left to its default: the refusal
+    # names the length line
+    @example(f"kind = {kind}\nlifter = nce\nlength = 100\n")
     def check(text):
         lines = text.splitlines()
         tracemalloc.start()

@@ -1,6 +1,7 @@
 """Smoke tests that keep the demos in step with the library."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -25,3 +26,17 @@ def test_cost_accounting_totals_rise_in_the_stated_order(capsys):
         "nce-2-m1", "cr-m0", "cr-m1", "cr-m2", "cr-m3"]
     totals = [int(row[-1]) for row in rows]
     assert all(a < b for a, b in zip(totals, totals[1:])), totals
+
+
+def test_the_readme_python_blocks_run(capsys):
+    """Every ```python block of README.md runs, in order and in one
+    namespace, as a reader would paste them: the quick start cannot drift
+    from the API."""
+    readme = (DEMOS.parent / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme,
+                        flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out

@@ -138,8 +138,11 @@ def test_compare_to_reference_shapes():
     assert out.l2_error.shape == (30,)
     assert out.error_fields is None
     assert np.all(out.max_error <= out.l2_error + 1e-18)
+    assert out.final_error_field.shape == (200,)
     with_fields = compare_to_reference(spec, 5, keep_fields=True)
     assert with_fields.error_fields.shape == (5, 200)
+    assert np.array_equal(with_fields.final_error_field,
+                          with_fields.error_fields[-1])
 
 
 def test_compare_to_reference_lifts_initial_density_once():

@@ -52,11 +52,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
             NceTrainConfig(**{field: bad})
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^test_length .* is not finite"):
-            NceTrainConfig(test_length=bad)
-    for bad in (0.0, -3.0):
-        with pytest.raises(ValueError, match="^test_length .* is not positive"):
-            NceTrainConfig(test_length=bad)
+        with pytest.raises(ValueError, match="^dx .* is not finite"):
+            NceTrainConfig(dx=bad)
+    for bad in (0.0, -0.05):
+        with pytest.raises(ValueError, match="^dx .* is not positive"):
+            NceTrainConfig(dx=bad)
     numpy_ints = NceTrainConfig(spatial_order=np.int64(2), m=np.int32(1),
                                 test_cells=np.int64(60))
     p = benchmark_params("D1Q3")
@@ -70,7 +70,7 @@ def test_test_density_profiles():
     assert len(profiles) == 1
     width = buffer_width(cfg)
     n = 60 + 2 * width
-    x = (np.arange(n) - width) * (cfg.test_length / cfg.test_cells)
+    x = (np.arange(n) - width) * cfg.dx
     expected = x + x ** 2 / 2 + x ** 3 / 6
     assert_allclose(profiles[0], expected, rtol=1e-13, atol=1e-15)
     # 2D: one density per scale, stacked to keep the system nonsingular
@@ -85,8 +85,7 @@ def per_density_profiles(cfg):
     replaced."""
     r = cfg.spatial_order
     width = buffer_width(cfg)
-    x = (np.arange(cfg.test_cells + 2 * width) - width) * (
-        cfg.test_length / cfg.test_cells)
+    x = (np.arange(cfg.test_cells + 2 * width) - width) * cfg.dx
     grid_x = x[:, None]
     grid_y = x[None, :]
     profiles = []
@@ -158,7 +157,7 @@ def test_patch_cells_lie_inside_the_buffered_grid(name):
                                (False, True)):
         for cells in (60, 4 * (m + 3)):
             cfg = NceTrainConfig(spatial_order=r, m=m, test_cells=cells,
-                                 test_length=cells * p.dx)
+                                 dx=p.dx)
             size = cells + 2 * buffer_width(cfg)
             for ix in patch_cells(_Workspace(cfg, p, extra_probes=extra)):
                 assert 0 <= ix.min() and ix.max() < size, (r, m, extra, cells)
@@ -201,7 +200,7 @@ def test_trained_lift_conserves_mass():
 
 def test_training_on_probe_fallback_grid():
     p = benchmark_params("D1Q3")
-    cfg = NceTrainConfig(spatial_order=2, m=1, test_cells=24, test_length=1.2)
+    cfg = NceTrainConfig(spatial_order=2, m=1, test_cells=24)
     result = train_coefficients(cfg, p)
     exact = analytic_coefficients(p, 2)
     for spec in exact.terms:
@@ -228,10 +227,14 @@ def test_default_probes_are_distinct_inside_the_margins_and_enough():
 
 
 def test_test_grid_spacing_must_match_production():
+    """The test grid's dx is the model's exactly: 0.1 is refused, and so
+    is the next double above 0.05."""
     p = benchmark_params("D1Q3")  # dx = 0.05
-    cfg = NceTrainConfig(spatial_order=2, m=1, test_length=3.0, test_cells=30)
-    with pytest.raises(ValueError):
-        train_coefficients(cfg, p)  # test dx would be 0.1
+    for dx in (0.1, np.nextafter(0.05, 1.0)):
+        cfg = NceTrainConfig(spatial_order=2, m=1, dx=dx)
+        with pytest.raises(ValueError, match="^test grid spacing .* differs "
+                           "from model dx 0.05$"):
+            train_coefficients(cfg, p)
 
 
 def test_augment_pins_time_column():
@@ -531,10 +534,12 @@ def probe_workspaces(draw):
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(probe_workspaces())
 def test_probe_system_matches_its_references_off_the_acceptance_matrix(ws):
-    """The bounds of test_impulse_linear_part_matches_field_loop and
-    test_superposed_offset_matches_direct_h_map at drawn omega, advection,
-    R and m: M within 1e-10 max|M| of the field loop and h0 within 1e-9
-    max|h0| of the whole-grid evaluation."""
+    """The bounds of test_impulse_linear_part_matches_field_loop,
+    test_superposed_offset_matches_direct_h_map and
+    test_patch_evaluation_is_the_full_grid_one at drawn omega, advection,
+    R and m: M within 1e-10 max|M| of the field loop, h0 within 1e-9
+    max|h0| of the whole-grid evaluation, and H(a) on the patches at the
+    trained coefficients within 8 kappa eps relative of the whole grid's."""
     offset, linear = _probe_system(ws, window_responses(ws))
     reference = field_loop_linear_part(ws)
     gap = np.abs(linear - reference).max()
@@ -542,6 +547,10 @@ def test_probe_system_matches_its_references_off_the_acceptance_matrix(ws):
     reference = full_grid_h_map(ws, LiftCoefficients(ws.params.fingerprint()))
     gap = np.abs(offset - reference).max()
     assert gap <= 1e-9 * np.abs(reference).max(), gap
+    coeffs = train_coefficients(ws.cfg, ws.params).coefficients
+    reference = full_grid_h_map(ws, coeffs)
+    gap = np.abs(ws.h_map(coeffs) - reference).max() / np.abs(reference).max()
+    assert gap <= 8 * ws.condition * np.finfo(float).eps, gap
 
 
 @pytest.mark.xfail(strict=True, reason=(
