@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from math import floor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +27,7 @@ from .lifting import (analytic_coefficients, coefficients_to_text,
                       read_key_values)
 from .macro_pde import MacroPde, analytic_pde, stability_breaches
 from .training import (ConfigError, NceTrainConfig, augment_time_derivative,
-                       extract_pde, min_test_cells, train_coefficients)
+                       extract_pde, train_coefficients)
 
 # Canonical model problems: a 10-unit box at 200 cells, a unit Gaussian
 # bump in the middle, and relaxation rates chosen so the macroscopic
@@ -42,18 +41,13 @@ EXAMPLE_OMEGA = {
     "D2Q9": Fraction(125, 64),
 }
 
-# length of the training test domain, rounded to whole cells of the
-# production dx
-TEST_LENGTH = 3.0
-
 MIN_CELLS = 4  # cells per axis of any config at least
 
-# training cells per axis at most; the canonical box needs 60.  Training
-# forms each power of x over the whole axis, (R+1) x 8 bytes per cell, so at
-# this bound a training peaks at a few MB (tracemalloc, D2Q9 with m = 1:
-# 5.0 and 7.1 MB at R = 4 and 6, against 1.67 MB at R = 4 from 60 to 6,000
-# cells); a finer dx is refused before its axis is allocated
-MAX_TEST_CELLS = 10 ** 5
+# grid cells, cells ** dimension, of any config at most: the hybrid of
+# demos/configs/hybrid_d2q9_adv.cfg peaks at 46.6 MB RSS on 200^2 cells and
+# 93.4 MB on 400^2 (x86-64 Linux, one BLAS thread), about 410 bytes a cell
+# over 31 MB, so at this bound, 2000^2 in 2D, it would peak near 1.6 GB
+MAX_GRID_CELLS = 4 * 10 ** 6
 
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
@@ -120,6 +114,10 @@ class ExperimentConfig:
         if self.cells < MIN_CELLS:
             raise ConfigError(f"cells = {self.cells}: need at least "
                               f"{MIN_CELLS} cells", "cells")
+        dimension = VELOCITY_SETS[self.velocity_set].dimension
+        if self.cells ** dimension > MAX_GRID_CELLS:
+            raise ConfigError(f"cells = {self.cells}: {self.cells}^{dimension}"
+                              f" grid cells, over {MAX_GRID_CELLS}", "cells")
         if not 0 < self.length < np.inf:
             raise ConfigError(f"length = {self.length}: must be positive "
                               "and finite", "length")
@@ -218,35 +216,14 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    """The training grid: TEST_LENGTH rounded to whole cells of config's
-    dx, refused on the config key at fault: order, m or cells (then
-    length, when the file states no cells), the last naming the fewest
-    cells that train at this length and m."""
-    dx = config.length / config.cells
-    cells = TEST_LENGTH / dx
-    if not cells <= MAX_TEST_CELLS:
-        raise ConfigError(f"length = {config.length}, cells = {config.cells}: "
-                          f"{cells:.6g} training cells, over {MAX_TEST_CELLS}",
-                          "length", "cells")
+    """The training settings of config, its order and m, refused on the
+    config key at fault; they hold whatever config's dx."""
     try:
-        return NceTrainConfig(spatial_order=config.order, m=config.m,
-                              test_cells=round(cells), dx=dx)
+        return NceTrainConfig(spatial_order=config.order, m=config.m)
     except ConfigError as exc:
-        key = {"spatial_order": "order", "m": "m",
-               "test_cells": "cells"}[exc.keys[0]]
-        message = f"{key} = {getattr(config, key)}: {exc}"
-        if key == "cells":
-            # the fewest cells whose training cells round to 4(m+3): the
-            # cells at 4(m+3) - 1/2 training cells, rounded down, or one
-            # more where the round-off of dx rounds those down too
-            need = min_test_cells(config.m)
-            fewest = floor((need - 0.5) * config.length / TEST_LENGTH)
-            if round(TEST_LENGTH / (config.length / fewest)) < need:
-                fewest += 1
-            message += (f"; the fewest cells that train at length = "
-                        f"{config.length} and m = {config.m}: {fewest}")
-        raise ConfigError(message, key, *(("length",) if key == "cells"
-                                          else ())) from None
+        key = {"spatial_order": "order", "m": "m"}[exc.keys[0]]
+        raise ConfigError(f"{key} = {getattr(config, key)}: {exc}",
+                          key) from None
 
 
 def _refuse_unstable_pde(pde: MacroPde, params: LbmParams) -> None:

@@ -120,7 +120,7 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
     caller lifting many densities with one coefficient set makes once;
     without it the lift builds K itself.
     """
-    _check_fingerprint(coeffs, params)
+    check_fingerprint(coeffs, params)
     rho = finite_density(rho, params.vset)
     if not coeffs.terms:
         return equilibrium(rho, params)
@@ -129,7 +129,7 @@ def apply_lift(rho: np.ndarray, coeffs: LiftCoefficients,
     return _stencil_lift(rho, kernel)
 
 
-def _check_fingerprint(coeffs: LiftCoefficients, params: LbmParams) -> None:
+def check_fingerprint(coeffs: LiftCoefficients, params: LbmParams) -> None:
     if coeffs.fingerprint != params.fingerprint():
         raise ValueError(
             "coefficient fingerprint does not match the model parameters: "
@@ -145,7 +145,7 @@ def lift_kernel(coeffs: LiftCoefficients, params: LbmParams) -> LiftKernel:
     are left out of the product.  Coefficients of another model are
     refused, and an empty set has no stencil (it lifts to f_eq).
     """
-    _check_fingerprint(coeffs, params)
+    check_fingerprint(coeffs, params)
     if not coeffs.terms:
         raise ValueError("an empty coefficient set has no stencil kernel")
     specs = tuple(coeffs.sorted_specs())

@@ -35,7 +35,10 @@ Test densities are lifted by apply_lift, the production lift, and the
 probe system takes their derivatives with the lift's own stencil matrix,
 difference_stencils, in the same difference form: trained coefficients
 absorb the truncation terms of the stencils they were trained with, so
-training and application must match.
+training and application must match.  This is the paper's training
+with the test density fixed in lattice units: a model at any dx trains
+its lattice twin at DX0, whose vectors a_T are the model's times
+(DX0/dx)^|T|, so the probe system is as well conditioned at any dx.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .constrained_runs import constrained_smooth, impulse_responses
-from .lattice import (LbmParams, finite, integer, lbm_step_count, restrict,
+from .lattice import (LbmParams, integer, lbm_step_count, restrict,
                       stream_collide)
-from .lifting import LiftCoefficients, apply_lift, expansion_terms
+from .lifting import (LiftCoefficients, apply_lift, check_fingerprint,
+                      expansion_terms)
 from .macro_pde import MacroPde
 from .stencil import (MAX_TOTAL_ORDER, DerivSpec, difference_stencils,
                       time_derivative_forward)
@@ -69,6 +73,9 @@ RESIDUAL_LIMIT = 1e-6
 # i.e. as evidence that a closed PDE links the derivative columns
 NULLSPACE_TOL = 1e-8
 
+# the dx of every training, that of the canonical 10-unit box of 200 cells
+DX0 = 0.05
+
 
 class ConfigError(ValueError):
     """A refused config value; keys name the fields at fault, the one to
@@ -84,35 +91,32 @@ class NceTrainConfig:
     """Settings for coefficient training.
 
     spatial_order is the highest derivative kept in the expansion.  The
-    test domain is a small 1D interval (or square) of test_cells cells at
-    dx, which must be the production model's; the probes sit within it at
-    default_probe_positions, at least m+3 cells from its edges (in 2D the
-    positions are used per axis and combined into a grid).  m is the
-    smoothness order of the constrained run that closes the coefficient
-    map.  The test densities are evaluated only on one patch around each
-    probe.
+    test domain is a 1D interval (or square) of test_cells cells at DX0,
+    the test density fixed in lattice units whatever the model's dx; the
+    probes sit within it at default_probe_positions, at least m+3 cells
+    from its edges (in 2D the positions are used per axis and combined
+    into a grid).  m is the smoothness order of the constrained run that
+    closes the coefficient map.  The test densities are evaluated only on
+    one patch around each probe.
     """
 
     spatial_order: int = 2
     m: int = 1
     test_cells: int = 60
-    dx: float = 0.05
 
     def __post_init__(self):
         for name in ("spatial_order", "m", "test_cells"):
             integer(getattr(self, name), name)
-        if not finite(self.dx, "dx") > 0.0:
-            raise ValueError(f"dx {self.dx} is not positive")
         if not 1 <= self.spatial_order <= MAX_TOTAL_ORDER:
             raise ConfigError(f"spatial_order {self.spatial_order} outside "
                               f"1..{MAX_TOTAL_ORDER}", "spatial_order")
         if self.m not in (0, 1, 2, 3):
             raise ConfigError(f"smoothness order m={self.m}, expected 0..3",
                               "m")
-        if self.test_cells < min_test_cells(self.m):
+        if self.test_cells < 4 * (self.m + 3):  # twice both edge margins
             raise ConfigError(
                 f"test_cells = {self.test_cells}: the edge margins need at "
-                f"least 4(m+3) = {min_test_cells(self.m)} training cells",
+                f"least 4(m+3) = {4 * (self.m + 3)} training cells",
                 "test_cells")
 
 
@@ -143,20 +147,29 @@ class AugmentResult:
 # Test problem: density profiles and probes.
 # ---------------------------------------------------------------------------
 
+def lattice_twin(params: LbmParams) -> LbmParams:
+    """params at dx = DX0, dt scaled alike: the LBM sees dx and dt only
+    through a dt/dx, so the twin runs the same lattice dynamics."""
+    if params.dx == DX0:
+        return params  # and its cached equilibrium weights
+    return LbmParams(params.vset, DX0, params.dt * (DX0 / params.dx),
+                     params.omega, params.advection)
+
+
+def _twin_scales(specs, params: LbmParams) -> np.ndarray:
+    """(dx/DX0)^|T| per term, a twin's vector a_T to params' units."""
+    return np.array([(params.dx / DX0) ** spec.total for spec in specs])
+
+
 def buffer_width(cfg: NceTrainConfig) -> int:
     # one cell of information spread per LBM step plus the edge margin
     return cfg.m + 3
 
 
-def min_test_cells(m: int) -> int:
-    """Test cells per axis at least: twice the two edge margins."""
-    return 4 * (m + 3)
-
-
 def test_density_profiles(cfg: NceTrainConfig, dimension: int,
                           at: Optional[tuple] = None) -> List[np.ndarray]:
-    """Polynomial test densities on the buffered test grid, or only at its
-    cells `at`, one index array per axis, broadcast together.
+    """Polynomial test densities on the buffered test grid, x = i DX0, or
+    only at its cells `at`, one index array per axis, broadcast together.
 
     1D uses rho(x) = sum_{k=1..R} x^k / k!: every derivative up to order
     R is present and the degree-R term keeps the top probe column
@@ -171,7 +184,7 @@ def test_density_profiles(cfg: NceTrainConfig, dimension: int,
     """
     r = cfg.spatial_order
     width = buffer_width(cfg)
-    x = (np.arange(cfg.test_cells + 2 * width) - width) * cfg.dx
+    x = (np.arange(cfg.test_cells + 2 * width) - width) * DX0
     if dimension not in (1, 2):
         raise ValueError(f"unsupported dimension {dimension}")
     if at is None:
@@ -241,9 +254,6 @@ class _Workspace:
 
     def __init__(self, cfg: NceTrainConfig, params: LbmParams,
                  extra_probes: bool = False):
-        if cfg.dx != params.dx:
-            raise ValueError(
-                f"test grid spacing {cfg.dx} differs from model dx {params.dx}")
         dimension = params.vset.dimension
         self.cfg = cfg
         self.params = params
@@ -370,17 +380,18 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     steps: one probe run of m+1 steps for the responses, as on any grid,
     and one evaluation of H on the probe windows of every test density at
     once, whatever the spatial order, dimension, production grid or run
-    length.  The coefficients are reusable on any grid sharing (velocity
-    set, dx, dt, omega, advection).
+    length, on the lattice twin, in whose units the residual is.  The
+    coefficients are reusable on any grid sharing (velocity set, dx, dt,
+    omega, advection).
     """
-    ws = _Workspace(cfg, params)
+    twin = lattice_twin(params)
+    ws = _Workspace(cfg, twin)
+    q = twin.vset.q
     start_steps = lbm_step_count()
-    kernels = impulse_responses(cfg.m, params).reshape(
-        (params.vset.q,) * 2 + (-1,))
+    kernels = impulse_responses(cfg.m, twin).reshape((q, q, -1))
     # Every vector of H(a) sums to zero over the velocities, since the
     # smoothed state keeps the test density; dropping the round-off of
     # those sums keeps the trained lift free of mass on rough densities.
-    q = params.vset.q
     offset, linear = (_massless(x, q) for x in _probe_system(ws, kernels))
     system = np.eye(offset.size) - linear
     try:
@@ -390,15 +401,16 @@ def train_coefficients(cfg: NceTrainConfig, params: LbmParams) -> TrainResult:
     if not np.all(np.isfinite(flat)):
         raise RuntimeError("coefficient training gave non-finite coefficients")
     rows = flat.reshape(len(ws.specs), q)
-    coeffs = LiftCoefficients(params.fingerprint(), {
-        spec: row.copy() for spec, row in zip(ws.specs, rows)})
-    residual = float(np.max(np.abs(flat - ws.h_map(coeffs))))
+    residual = float(np.max(np.abs(flat - ws.h_map(LiftCoefficients(
+        twin.fingerprint(), dict(zip(ws.specs, rows)))))))
     scale = float(np.max(np.abs(flat)))
     if residual > RESIDUAL_LIMIT * scale:
         raise RuntimeError(
             f"trained coefficients miss their fixed point: closing residual "
             f"{residual:.3e} > {RESIDUAL_LIMIT:g} max|a| = "
             f"{RESIDUAL_LIMIT * scale:.3e}")
+    coeffs = LiftCoefficients(params.fingerprint(), dict(zip(
+        ws.specs, rows * _twin_scales(ws.specs, params)[:, None])))
     return TrainResult(coeffs, 1, lbm_step_count() - start_steps, residual,
                        ws.condition)
 
@@ -456,31 +468,36 @@ def augment_time_derivative(coeffs: LiftCoefficients, cfg: NceTrainConfig,
     re-solve the spatial vectors against the moved column, so that
     summing the vectors over the velocities reproduces the PDE.
     Coefficients whose terms are not the expansion of cfg.spatial_order
-    are refused.
+    are refused.  The steps run on the lattice twin, the time column is
+    differenced over params' dt, and all comes back in params' units.
     """
     if params.omega == 0.0:
         raise ValueError("omega = 0 never relaxes towards equilibrium: the "
                          "time coefficients -(dt/omega) w_i are undefined")
-    ws = _Workspace(cfg, params, extra_probes=True)
+    twin = lattice_twin(params)
+    ws = _Workspace(cfg, twin, extra_probes=True)
     if tuple(coeffs.sorted_specs()) != ws.specs:
         order = max((spec.total for spec in coeffs.terms), default=0)
         raise ValueError(
             f"coefficients of spatial order {order} do not fit a config of "
             f"spatial order {cfg.spatial_order}")
-    f = lifted = ws.lifted_windows(coeffs)
+    check_fingerprint(coeffs, params)
+    scales = _twin_scales(ws.specs, params)
+    f = lifted = ws.lifted_windows(LiftCoefficients(twin.fingerprint(), {
+        spec: coeffs.terms[spec] / k for spec, k in zip(ws.specs, scales)}))
     snapshots = [restrict(lifted)]
     for _ in range(2):
-        f = stream_collide(f, params)
+        f = stream_collide(f, twin)
         snapshots.append(restrict(f))
     time_col = time_derivative_forward(snapshots, params.dt)[ws.run_probes]
     rhs = lifted[ws.run_probes].T - ws.feq_rows
 
-    enlarged = np.hstack([ws.block, time_col[:, None]])
+    enlarged = np.hstack([ws.block / scales, time_col[:, None]])
     sigma = np.linalg.svd(enlarged, compute_uv=False)
 
     gamma = -(params.dt / params.omega) * params.equilibrium_weights()
     coeff_matrix = ws.solve(rhs - np.outer(time_col, gamma))
-    terms = {spec: coeff_matrix[k].copy() for k, spec in enumerate(ws.specs)}
+    terms = dict(zip(ws.specs, coeff_matrix * scales[:, None]))
     augmented = LiftCoefficients(fingerprint=params.fingerprint(),
                                  terms=terms, time_term=gamma)
     return AugmentResult(augmented, enlarged, float(sigma[-1]),
@@ -498,7 +515,7 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     nullspace: the PDE is the null relation between the derivative
     columns and the time column of the enlarged probe system
     (AugmentResult.system), one column per term of coeffs and the time
-    column last.
+    column last, read with its columns scaled to unit 2-norm.
     """
     if mode == "summation":
         if coeffs.time_term is None:
@@ -518,7 +535,10 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     if system is None or system.shape[1] != len(specs) + 1:
         raise ValueError("nullspace mode needs the enlarged probe system, "
                          f"{len(specs)} derivative columns and a time column")
-    _, singular_values, v_rows = np.linalg.svd(system)
+    norms = np.linalg.norm(system, axis=0)
+    if not norms.all():
+        raise ValueError("a column of the enlarged system vanishes")
+    _, singular_values, v_rows = np.linalg.svd(system / norms)
     ratios = singular_values / singular_values[0]
     if ratios[-1] > NULLSPACE_TOL:
         raise ValueError(
@@ -532,7 +552,8 @@ def extract_pde(coeffs: LiftCoefficients, mode: str = "summation",
     if abs(v_time) < 1e-12 * np.abs(null_vec).max():
         raise ValueError("null vector has no time component; "
                          "cannot normalize to a PDE")
-    return _read_off(dict(zip(specs, null_vec)), float(v_time))
+    weights = null_vec / norms
+    return _read_off(dict(zip(specs, weights)), float(weights[-1]))
 
 
 def _read_off(weights: dict, time_weight: float) -> MacroPde:

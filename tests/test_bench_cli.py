@@ -11,12 +11,12 @@ from numpy.testing import assert_allclose
 
 import lblift.bench as bench
 from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
-    lift_restrict_error, parse_config, run_experiment
+    lift_restrict_error, parse_config, run_experiment, train_coefficients
 from lblift.cli import _COMMANDS, main
 from lblift.constrained_runs import CrConfig
 from lblift.hybrid import checked_split, compare_to_reference, default_split
 from lblift.macro_pde import stability_breaches
-from lblift.training import ConfigError
+from lblift.training import ConfigError, NceTrainConfig
 
 
 def test_parse_config_happy_path():
@@ -103,21 +103,15 @@ def test_parse_config_refuses_a_length_whose_stencil_weights_overflow(
     as it is read, naming its config line, whatever the lifter, where the
     run would have met RuntimeWarnings and a nan density (a division by
     zero in ftcs_step for the equilibrium lifter).  An order-6 lift needs
-    1/dx^6: length = 1e-60 passes at order 2 and is refused at 6, and a
-    trained lifter refuses it first for its training grid of 6e+62 cells.
-    The canonical 10-unit box of 200 cells parses at every order."""
+    1/dx^6: length = 1e-60 passes at order 2 and is refused at 6, a
+    trained lifter too, whose training runs at the lattice spacing.  The
+    canonical 10-unit box of 200 cells parses at every order."""
     head = f"kind = hybrid\nlifter = {lifter}\n"
     with pytest.raises(ValueError, match=(
             r"^config line 3: length = 1e-300, cells = 200: 1/dx\^2 is not "
             r"finite, dx = 5e-303$")):
         parse_config(head + "length = 1e-300\n")
-    if lifter == "nce":
-        with pytest.raises(ValueError, match=r"^config line 3: length = "
-                           r"1e-60, cells = 200: 6e\+62 training cells, "
-                           r"over 100000$"):
-            parse_config(head + "length = 1e-60\n")
-    else:
-        assert parse_config(head + "length = 1e-60\n").length == 1e-60
+    assert parse_config(head + "length = 1e-60\n").length == 1e-60
     with pytest.raises(ValueError, match=r"^config line 4: .* 1/dx\^6 is not"):
         parse_config(head + "order = 6\nlength = 1e-60\n")
     for order in range(1, 7):
@@ -131,68 +125,45 @@ TRAINING_HEADS = ("kind = train_only\nlifter = analytic\n",
                   "kind = hybrid\npde_source = extracted\n")
 
 
-@pytest.mark.parametrize("velocity_set,cells,test_cells", [
-    ("D1Q3", 4, 1), ("D2Q9", 8, 2), ("D1Q3", 51, 15)])
-def test_parse_config_names_the_line_of_too_few_training_cells(
-        tmp_path, velocity_set, cells, test_cells):
-    """A config that trains on a grid whose dx leaves too few cells on the
-    3-unit training grid is refused as it is read, naming the cells line,
-    the training cells, the 4(m+3) the edge margins need and the fewest
-    cells that train at this length and m; those train, one fewer does
-    not.  A config that does not train takes the grid."""
-    for head in TRAINING_HEADS:
-        text = head + f"velocity_set = {velocity_set}\ncells = {cells}\n"
-        with pytest.raises(ValueError, match=(
-                rf"^config line 4: cells = {cells}: test_cells = "
-                rf"{test_cells}: the edge margins need at least 4\(m\+3\) = "
-                r"16 training cells; the fewest cells that train at length "
-                r"= 10.0 and m = 1: 52$")):
-            parse_config(text)
-    text = f"kind = train_only\nvelocity_set = {velocity_set}\n"
-    run_experiment(parse_config(text + "cells = 52\n"), tmp_path)
-    assert parse_config(f"kind = hybrid\ncells = {cells}\n").cells == cells
-
-
-@pytest.mark.parametrize("length,m", [
-    (10.0, 0), (10.0, 3), (7.7, 1), (3.14159, 2), (100.0, 1),
-    # whole cells at 4(m+3) - 1/2 training cells, which the round-off of
-    # dx rounds down, and cells just below them
-    (17 * 3 / 15.5, 1), (35 * 3 / 19.5, 2)])
-def test_the_fewest_cells_named_train_and_one_fewer_do_not(length, m):
-    """The fewest cells that a too-few-cells refusal names give the
-    4(m+3) training cells the edge margins need, and one fewer are
-    refused naming them, also where the round-off of dx decides."""
-    def config(cells):
-        return ExperimentConfig(kind="train_only", length=length, m=m,
-                                cells=cells)
-
-    with pytest.raises(ConfigError) as refused:
-        config(bench.MIN_CELLS)
-    fewest = int(str(refused.value).rsplit(": ", 1)[1])
-    assert bench.train_config(config(fewest)).test_cells == 4 * (m + 3)
-    with pytest.raises(ConfigError, match=(
-            rf"^cells = {fewest - 1}: test_cells = {4 * (m + 3) - 1}: .*: "
-            rf"{fewest}$")):
-        config(fewest - 1)
-
-
 @pytest.mark.parametrize("text", [
     "kind = train_only\ncells = 201\n",
     "kind = train_only\nlength = 3.14159\ncells = 200\n",
     "kind = train_only\nvelocity_set = D2Q9\ncells = 201\n"])
 def test_a_config_trains_at_its_own_dx(tmp_path, text):
-    """A dx that leaves no whole number of cells on the 3-unit training
-    grid trains at that dx, on the grid rounded to whole cells."""
+    """A dx that leaves no whole number of cells on a 3-unit grid trains
+    for that dx, through its lattice twin on the 60 training cells."""
     config = parse_config(text)
     dx = bench.experiment_params(config).dx
-    cfg = bench.train_config(config)
-    assert (cfg.dx, cfg.test_cells) == (dx, round(bench.TEST_LENGTH / dx))
+    assert bench.train_config(config) == NceTrainConfig(spatial_order=2, m=1)
     run_experiment(config, tmp_path)
     with open(tmp_path / "train_summary.csv") as summary:
         row = dict(zip(*(line.rstrip("\n").split(",") for line in summary)))
     assert float(row["dx"]) == dx
     assert float(row["residual"]) < 1e-10
     assert float(row["condition"]) < 1e7
+
+
+@pytest.mark.parametrize("cells,order", [(2000, 6), (20000, 4)])
+def test_a_fine_grid_trains_through_the_cli(tmp_path, capsys, cells, order):
+    """length = 3 at 2,000 cells and order 6, or at 20,000 cells and order
+    4, trains through `lblift train`, where training on test densities
+    sampled at dx itself failed with a RuntimeError naming no key
+    (closing residual 3.7e-9 > 5.5e-10 at 2,000 cells).  Without
+    advection its lattice twin runs the dynamics of the canonical
+    model, whose probe system it solves: the same condition."""
+    config = tmp_path / "fine.cfg"
+    config.write_text(f"kind = train_only\nlength = 3\ncells = {cells}\n"
+                      f"order = {order}\n")
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "train_summary.csv") as summary:
+        row = dict(zip(*(line.rstrip("\n").split(",") for line in summary)))
+    assert float(row["dx"]) == 3 / cells
+    assert float(row["residual"]) < 1e-11
+    canonical = bench.experiment_params(ExperimentConfig(kind="train_only"))
+    assert float(row["condition"]) == train_coefficients(
+        NceTrainConfig(spatial_order=order, m=1), canonical).condition
 
 
 def test_parse_config_names_the_line_of_a_training_order_out_of_range():
@@ -321,46 +292,37 @@ def test_parse_config_names_the_line_of_a_split_index_out_of_range(split):
 
 
 @pytest.mark.parametrize("text, named", [
-    ("kind = hybrid\nlifter = nce\nlength = 0.001\n",
-     r"config line 3: length = 0.001, cells = 200: 600000 training cells"),
-    ("kind = hybrid\nlifter = nce\nlength = 0.001\ncells = 64\n",
-     r"config line 3: length = 0.001, cells = 64: 192000 training cells"),
-    ("kind = train_only\ncells = 100000000000000000000\n",
-     r"config line 2: length = 10.0, cells = 100000000000000000000: "
-     r"3e\+19 training cells"),
-    # the smallest dx whose 1/dx^2 stays finite is far below any limit
-    ("kind = hybrid\nlifter = nce\nlength = 1e-150\n",
-     r"config line 3: length = 1e-150, cells = 200: 6e\+152 training cells"),
-], ids=["hybrid-tiny-length", "hybrid-tiny-length-64", "train-huge-cells",
-        "hybrid-huge-cells"])
-def test_an_oversized_training_grid_is_refused_before_allocating(
+    ("kind = hybrid\nlifter = equilibrium\ncells = 100000000000000000000\n",
+     r"config line 3: cells = 100000000000000000000: "
+     r"100000000000000000000\^1 grid cells"),
+    ("kind = hybrid\nvelocity_set = D2Q9\ncells = 100000\n",
+     r"config line 3: cells = 100000: 100000\^2 grid cells"),
+    ("kind = train_only\ncells = 4000001\n",
+     r"config line 2: cells = 4000001: 4000001\^1 grid cells"),
+    ("kind = lift_bench\nvelocity_set = D2Q5\nlength = 3\ncells = 2001\n",
+     r"config line 4: cells = 2001: 2001\^2 grid cells"),
+], ids=["hybrid-1d", "hybrid-2d", "train-1d", "lift-bench-2d"])
+def test_a_grid_over_the_bound_is_refused_on_the_cells_line(
         tmp_path, text, named):
-    """A config whose dx would give the 3-unit training grid more than
-    MAX_TEST_CELLS cells a side is refused naming the config line of
-    length (of cells, when the config states no length), length, cells
-    and the training cells implied, before any array of the run is
-    allocated (numpy's own refusal, "Maximum allowed size exceeded",
-    named no key)."""
+    """A config of any kind whose grid, cells ** dimension, exceeds
+    MAX_GRID_CELLS is refused naming its cells line before any array of
+    the run is allocated (numpy's own refusal, "Maximum allowed size
+    exceeded", named no key, and D2Q9 at 100,000 cells asked for 74.5
+    GiB).  The bound is inclusive: 4,000,000 cells in 1D and 2000 a side
+    in 2D parse."""
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"^{named}, over 100000$"):
+        with pytest.raises(ValueError, match=rf"^{named}, over 4000000$"):
             run_experiment(parse_config(text), tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6, peak
     assert list(tmp_path.iterdir()) == []
-
-
-def test_the_training_grid_limit_is_inclusive():
-    """MAX_TEST_CELLS training cells a side pass train_config, one more
-    does not."""
-    assert bench.MAX_TEST_CELLS == 100000
-    cfg = ExperimentConfig(kind="train_only", length=3.0, cells=100000)
-    assert bench.train_config(cfg).test_cells == 100000
-    with pytest.raises(ValueError, match="100001 training cells, over"):
-        bench.train_config(ExperimentConfig(kind="train_only", length=3.0,
-                                            cells=100001))
+    assert bench.MAX_GRID_CELLS == 4 * 10 ** 6
+    for velocity_set, cells in (("D1Q3", 4 * 10 ** 6), ("D2Q9", 2000)):
+        assert parse_config(f"kind = hybrid\nvelocity_set = {velocity_set}"
+                            f"\ncells = {cells}\n").cells == cells
 
 
 def test_parse_config_kind_from_command():
@@ -675,7 +637,8 @@ def config_texts(draw, kind):
 def test_config_text_is_refused_on_a_line_or_builds(kind):
     """Each config text either is refused with a ValueError that names
     one of its lines, every one of which states a key, or gives a config whose pieces all
-    build: the model, the training grid when the config trains, the split
+    build: the model on a grid within MAX_GRID_CELLS, the training
+    settings when the config trains, the split
     of a hybrid run with a stable analytic PDE step, and the CR settings.
     Nothing here runs an experiment, and nothing field-sized is
     allocated, huge grids included."""
@@ -683,9 +646,9 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
     @settings(derandomize=True, max_examples=40, deadline=None,
               database=None)
     @given(config_texts(kind))
-    # too few training cells with cells left to its default: the refusal
-    # names the length line
-    @example(f"kind = {kind}\nlifter = nce\nlength = 100\n")
+    # a 2D grid of 10^10 cells, which parsed in every kind that did not
+    # train and whose run asked for 74.5 GiB: refused on its cells line
+    @example(f"kind = {kind}\nvelocity_set = D2Q9\ncells = 100000\n")
     def check(text):
         lines = text.splitlines()
         tracemalloc.start()
@@ -698,6 +661,8 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
                 assert int(named[1]) <= len(lines), str(refused)
                 return
             params = bench.experiment_params(config)
+            assert config.cells ** params.vset.dimension \
+                <= bench.MAX_GRID_CELLS, text
             if (kind == "train_only" or config.lifter == "nce"
                     or (kind == "hybrid" and config.pde_source == "extracted")):
                 bench.train_config(config)

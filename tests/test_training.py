@@ -25,8 +25,8 @@ from lblift.lifting import expansion_terms
 from lblift.stencil import (MAX_TOTAL_ORDER, central_offsets,
                             time_derivative_forward)
 from lblift import training
-from lblift.training import (RESIDUAL_LIMIT, _probe_points, _probe_system,
-                             _Workspace, buffer_width,
+from lblift.training import (DX0, RESIDUAL_LIMIT, _probe_points,
+                             _probe_system, _Workspace, buffer_width,
                              default_probe_positions)
 from lblift.training import test_density_profiles as density_profiles
 
@@ -51,12 +51,6 @@ def test_config_validation():
                        ("m", True), ("spatial_order", "2")):
         with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
             NceTrainConfig(**{field: bad})
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^dx .* is not finite"):
-            NceTrainConfig(dx=bad)
-    for bad in (0.0, -0.05):
-        with pytest.raises(ValueError, match="^dx .* is not positive"):
-            NceTrainConfig(dx=bad)
     numpy_ints = NceTrainConfig(spatial_order=np.int64(2), m=np.int32(1),
                                 test_cells=np.int64(60))
     p = benchmark_params("D1Q3")
@@ -70,7 +64,7 @@ def test_test_density_profiles():
     assert len(profiles) == 1
     width = buffer_width(cfg)
     n = 60 + 2 * width
-    x = (np.arange(n) - width) * cfg.dx
+    x = (np.arange(n) - width) * DX0
     expected = x + x ** 2 / 2 + x ** 3 / 6
     assert_allclose(profiles[0], expected, rtol=1e-13, atol=1e-15)
     # 2D: one density per scale, stacked to keep the system nonsingular
@@ -85,7 +79,7 @@ def per_density_profiles(cfg):
     replaced."""
     r = cfg.spatial_order
     width = buffer_width(cfg)
-    x = (np.arange(cfg.test_cells + 2 * width) - width) * cfg.dx
+    x = (np.arange(cfg.test_cells + 2 * width) - width) * DX0
     grid_x = x[:, None]
     grid_y = x[None, :]
     profiles = []
@@ -156,8 +150,7 @@ def test_patch_cells_lie_inside_the_buffered_grid(name):
     for r, m, extra in product(range(1, MAX_TOTAL_ORDER + 1), range(4),
                                (False, True)):
         for cells in (60, 4 * (m + 3)):
-            cfg = NceTrainConfig(spatial_order=r, m=m, test_cells=cells,
-                                 dx=p.dx)
+            cfg = NceTrainConfig(spatial_order=r, m=m, test_cells=cells)
             size = cells + 2 * buffer_width(cfg)
             for ix in patch_cells(_Workspace(cfg, p, extra_probes=extra)):
                 assert 0 <= ix.min() and ix.max() < size, (r, m, extra, cells)
@@ -226,15 +219,53 @@ def test_default_probes_are_distinct_inside_the_margins_and_enough():
                        for pt in points for p in pt), case
 
 
-def test_test_grid_spacing_must_match_production():
-    """The test grid's dx is the model's exactly: 0.1 is refused, and so
-    is the next double above 0.05."""
-    p = benchmark_params("D1Q3")  # dx = 0.05
-    for dx in (0.1, np.nextafter(0.05, 1.0)):
-        cfg = NceTrainConfig(spatial_order=2, m=1, dx=dx)
-        with pytest.raises(ValueError, match="^test grid spacing .* differs "
-                           "from model dx 0.05$"):
-            train_coefficients(cfg, p)
+@pytest.mark.parametrize("name,advection", [("D1Q3", ()), ("D1Q3", (0.66,)),
+                                            ("D2Q9", ())])
+@pytest.mark.parametrize("r,m", [(4, 1), (6, 3)])
+def test_a_finer_model_trains_to_the_canonical_coefficients_scaled(
+        name, advection, r, m):
+    """A model at dx = 0.05/k and dt/k runs the lattice dynamics of the
+    canonical one, which is its lattice twin (up to the rounding of the
+    twin's dt), so its coefficient vectors are the canonical ones times
+    (dx/DX0)^|T|: once scaled back, within 4 eps relative per term at
+    k = 2, 3 and 10 (measured: at most 0.8 eps)."""
+    p = benchmark_params(name, advection=advection)
+    cfg = NceTrainConfig(spatial_order=r, m=m)
+    canonical = train_coefficients(cfg, p).coefficients
+    for k in (2, 3, 10):
+        fine = LbmParams(p.vset, p.dx / k, p.dt / k, p.omega, p.advection)
+        assert training.lattice_twin(fine).fingerprint()[1:3] \
+            == pytest.approx((p.dx, p.dt), rel=1e-15)
+        trained = train_coefficients(cfg, fine).coefficients
+        assert trained.fingerprint == fine.fingerprint()
+        for spec, vector in canonical.terms.items():
+            back = trained.terms[spec] / (fine.dx / DX0) ** spec.total
+            gap = np.abs(back - vector).max() / np.abs(vector).max()
+            assert gap <= 4 * np.finfo(float).eps, (k, spec, gap)
+
+
+@pytest.mark.parametrize("name,advection,r,m", [("D1Q3", (0.66,), 6, 3),
+                                                ("D2Q9", (), 4, 1)])
+def test_both_extraction_modes_hold_at_a_fine_dx(name, advection, r, m):
+    """At dx = 0.005 and dt/10 the columns of the enlarged system, in the
+    model's units, span dx^-R: the nullspace mode reads it with unit
+    columns, without which advective D1Q3 (6, 3) finds a nullspace of
+    dimension > 1.  Both modes give the analytic D within 1e-6 relative
+    and a within 1e-6, the canonical tolerances, and agree within 1e-8
+    relative (measured: at most 2.6e-9)."""
+    p = benchmark_params(name, advection=advection)
+    fine = LbmParams(p.vset, p.dx / 10, p.dt / 10, p.omega, p.advection)
+    cfg = NceTrainConfig(spatial_order=r, m=m)
+    aug = augment_time_derivative(train_coefficients(cfg, fine).coefficients,
+                                  cfg, fine)
+    exact = analytic_pde(fine)
+    summed, nulled = (extract_pde(aug.coefficients, mode=mode,
+                                  system=aug.system)
+                      for mode in ("summation", "nullspace"))
+    for pde in (summed, nulled):
+        assert_allclose(pde.diffusion, exact.diffusion, rtol=1e-6)
+        assert_allclose(pde.advection, exact.advection, atol=1e-6)
+    assert_allclose(nulled.diffusion, summed.diffusion, rtol=1e-8)
 
 
 def test_augment_pins_time_column():
@@ -297,7 +328,8 @@ def test_extract_pde_modes_agree():
 
 def test_nullspace_extraction_refuses_a_system_without_time_column():
     """The trained probe block has one column per term and no time
-    column, so it holds no PDE relation to read off."""
+    column, so it holds no PDE relation to read off; nor does a system
+    with a vanishing column, which the column scaling would divide by."""
     p = benchmark_params("D1Q3")
     cfg = NceTrainConfig(spatial_order=2, m=1)
     aug = augment_time_derivative(train_coefficients(cfg, p).coefficients,
@@ -307,6 +339,12 @@ def test_nullspace_extraction_refuses_a_system_without_time_column():
                     system=_Workspace(cfg, p).block)
     with pytest.raises(ValueError, match="enlarged probe system"):
         extract_pde(aug.coefficients, mode="nullspace")
+    # a zero time column, the null vector alone, would read as D = 0
+    stalled = aug.system.copy()
+    stalled[:, -1] = 0.0
+    with pytest.raises(ValueError, match="^a column of the enlarged system "
+                       "vanishes$"):
+        extract_pde(aug.coefficients, mode="nullspace", system=stalled)
 
 
 def test_extract_requires_time_term():
