@@ -34,7 +34,8 @@ def main(cells=200):
           f"{'trained R=4':>13s} {'gain':>7s}")
     for name, adv in cases:
         config = ExperimentConfig(kind="hybrid", velocity_set=name,
-                                  cells=cells, advection=adv)
+                                  cells=cells, advection=adv,
+                                  lifter="equilibrium")
         params = experiment_params(config)
         trained = train_coefficients(NceTrainConfig(spatial_order=4, m=1),
                                      params)

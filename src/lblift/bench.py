@@ -26,8 +26,9 @@ from .lifters import CoefficientLifter, CrLifter, EquilibriumLifter
 from .lifting import (analytic_coefficients, coefficients_to_text,
                       read_key_values)
 from .macro_pde import MacroPde, analytic_pde, stability_breaches
-from .training import (ConfigError, NceTrainConfig, augment_time_derivative,
-                       extract_pde, train_coefficients)
+from .training import (DX0, ConfigError, NceTrainConfig,
+                       augment_time_derivative, extract_pde,
+                       train_coefficients)
 
 # Canonical model problems: a 10-unit box at 200 cells, a unit Gaussian
 # bump in the middle, and relaxation rates chosen so the macroscopic
@@ -41,16 +42,17 @@ EXAMPLE_OMEGA = {
     "D2Q9": Fraction(125, 64),
 }
 
-MIN_CELLS = 4  # cells per axis of any config at least
-
-# grid cells, cells ** dimension, of any config at most: the hybrid of
-# demos/configs/hybrid_d2q9_adv.cfg peaks at 46.6 MB RSS on 200^2 cells and
-# 93.4 MB on 400^2 (x86-64 Linux, one BLAS thread), about 410 bytes a cell
-# over 31 MB, so at this bound, 2000^2 in 2D, it would peak near 1.6 GB
+# grid cells, cells ** dimension, of a config that builds its grid, at most:
+# hybrid_d2q9_adv.cfg peaks at 46.6 MB RSS on 200^2 cells, 93.4 MB on 400^2
+# (x86-64 Linux, one BLAS thread), so near 1.6 GB at this bound, 2000^2 in 2D
 MAX_GRID_CELLS = 4 * 10 ** 6
 
 KINDS = ("lift_bench", "hybrid", "train_only", "cost_table")
 LIFTERS = ("equilibrium", "analytic", "nce", "cr")
+# the keys each lifter but nce is built from, in the order refusals name them
+_LIFTER_KEYS = {"equilibrium": ("lifter",), "cr": ("m",),
+                "analytic": ("order", "velocity_set", "advection", "omega",
+                             "length", "cells")}
 
 
 def _parse_float(text: str) -> float:
@@ -62,114 +64,119 @@ def _parse_tuple(text: str) -> Tuple[float, ...]:
     return tuple(float(Fraction(part.strip())) for part in text.split(","))
 
 
-def _key(parse, default=MISSING):
-    # a config key: a field with its default and the parser of its text
-    return field(default=default, metadata={"parse": parse})
+def _one_of(*choices):
+    def rule(value):
+        if value not in choices:
+            raise ValueError(f"not one of {', '.join(choices)}")
+    return rule
+
+
+def _at_least(least: int, purpose: str = ""):
+    def rule(value):
+        if value < least:
+            raise ValueError(f"need at least {least}{purpose}")
+    return rule
+
+
+def _key(parse, default=MISSING, rule=None):
+    return field(default=default, metadata={"parse": parse, "rule": rule})
 
 
 @dataclass
 class ExperimentConfig:
     """One experiment, as read from a key = value config file: each init
-    field is a config key, read from its text by its parser."""
+    field is a config key, with its default, the parser of its text and
+    the rule its value alone must meet (_key)."""
 
-    kind: str = _key(str)
-    velocity_set: str = _key(str, "D1Q3")
-    length: float = _key(_parse_float, 10.0)
-    cells: int = _key(int, 200)
-    dt: Optional[float] = _key(_parse_float, None)
-    omega: Optional[float] = _key(_parse_float, None)
+    kind: str = _key(str, rule=_one_of(*KINDS))
+    velocity_set: str = _key(str, "D1Q3", _one_of(*VELOCITY_SETS))
+    length: float = _key(_parse_float, 10.0, finite_positive)
+    cells: int = _key(int, 200, _at_least(4))
+    dt: Optional[float] = _key(_parse_float, None, finite_positive)
+    omega: Optional[float] = _key(_parse_float, None, stable_omega)
     advection: Optional[Tuple[float, ...]] = _key(_parse_tuple, None)
-    lifter: str = _key(str, "analytic")
+    lifter: str = _key(str, "analytic", _one_of(*LIFTERS))
     order: int = _key(int, 2)
     m: int = _key(int, 1)
-    steps: int = _key(int, 200)
-    reference_steps: int = _key(int, 1000)
+    steps: int = _key(int, 200, _at_least(1))
+    reference_steps: int = _key(int, 1000, _at_least(0))
     split_index: Optional[int] = _key(int, None)
-    pde_source: str = _key(str, "analytic")
-    extract_mode: str = _key(str, "summation")
+    pde_source: str = _key(str, "analytic", _one_of("analytic", "extracted"))
+    extract_mode: str = _key(str, "summation",
+                             _one_of("summation", "nullspace"))
     # the config line of each key the file states, which parse_config
     # fills, for the refusals of an extracted PDE after training
     lines: Dict[str, int] = field(init=False, default_factory=dict,
                                   repr=False, compare=False)
 
     def __post_init__(self):
-        # the model's rules on dt and omega, before any other
-        for key, rule in (("dt", finite_positive), ("omega", stable_omega)):
+        for key, declared in _KEYS.items():
             value = getattr(self, key)
-            if value is not None:
-                self._check(key, lambda: rule(value))
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}", "kind")
-        if self.velocity_set not in VELOCITY_SETS:
-            raise ConfigError(f"unknown velocity set {self.velocity_set!r}",
-                              "velocity_set")
-        if self.lifter not in LIFTERS:
-            raise ConfigError(f"unknown lifter {self.lifter!r}", "lifter")
-        if self.pde_source not in ("analytic", "extracted"):
-            raise ConfigError(f"unknown pde_source {self.pde_source!r}",
-                              "pde_source")
-        if self.extract_mode not in ("summation", "nullspace"):
-            raise ConfigError(f"unknown extract_mode {self.extract_mode!r}",
-                              "extract_mode")
-        if self.cells < MIN_CELLS:
-            raise ConfigError(f"cells = {self.cells}: need at least "
-                              f"{MIN_CELLS} cells", "cells")
-        dimension = VELOCITY_SETS[self.velocity_set].dimension
-        if self.cells ** dimension > MAX_GRID_CELLS:
-            raise ConfigError(f"cells = {self.cells}: {self.cells}^{dimension}"
-                              f" grid cells, over {MAX_GRID_CELLS}", "cells")
-        if not 0 < self.length < np.inf:
-            raise ConfigError(f"length = {self.length}: must be positive "
-                              "and finite", "length")
-        # the stencil weights reach 1/dx^order, the PDE step 1/dx^2
-        power = max(self.order, 2)
-        dx = self.length / self.cells
-        try:
-            finite_weights = np.isfinite((1.0 / dx) ** power)
-        except (OverflowError, ZeroDivisionError):
-            finite_weights = False
-        if not finite_weights:
-            raise ConfigError(f"length = {self.length}, cells = {self.cells}: "
-                              f"1/dx^{power} is not finite, dx = {dx:.3g}",
-                              "length", "cells")
-        if self.steps < 1:
-            raise ConfigError(f"steps = {self.steps}: need at least 1 step",
-                              "steps")
-        if self.reference_steps < 0:
-            raise ConfigError(f"reference_steps = {self.reference_steps}: "
-                              "the reference state needs >= 0 LBM steps",
-                              "reference_steps")
+            if declared["rule"] is not None and value is not None:
+                self._check(key, declared["rule"], value)
+        extracted = self.kind == "hybrid" and self.pde_source == "extracted"
+        trains = extracted or self.kind == "train_only" or self.lifter == "nce"
+        if self.kind != "train_only":  # training builds no grid of cells
+            self._check("cells", _grid_bound, self.cells,
+                        VELOCITY_SETS[self.velocity_set].dimension)
+        self._check(("length", "cells"), _finite_scales,
+                    self.length / self.cells, self.order, trains)
         # the rules of what a run builds from these values, applied here
         # so that the config line at fault is named
-        params = self._check("advection", lambda: experiment_params(self))
-        if self.split_index is not None and self.kind in ("hybrid",
-                                                          "cost_table"):
-            self._check("split_index", lambda: checked_split(
-                self.cells, self.split_index))
-        if self.lifter == "cr" and self.kind != "train_only":
-            self._check("m", lambda: CrConfig(m=self.m))
-        if self.kind == "cost_table" or (self.kind == "hybrid"
-                                         and self.pde_source == "analytic"):
-            try:
-                pde = analytic_pde(params)
-            except ValueError as exc:
-                raise ConfigError(str(exc), "omega" if params.omega == 0.0
-                                  else "advection") from None
+        params = self._check("advection", experiment_params, self)
+        runs_hybrid = self.kind in ("hybrid", "cost_table")
+        if runs_hybrid and self.split_index is not None:
+            self._check("split_index", checked_split, self.cells,
+                        self.split_index)
+        if runs_hybrid and not extracted:
+            pde = self._check(("advection", "omega", "dt", "length", "cells"),
+                              analytic_pde, params)
             _refuse_unstable_pde(pde, params)
-        if (self.kind == "train_only" or self.lifter == "nce"
-                or (self.kind == "hybrid" and self.pde_source == "extracted")):
-            train_config(self)
+        if trains:  # the training rules, one key at a time
+            self._check("order", NceTrainConfig, spatial_order=self.order)
+            self._check("m", NceTrainConfig, m=self.m)
+        if extracted:
+            self._check("order", _at_least(
+                2, " to read the PDE off second derivatives"), self.order)
+        if self.lifter != "nce" and self.kind != "train_only":
+            self._check(_LIFTER_KEYS[self.lifter], make_lifter, self, params)
 
-    def _check(self, key: str, rule):
-        """rule(), its ValueError refused as a ConfigError on key that
-        names the key's value."""
+    def _check(self, keys, rule, *args, **kwargs):
+        """rule(*args, **kwargs), or for a ValueError or ArithmeticError it
+        raises a ConfigError on keys, one key or a tuple, naming each key's
+        value but None, then the error, an ArithmeticError by its type."""
         try:
-            return rule()
+            return rule(*args, **kwargs)
         except ValueError as exc:
-            value = getattr(self, key)
-            if isinstance(value, tuple):
-                value = ", ".join(map(str, value))
-            raise ConfigError(f"{key} = {value}: {exc}", key) from None
+            message = str(exc)
+        except ArithmeticError as exc:
+            message = f"{type(exc).__name__}: {exc}"
+        keys = (keys,) if isinstance(keys, str) else keys
+        stated = ", ".join(
+            f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for key in keys if (v := getattr(self, key)) is not None)
+        raise ConfigError(f"{stated}: {message}", *keys)
+
+
+def _grid_bound(cells: int, dimension: int) -> None:
+    if cells ** dimension > MAX_GRID_CELLS:
+        raise ValueError(f"{cells}^{dimension} grid cells, over "
+                         f"{MAX_GRID_CELLS}")
+
+
+def _finite_scales(dx: float, order: int, trains: bool) -> None:
+    """Refuse a dx at which a stencil weight overflows, up to 1/dx^order
+    and the PDE step's 1/dx^2, or, in a config that trains, the factor
+    (dx/DX0)^order that scales the lattice twin's coefficients."""
+    scales = {"1/dx": (1 / dx if dx else np.inf, max(order, 2)),
+              f"(dx/{DX0})": (dx / DX0, order * trains)}
+    for name, (base, power) in scales.items():
+        try:
+            finite = base ** power < np.inf
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name}^{power} is not finite, dx = {dx:.3g}")
 
 
 @dataclass
@@ -197,11 +204,8 @@ def experiment_params(config: ExperimentConfig) -> LbmParams:
     dt = EXAMPLE_DT[config.velocity_set] if config.dt is None else config.dt
     omega = EXAMPLE_OMEGA[config.velocity_set] if config.omega is None \
         else config.omega
-    advection = config.advection
-    if advection is None:
-        advection = (0.0,) * vset.dimension
     return LbmParams(vset=vset, dx=config.length / config.cells, dt=dt,
-                     omega=float(omega), advection=tuple(advection))
+                     omega=float(omega), advection=config.advection or ())
 
 
 def initial_density(config: ExperimentConfig) -> np.ndarray:
@@ -216,14 +220,8 @@ def initial_density(config: ExperimentConfig) -> np.ndarray:
 
 
 def train_config(config: ExperimentConfig) -> NceTrainConfig:
-    """The training settings of config, its order and m, refused on the
-    config key at fault; they hold whatever config's dx."""
-    try:
-        return NceTrainConfig(spatial_order=config.order, m=config.m)
-    except ConfigError as exc:
-        key = {"spatial_order": "order", "m": "m"}[exc.keys[0]]
-        raise ConfigError(f"{key} = {getattr(config, key)}: {exc}",
-                          key) from None
+    """The training settings of config, its order and m, at any dx."""
+    return NceTrainConfig(spatial_order=config.order, m=config.m)
 
 
 def _refuse_unstable_pde(pde: MacroPde, params: LbmParams) -> None:
@@ -368,16 +366,17 @@ def cost_summary(config: ExperimentConfig) -> StepCounter:
 # Config file parsing: flat `key = value` lines, # comments.
 # ---------------------------------------------------------------------------
 
-# each config key's parser, read off the fields of ExperimentConfig
-_PARSERS = {key.name: key.metadata["parse"]
-            for key in fields(ExperimentConfig) if key.init}
+# each config key's parser and rule, read off the fields of
+# ExperimentConfig
+_KEYS = {key.name: key.metadata for key in fields(ExperimentConfig)
+         if key.init}
 
 
 def _config_entry(key: str, value: str) -> tuple:
-    if key not in _PARSERS:
+    if key not in _KEYS:
         raise ValueError(f"unknown key {key!r}")
     try:
-        return key, _PARSERS[key](value)
+        return key, _KEYS[key]["parse"](value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse {key} = {value!r} ({exc})") from None
 

@@ -361,11 +361,11 @@ def stream_collide(f: np.ndarray, params: LbmParams) -> np.ndarray:
     """
     f = np.asarray(f, dtype=float)
     vset = params.vset
-    if f.shape[0] != vset.q:
-        raise ValueError(f"expected leading axis {vset.q} for {vset.name}")
     if f.ndim != vset.dimension + 1:
         raise ValueError(f"distribution rank {f.ndim} does not match "
                          f"{vset.name}")
+    if f.shape[0] != vset.q:
+        raise ValueError(f"expected leading axis {vset.q} for {vset.name}")
 
     global _step_count
     _step_count += 1
@@ -397,6 +397,8 @@ def run_lbm(f: np.ndarray, params: LbmParams, steps: int) -> np.ndarray:
 def moments(f: np.ndarray) -> Moments:
     """D1Q3 moment transform (rho, phi, xi) of a distribution field."""
     f = np.asarray(f, dtype=float)
+    if f.ndim != 2:
+        raise ValueError(f"distribution rank {f.ndim} does not match D1Q3")
     if f.shape[0] != 3:
         raise ValueError("moment transform is defined for D1Q3 fields")
     f1, f0, fm1 = f[0], f[1], f[2]

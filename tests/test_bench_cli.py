@@ -13,7 +13,6 @@ import lblift.bench as bench
 from lblift import ExperimentConfig, cost_summary, lbm_step_count, \
     lift_restrict_error, parse_config, run_experiment, train_coefficients
 from lblift.cli import _COMMANDS, main
-from lblift.constrained_runs import CrConfig
 from lblift.hybrid import checked_split, compare_to_reference, default_split
 from lblift.macro_pde import stability_breaches
 from lblift.training import ConfigError, NceTrainConfig
@@ -26,6 +25,7 @@ kind = hybrid
 velocity_set = D2Q9   # trailing comment
 omega = 125/64        # fractions are read exactly
 advection = 1, 0.5
+lifter = equilibrium
 steps = 50
 """)
     assert cfg.kind == "hybrid"
@@ -56,7 +56,9 @@ def test_parse_config_names_the_line_of_a_refused_value():
         parse_config("kind = lift_bench\nreference_steps = -1\n")
     with pytest.raises(ValueError, match=r"^config line 4: steps = 0"):
         parse_config("# a comment\nkind = hybrid\n\nsteps = 0\n")
-    with pytest.raises(ValueError, match=r"^config line 1: unknown lifter"):
+    with pytest.raises(ValueError, match=r"^config line 1: lifter = magic: "
+                                         r"not one of equilibrium, analytic, "
+                                         r"nce, cr$"):
         parse_config("lifter = magic\n", kind="hybrid")
     # dt and omega follow the rules of LbmParams, which ExperimentConfig
     # applies
@@ -114,7 +116,7 @@ def test_parse_config_refuses_a_length_whose_stencil_weights_overflow(
     assert parse_config(head + "length = 1e-60\n").length == 1e-60
     with pytest.raises(ValueError, match=r"^config line 4: .* 1/dx\^6 is not"):
         parse_config(head + "order = 6\nlength = 1e-60\n")
-    for order in range(1, 7):
+    for order in range(1, 4 if lifter == "analytic" else 7):
         cfg = parse_config(head + f"order = {order}\nlength = 10\n")
         assert (cfg.length, cfg.cells, cfg.order) == (10.0, 200, order)
 
@@ -173,7 +175,8 @@ def test_parse_config_names_the_line_of_a_training_order_out_of_range():
         with pytest.raises(ValueError, match=r"^config line 4: order = 9: "
                            r"spatial_order 9 outside 1..6$"):
             parse_config(head + "# too high\norder = 9\n")
-    assert parse_config("kind = lift_bench\norder = 9\n").order == 9
+    assert parse_config("kind = lift_bench\nlifter = equilibrium\n"
+                        "order = 9\n").order == 9
 
 
 def test_parse_config_names_the_line_of_a_training_m_out_of_range():
@@ -214,6 +217,7 @@ def test_parse_config_names_the_line_of_an_advection_of_another_dimension():
                        r"1.0, 0.5: advection vector must match"):
         parse_config("kind = lift_bench\nadvection = 1, 1/2\n")
     assert parse_config("kind = hybrid\nvelocity_set = D2Q9\n"
+                        "lifter = equilibrium\n"
                         "advection = 1, 1/2\n").advection == (1.0, 0.5)
 
 
@@ -248,7 +252,8 @@ def test_parse_config_names_the_dt_line_of_an_unstable_pde_step(kind):
             r"^config line 3: dt = 0.001: unstable PDE step, squared Courant "
             r"numbers sum to 0.01, above 2 nu = 0.00331")):
         parse_config(head + "advection = 5\nomega = 1.99\n")
-    assert parse_config(head + "advection = 0.66\n").advection == (0.66,)
+    assert parse_config(head + "lifter = equilibrium\n"
+                        "advection = 0.66\n").advection == (0.66,)
 
 
 @pytest.mark.parametrize("build", ["hybrid_spec", "hybrid_pde"])
@@ -297,14 +302,13 @@ def test_parse_config_names_the_line_of_a_split_index_out_of_range(split):
      r"100000000000000000000\^1 grid cells"),
     ("kind = hybrid\nvelocity_set = D2Q9\ncells = 100000\n",
      r"config line 3: cells = 100000: 100000\^2 grid cells"),
-    ("kind = train_only\ncells = 4000001\n",
-     r"config line 2: cells = 4000001: 4000001\^1 grid cells"),
     ("kind = lift_bench\nvelocity_set = D2Q5\nlength = 3\ncells = 2001\n",
      r"config line 4: cells = 2001: 2001\^2 grid cells"),
-], ids=["hybrid-1d", "hybrid-2d", "train-1d", "lift-bench-2d"])
+], ids=["hybrid-1d", "hybrid-2d", "lift-bench-2d"])
 def test_a_grid_over_the_bound_is_refused_on_the_cells_line(
         tmp_path, text, named):
-    """A config of any kind whose grid, cells ** dimension, exceeds
+    """A config of a kind that builds its grid, any kind but train_only,
+    whose grid, cells ** dimension, exceeds
     MAX_GRID_CELLS is refused naming its cells line before any array of
     the run is allocated (numpy's own refusal, "Maximum allowed size
     exceeded", named no key, and D2Q9 at 100,000 cells asked for 74.5
@@ -322,7 +326,70 @@ def test_a_grid_over_the_bound_is_refused_on_the_cells_line(
     assert bench.MAX_GRID_CELLS == 4 * 10 ** 6
     for velocity_set, cells in (("D1Q3", 4 * 10 ** 6), ("D2Q9", 2000)):
         assert parse_config(f"kind = hybrid\nvelocity_set = {velocity_set}"
-                            f"\ncells = {cells}\n").cells == cells
+                            f"\nlifter = equilibrium\ncells = {cells}\n"
+                            ).cells == cells
+
+
+def test_a_training_config_over_the_grid_bound_trains_through_the_cli(
+        tmp_path, capsys):
+    """A train_only config builds only the training grid of its lattice
+    twin, so its cells are not held to MAX_GRID_CELLS: D2Q9 at 6000 cells
+    a side, 3.6e7 grid cells, trains through `lblift train`, where it was
+    refused on its cells line.  Without advection its twin runs the
+    dynamics of the canonical model: the same probe system."""
+    config = tmp_path / "fine.cfg"
+    config.write_text("velocity_set = D2Q9\nlength = 3\ncells = 6000\n"
+                      "order = 6\n")
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "train_summary.csv") as summary:
+        row = dict(zip(*(line.rstrip("\n").split(",") for line in summary)))
+    assert float(row["dx"]) == 3 / 6000
+    assert float(row["residual"]) < 1e-9
+    canonical = bench.experiment_params(ExperimentConfig(
+        kind="train_only", velocity_set="D2Q9"))
+    assert float(row["condition"]) == train_coefficients(
+        NceTrainConfig(spatial_order=6, m=1), canonical).condition
+
+
+# configs whose run failed naming no line, each refused as it is read:
+# (subcommand, config text, the line named)
+REFUSED_ON_A_LINE = [
+    ("lift-bench", "lifter = analytic\norder = 4\n", 2),
+    ("lift-bench", "advection = 0.5\n", 1),
+    ("hybrid", "velocity_set = D2Q9\ncells = 40\nsteps = 2\n", 1),
+    ("cost", "velocity_set = D2Q5\ncells = 20\nsteps = 2\n", 1),
+    ("lift-bench", "lifter = analytic\nomega = 1e-300\n", 2),
+    ("hybrid", "lifter = nce\nadvection = 1e300\n", 2),
+    ("hybrid", "lifter = equilibrium\ndt = 1e-300\n", 2),
+    ("hybrid", "lifter = nce\npde_source = extracted\norder = 1\n"
+     "steps = 2\n", 3),
+    ("train", "lifter = nce\nlength = 1e300\n", 2),
+]
+
+
+@pytest.mark.parametrize("command, text, line", REFUSED_ON_A_LINE, ids=[
+    "analytic-order-4", "analytic-advective", "analytic-d2q9",
+    "analytic-d2q5", "analytic-tiny-omega", "pde-huge-advection",
+    "pde-tiny-dt", "extracted-order-1", "train-huge-length"])
+def test_a_config_whose_run_failed_is_refused_on_its_line(
+        tmp_path, capsys, command, text, line):
+    """Each config is refused through the CLI with exit 1 and a message
+    that names the line at fault, before any LBM step: the configured
+    lifter is built as the config is read (an analytic lifter of order
+    4, with advection, on a 2D set or at omega = 1e-300), an analytic
+    PDE whose diffusion overflows is refused, an extracted PDE needs
+    order 2, and training scales by (dx/0.05)^order, which overflows at
+    length = 1e300.  Each once exited 1 naming no line."""
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    before = lbm_step_count()
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert lbm_step_count() == before
+    assert capsys.readouterr().err.startswith(f"error: config line {line}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_kind_from_command():
@@ -343,8 +410,8 @@ def test_experiment_config_validation():
         ExperimentConfig(kind="hybrid", velocity_set="D9Q9")
     with pytest.raises(ValueError, match="reference_steps = -5"):
         ExperimentConfig(kind="lift_bench", reference_steps=-5)
-    with pytest.raises(ValueError, match="^length = inf: must be positive "
-                       "and finite$"):
+    with pytest.raises(ValueError, match="^length = inf: inf is not finite "
+                       "and positive$"):
         ExperimentConfig(kind="train_only", length=float("inf"))
     with pytest.raises(ValueError, match="reference_steps = -1"):
         parse_config("kind = lift_bench\nreference_steps = -1\n")
@@ -375,7 +442,8 @@ def test_cr_lift_bench_on_a_two_d_set(tmp_path):
 
 def test_defaults_match_benchmark_models():
     for name, dt in (("D1Q3", 1e-3), ("D2Q5", 1e-4), ("D2Q9", 1e-5)):
-        cfg = ExperimentConfig(kind="lift_bench", velocity_set=name)
+        cfg = ExperimentConfig(kind="lift_bench", velocity_set=name,
+                               lifter="equilibrium")
         p = bench.experiment_params(cfg)
         assert p.dt == dt
         assert p.dx == 0.05
@@ -639,7 +707,8 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
     one of its lines, every one of which states a key, or gives a config whose pieces all
     build: the model on a grid within MAX_GRID_CELLS, the training
     settings when the config trains, the split
-    of a hybrid run with a stable analytic PDE step, and the CR settings.
+    of a hybrid run with a stable analytic PDE step, and the configured
+    lifter when building it trains nothing.
     Nothing here runs an experiment, and nothing field-sized is
     allocated, huge grids included."""
 
@@ -649,6 +718,9 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
     # a 2D grid of 10^10 cells, which parsed in every kind that did not
     # train and whose run asked for 74.5 GiB: refused on its cells line
     @example(f"kind = {kind}\nvelocity_set = D2Q9\ncells = 100000\n")
+    # the closed forms of the default analytic lifter, D1Q3 only, which
+    # parsed on D2Q9 and failed in the run naming no line
+    @example(f"kind = {kind}\nvelocity_set = D2Q9\n")
     def check(text):
         lines = text.splitlines()
         tracemalloc.start()
@@ -661,8 +733,8 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
                 assert int(named[1]) <= len(lines), str(refused)
                 return
             params = bench.experiment_params(config)
-            assert config.cells ** params.vset.dimension \
-                <= bench.MAX_GRID_CELLS, text
+            assert kind == "train_only" or config.cells \
+                ** params.vset.dimension <= bench.MAX_GRID_CELLS, text
             if (kind == "train_only" or config.lifter == "nce"
                     or (kind == "hybrid" and config.pde_source == "extracted")):
                 bench.train_config(config)
@@ -673,8 +745,8 @@ def test_config_text_is_refused_on_a_line_or_builds(kind):
                 if kind == "cost_table" or config.pde_source == "analytic":
                     pde = bench.analytic_pde(params)
                     assert not stability_breaches(pde, params.dx, params.dt)
-            if config.lifter == "cr" and kind != "train_only":
-                CrConfig(m=config.m)
+            if config.lifter != "nce" and kind != "train_only":
+                bench.make_lifter(config, params)
         finally:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()

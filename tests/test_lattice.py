@@ -108,6 +108,17 @@ def test_moment_definitions():
         moments(np.zeros((5, 4)))
 
 
+@pytest.mark.parametrize("transform", [
+    lambda f: stream_collide(f, benchmark_params("D1Q3")), moments,
+], ids=["stream_collide", "moments"])
+def test_a_0d_field_is_refused_by_its_rank(transform):
+    """A scalar is refused with the ValueError that names its rank, where
+    reading its leading axis raised an IndexError."""
+    with pytest.raises(ValueError,
+                       match="^distribution rank 0 does not match D1Q3$"):
+        transform(np.float64(1.0))
+
+
 def test_rest_is_the_zero_direction():
     assert (D1Q3.rest, D2Q5.rest, D2Q9.rest) == (1, 0, 0)
     for vs in (D1Q3, D2Q5, D2Q9):
